@@ -319,7 +319,6 @@ class PredicateRecord:
     odd: bool
     anti_idempotent: bool
     integral: bool
-    bounded: bool
     extrema: tuple[int, int]
     rigorously_compact: bool
     distributive: bool
@@ -345,7 +344,6 @@ def predicates(A: FiniteIRL) -> PredicateRecord:
         odd=A.e == f,
         anti_idempotent=anti_idem,
         integral=A.e == top,
-        bounded=True,
         extrema=(bot, top),
         rigorously_compact=rc,
         distributive=distributive,

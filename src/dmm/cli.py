@@ -17,7 +17,7 @@ from dmm.algebra import (AlgebraError, FiniteIRL, predicates, validate_dmm,
 from dmm.constructions import (UnknownName, e_free_reduct, homs,
                                is_isomorphic, is_named, make_named)
 from dmm.enumeration import (Catalog, IncompleteCatalog, SearchSpec,
-                             SizeTooLarge, axiomatization_check,
+                             SizeTooLarge, SizeTooSmall, axiomatization_check,
                              enumerate_algebras, theorem_harness)
 from dmm.filters import classify, dfg, quotient
 from dmm.relevant import (FiniteRA, TrivialAlgebra, dfg_ra_set,
@@ -25,8 +25,8 @@ from dmm.relevant import (FiniteRA, TrivialAlgebra, dfg_ra_set,
 from dmm.structure import (NotApplicable, NotDMM, NotFSI,
                            fusion_pattern_check, hasse_text, lollipop,
                            odd_sugihara_quotient, splitting_check)
-from dmm.terms import (ParseError, parse_statement, satisfies,
-                       statements_from_text, to_text)
+from dmm.terms import (ParseError, TooManyVariables, parse_statement,
+                       satisfies, statements_from_text, to_text)
 
 
 class UsageError(Exception):
@@ -220,16 +220,21 @@ def _cmd_iso(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_generators(text: str) -> list[int]:
+def _parse_generators(text: str, size: int) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        gens = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad generator list {text!r}") from exc
+    bad = [g for g in gens if not 0 <= g < size]
+    if bad:
+        raise UsageError(f"generators {bad} not elements of an algebra "
+                         f"of size {size}")
+    return gens
 
 
 def _cmd_quotient(args) -> int:
     A = _load_algebra(args.algebra, args.klass)
-    gens = _parse_generators(args.generators or "")
+    gens = _parse_generators(args.generators or "", A.size)
     G = dfg(A, gens)
     Q, proj = quotient(A, G)
     payload = {"filter": G.sorted_members(), "projection": proj,
@@ -247,7 +252,7 @@ def _cmd_reduct(args) -> int:
 
 def _cmd_dfg(args) -> int:
     A = _load_algebra(args.algebra, args.klass)
-    gens = _parse_generators(args.generators or "")
+    gens = _parse_generators(args.generators or "", A.size)
     if isinstance(A, FiniteRA):
         F = dfg_ra_set(A, gens)
     else:
@@ -319,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["irl", "dmm", "ra"])
         sp.add_argument("--format", default="json", choices=["json", "text"])
         sp.add_argument("--out")
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--unsafe-size", action="store_true")
         sp.add_argument("--generators", help="comma-separated element list")
         sp.add_argument("--hasse", action="store_true")
@@ -356,9 +359,10 @@ def main(argv=None) -> int:
         if args.command == "satisfies" and not args.statement:
             raise UsageError("satisfies needs --statement")
         return args.fn(args)
-    except (UsageError, UnknownName, ParseError, SizeTooLarge,
+    except (UsageError, UnknownName, ParseError, SizeTooLarge, SizeTooSmall,
             IncompleteCatalog, AlgebraError, TrivialAlgebra,
-            NotFSI, NotDMM, OSError, json.JSONDecodeError) as exc:
+            NotFSI, NotDMM, TooManyVariables, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

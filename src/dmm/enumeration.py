@@ -29,6 +29,10 @@ class SizeTooLarge(Exception):
     pass
 
 
+class SizeTooSmall(Exception):
+    pass
+
+
 class IncompleteCatalog(Exception):
     pass
 
@@ -282,6 +286,8 @@ def enumerate_algebras(spec: SearchSpec, max_size: int = DEFAULT_MAX_SIZE,
     """Layered exhaustive search; output sorted by canonical form, so two
     runs with the same spec are byte-identical."""
     n = spec.size
+    if n < 1:
+        raise SizeTooSmall(f"size {n} below 1")
     if n > max_size and not unsafe:
         raise SizeTooLarge(f"size {n} above ceiling {max_size}")
     stats = {"pruned": 0, "found": 0}

@@ -1,6 +1,16 @@
 """Deductive filters, the filter/congruence bijection, quotients and the
 FSI/SI/simple classification.
 
+Filters are principal.  Let F be a deductive filter of a finite IRL and
+m = /\\F.  F is closed under meets, so m is in F, and m <= e since e is
+in F.  Then m <= m*m <= m*e = m, because m*m is in F and fusion is
+monotone; so m is idempotent, and F = [m) because F is an up-set.
+Conversely [m) is a filter for every idempotent m <= e.  So the filters are
+the [m) for the negative idempotents m, among them e and the bottom.  The
+congruence of [m) grows as m falls, the identity is that of [e), and the
+intersection of [p) and [q) is [p \\/ q).  So no function here enumerates
+subsets, and classify builds no congruence.
+
 Filters are stored as frozensets of element indices (carriers are tiny).
 Congruences are block-id arrays with blocks numbered by least member.
 """
@@ -8,9 +18,8 @@ Congruences are block-id arrays with blocks numbered by least member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from dmm.algebra import FiniteIRL, square_increasing_witness
+from dmm.algebra import FiniteIRL
 
 
 class NotAFilter(Exception):
@@ -51,16 +60,6 @@ class Congruence:
         return list(self.blocks)
 
 
-def _normalize_blocks(raw: list[int], n: int) -> tuple[int, ...]:
-    # renumber block ids by least member
-    first: dict[int, int] = {}
-    for a in range(n):
-        first.setdefault(raw[a], a)
-    order = sorted(first.values())
-    rank = {least: i for i, least in enumerate(order)}
-    return tuple(rank[first[raw[a]]] for a in range(n))
-
-
 def is_deductive_filter(A: FiniteIRL, members: frozenset[int]) -> bool:
     if A.e not in members:
         return False
@@ -74,36 +73,38 @@ def is_deductive_filter(A: FiniteIRL, members: frozenset[int]) -> bool:
     return True
 
 
+def _negative_idempotents(A: FiniteIRL) -> list[int]:
+    return [m for m in A.elements if A.leq(m, A.e) and A.fusion[m][m] == m]
+
+
+def _up_sets(A, least) -> list[frozenset[int]]:
+    """The up-sets [m) for m in least, sorted by (size, sorted membership).
+    Duck-typed on elements and leq, so FiniteRA shares it."""
+    out = [frozenset(b for b in A.elements if A.leq(m, b)) for m in least]
+    out.sort(key=lambda F: (len(F), sorted(F)))
+    return out
+
+
 def deductive_filters(A: FiniteIRL) -> list[DeductiveFilter]:
-    """All deductive filters, by direct enumeration of the subsets
-    containing e, sorted by (size, sorted membership)."""
-    rest = [a for a in A.elements if a != A.e]
-    found = []
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            mem = frozenset((A.e,) + extra)
-            if is_deductive_filter(A, mem):
-                found.append(mem)
-    found.sort(key=lambda m: (len(m), sorted(m)))
-    return [DeductiveFilter(m, A) for m in found]
+    """All deductive filters: [m) for each negative idempotent m, sorted by
+    (size, sorted membership)."""
+    return [DeductiveFilter(F, A)
+            for F in _up_sets(A, _negative_idempotents(A))]
 
 
 def dfg(A: FiniteIRL, X) -> DeductiveFilter:
-    """Least deductive filter containing X: closure iteration over upward
-    closure, meets and fusion, seeded with X and e."""
-    cur = set(X) | {A.e}
-    while True:
-        new = set(cur)
-        for a in cur:
-            for b in A.elements:
-                if A.leq(a, b):
-                    new.add(b)
-            for b in cur:
-                new.add(A.meet[a][b])
-                new.add(A.fusion[a][b])
-        if new == cur:
-            return DeductiveFilter(frozenset(cur), A)
-        cur = new
+    """Least deductive filter containing X: [m) for the largest negative
+    idempotent m below e and every element of X.  It exists because the
+    bottom is a negative idempotent and negative idempotents are closed
+    under joins: (p \\/ q)^2 = p \\/ q \\/ p*q = p \\/ q when p, q <= e."""
+    c = A.e
+    for x in X:
+        c = A.meet[c][x]
+    m = A.bottom
+    for p in _negative_idempotents(A):
+        if A.leq(p, c):
+            m = A.join[m][p]
+    return DeductiveFilter(_up_sets(A, [m])[0], A)
 
 
 def principal_filter(A: FiniteIRL, b: int) -> DeductiveFilter:
@@ -112,21 +113,26 @@ def principal_filter(A: FiniteIRL, b: int) -> DeductiveFilter:
     return dfg(A, {b})
 
 
+def _kernel(A, members) -> tuple[int, ...]:
+    """Blocks of {(a, b) : a->b and b->a in members}, numbered by least
+    member.  members must be a deductive filter, which makes the relation
+    an equivalence.  Duck-typed on size and residual, so FiniteRA shares
+    it."""
+    blocks: list[int] = []
+    ids: dict[int, int] = {}
+    for a in range(A.size):
+        least = next(b for b in range(a + 1)
+                     if A.residual(a, b) in members
+                     and A.residual(b, a) in members)
+        blocks.append(ids.setdefault(least, len(ids)))
+    return tuple(blocks)
+
+
 def omega(A: FiniteIRL, G: DeductiveFilter) -> Congruence:
     """The congruence {(a,b) : a->b in G and b->a in G}."""
     if G.owner is not A or not is_deductive_filter(A, G.members):
         raise NotAFilter("not a deductive filter of this algebra")
-    n = A.size
-    raw = list(range(n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            if A.residual(a, b) in G.members and A.residual(b, a) in G.members:
-                ra, rb = raw[a], raw[b]
-                if ra != rb:
-                    for c in range(n):
-                        if raw[c] == rb:
-                            raw[c] = ra
-    return Congruence(_normalize_blocks(raw, n), A)
+    return Congruence(_kernel(A, G.members), A)
 
 
 def is_congruence(A: FiniteIRL, theta: Congruence) -> bool:
@@ -188,8 +194,7 @@ class Classification:
     simple: bool
     si: bool
     fsi: bool
-    subcover: int | None = None      # largest element strictly below e, if SI
-    lemma_applicable: bool = True    # order-based shortcuts valid?
+    subcover: int | None = None  # largest negative idempotent below e, if SI
 
 
 def congruence_lattice(A: FiniteIRL) -> list[Congruence]:
@@ -199,72 +204,21 @@ def congruence_lattice(A: FiniteIRL) -> list[Congruence]:
 
 
 def classify(A: FiniteIRL) -> Classification:
-    """FSI / SI / simple flags.
-
-    For square-increasing algebras the order-based criteria (e
-    join-irreducible; a largest element strictly below e; exactly one strict
-    lower bound of e) are used and cross-checked against the congruence
-    lattice.  Otherwise only the congruence lattice is consulted.
-    """
-    n = A.size
-    cons = congruence_lattice(A)
-    ncon = len(cons)
-    if n == 1:
+    """FSI / SI / simple flags, from the negative idempotents strictly
+    below e (see the module docstring)."""
+    if A.size == 1:
         return Classification(True, False, False, True)
-
-    # congruence-lattice route
-    simple_con = ncon == 2
-    # SI: a least non-identity congruence (monolith) exists
-    nonid = [c for c in cons if max(c.blocks) != n - 1]
-    si_con = False
-    if nonid:
-        for cand in nonid:
-            if all(_finer(cand, other, n) for other in nonid):
-                si_con = True
-                break
-    # FSI: identity is meet-irreducible: no two non-identity congruences
-    # meet to the identity.
-    fsi_con = True
-    for i, c1 in enumerate(nonid):
-        for c2 in nonid[i:]:
-            if _meet_is_identity(c1, c2, n):
-                fsi_con = False
-                break
-        if not fsi_con:
-            break
-
-    e = A.e
-    if square_increasing_witness(A) is None:
-        below = [a for a in A.elements if A.lt(a, e)]
-        join_irred = not any(
-            A.join[a][b] == e
-            for a in A.elements if a != e
-            for b in A.elements if b != e)
-        sub = None
-        for a in below:
-            if all(A.leq(b, a) for b in below):
-                sub = a
-                break
-        si_ord = sub is not None
-        simple_ord = len(below) == 1
-        if (join_irred, si_ord, simple_ord) != (fsi_con, si_con, simple_con):
-            raise AssertionError(
-                "order-based and congruence-based classification disagree "
-                f"on {A.name or 'algebra'}: "
-                f"{(join_irred, si_ord, simple_ord)} vs "
-                f"{(fsi_con, si_con, simple_con)}")
-        return Classification(False, simple_ord, si_ord, join_irred,
-                              subcover=sub)
-    return Classification(False, simple_con, si_con, fsi_con,
-                          subcover=None, lemma_applicable=False)
+    below = [m for m in _negative_idempotents(A) if m != A.e]
+    return Classification(False, *_order_flags(A, A.e, below))
 
 
-def _finer(c1: Congruence, c2: Congruence, n: int) -> bool:
-    return all(c2.blocks[a] == c2.blocks[b]
-               for a in range(n) for b in range(a + 1, n)
-               if c1.blocks[a] == c1.blocks[b])
-
-
-def _meet_is_identity(c1: Congruence, c2: Congruence, n: int) -> bool:
-    return not any(c1.blocks[a] == c1.blocks[b] and c2.blocks[a] == c2.blocks[b]
-                   for a in range(n) for b in range(a + 1, n))
+def _order_flags(A, e, below) -> tuple[bool, bool, bool, int | None]:
+    """(simple, si, fsi, subcover) of a nontrivial algebra whose filters are
+    [e), the identity congruence's, and [m) for each m < e in below.  The
+    algebra is simple iff below holds the bottom alone, SI iff below has a
+    largest element (the subcover), and FSI iff no two elements of below
+    join to e.  Duck-typed on leq and join, so FiniteRA shares it with t
+    in place of e."""
+    sub = next((a for a in below if all(A.leq(b, a) for b in below)), None)
+    fsi = not any(A.join[p][q] == e for p in below for q in below)
+    return len(below) == 1, sub is not None, fsi, sub

@@ -2,17 +2,21 @@
 
 Deductive filters here are lattice filters containing |a| := a -> a for
 every element a; they are in bijection with congruences just as in the
-pointed case.
+pointed case.  They are principal: a filter F is closed under meets, so it
+contains m = /\\F; m <= t := /\\{|a|} because every |a| is in F; and
+F = [m) because F is an up-set.  Conversely [m) is a filter for every
+m <= t.  So the filters are the [m) for m <= t, the least one is [t), and
+classification reads the order below t as dmm.filters reads it below e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from dmm.algebra import (MalformedTable, ValidationReport, _Collector,
                          _as_table, is_distributive)
+from dmm.filters import _kernel, _order_flags, _up_sets
 
 
 class TrivialAlgebra(Exception):
@@ -143,33 +147,20 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
     return ValidationReport(not col.violations, col.violations)
 
 
-def is_ra_deductive_filter(A: FiniteRA, members: frozenset[int]) -> bool:
-    need = {A.abs_value(a) for a in A.elements}
-    if not need <= members:
-        return False
-    for a in members:
-        for b in A.elements:
-            if A.leq(a, b) and b not in members:
-                return False
-        for b in members:
-            if A.meet[a][b] not in members:
-                return False
-    return True
+def _abs_meet(A: FiniteRA) -> int:
+    """t = /\\{|a|}: the least element of the least deductive filter."""
+    m = A.abs_value(0)
+    for a in A.elements:
+        m = A.meet[m][A.abs_value(a)]
+    return m
 
 
 def ra_deductive_filters(A: FiniteRA) -> list[RADeductiveFilter]:
-    """All deductive filters, by direct enumeration (independent of the
-    closed-form generation formula, which it serves to cross-check)."""
-    base = frozenset(A.abs_value(a) for a in A.elements)
-    rest = [a for a in A.elements if a not in base]
-    out = []
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            mem = base | frozenset(extra)
-            if is_ra_deductive_filter(A, mem):
-                out.append(mem)
-    out.sort(key=lambda m: (len(m), sorted(m)))
-    return [RADeductiveFilter(m) for m in out]
+    """All deductive filters: [m) for each m <= t, sorted by (size, sorted
+    membership)."""
+    t = _abs_meet(A)
+    return [RADeductiveFilter(F)
+            for F in _up_sets(A, [m for m in A.elements if A.leq(m, t)])]
 
 
 def dfg_ra(A: FiniteRA, a: int) -> RADeductiveFilter:
@@ -228,9 +219,7 @@ def meet_property_check(A: FiniteRA) -> bool:
 def reconstruct_neutral(A: FiniteRA) -> int | None:
     """The glb of all |a|, if it acts as a fusion identity; for finite RAs
     the generating set is taken to be the whole carrier."""
-    m = A.abs_value(0)
-    for a in A.elements:
-        m = A.meet[m][A.abs_value(a)]
+    m = _abs_meet(A)
     if all(A.fusion[m][x] == x for x in A.elements):
         return m
     return None
@@ -271,59 +260,18 @@ class RAClassification:
 def ra_congruences(A: FiniteRA) -> list[tuple[int, ...]]:
     """Congruence block arrays via the deductive-filter bijection
     (theta_F = {(a,b) : a->b, b->a in F})."""
-    out = []
-    n = A.size
-    for F in ra_deductive_filters(A):
-        raw = list(range(n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                if (A.residual(a, b) in F.members
-                        and A.residual(b, a) in F.members):
-                    ra_, rb = raw[a], raw[b]
-                    if ra_ != rb:
-                        for c in range(n):
-                            if raw[c] == rb:
-                                raw[c] = ra_
-        first: dict[int, int] = {}
-        for a in range(n):
-            first.setdefault(raw[a], a)
-        rank = {least: i for i, least in enumerate(sorted(first.values()))}
-        out.append(tuple(rank[first[raw[a]]] for a in range(n)))
-    return out
+    return [_kernel(A, F.members) for F in ra_deductive_filters(A)]
 
 
 def ra_classify(A: FiniteRA) -> RAClassification:
-    n = A.size
-    cons = ra_congruences(A)
-    if n == 1:
-        return RAClassification(True, False, False, True, len(cons))
-    nonid = [c for c in cons if max(c) != n - 1]
-    simple = len(set(cons)) == 2
-    si = bool(nonid) and any(
-        all(_finer(c1, c2, n) for c2 in nonid) for c1 in nonid)
-    fsi = not any(
-        _meet_identity(c1, c2, n)
-        for i, c1 in enumerate(nonid) for c2 in nonid[i:])
-    m = reconstruct_neutral(A)
-    if m is not None:
-        # the pointed expansion must classify identically
-        from dmm.filters import classify as irl_classify
-        c = irl_classify(to_irl(A, m))
-        if (c.simple, c.si, c.fsi) != (simple, si, fsi):
-            raise AssertionError(
-                "pointed and e-free classifications disagree: "
-                f"{(c.simple, c.si, c.fsi)} vs {(simple, si, fsi)}")
-    return RAClassification(False, simple, si, fsi, len(cons))
-
-
-def _finer(c1, c2, n) -> bool:
-    return all(c2[a] == c2[b] for a in range(n) for b in range(a + 1, n)
-               if c1[a] == c1[b])
-
-
-def _meet_identity(c1, c2, n) -> bool:
-    return not any(c1[a] == c1[b] and c2[a] == c2[b]
-                   for a in range(n) for b in range(a + 1, n))
+    """Flags by the order facts of dmm.filters.classify, with t in place of
+    e; one filter per element of the down-set of t."""
+    if A.size == 1:
+        return RAClassification(True, False, False, True, 1)
+    t = _abs_meet(A)
+    below = [m for m in A.elements if m != t and A.leq(m, t)]
+    simple, si, fsi, _ = _order_flags(A, t, below)
+    return RAClassification(False, simple, si, fsi, len(below) + 1)
 
 
 def is_rigorously_compact_ra(A: FiniteRA) -> bool:

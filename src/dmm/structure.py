@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm
+from dmm.algebra import (FiniteIRL, NotAnIRL, square_increasing_witness,
+                         validate_dmm)
 from dmm.filters import classify, dfg, quotient
 
 
@@ -121,7 +122,7 @@ class BoundsCertificate:
 def bounds_of_generated(A: FiniteIRL, X) -> BoundsCertificate:
     """c = e | f | (a1|~a1) | ... ; b = c^2; then ~b <= x <= b on Sg(X)."""
     from dmm.constructions import sg
-    w = _square_increasing_ok(A)
+    w = square_increasing_witness(A)
     if w is not None:
         raise NotAnIRL(f"not square-increasing at {w}")
     c = A.join[A.e][A.f]
@@ -136,11 +137,6 @@ def bounds_of_generated(A: FiniteIRL, X) -> BoundsCertificate:
                 f"bound certificate fails at {x}: not {lower} <= {x} <= {b}")
     return BoundsCertificate(tuple(sorted(X)), c, b, lower, b,
                              tuple(sorted(incl)))
-
-
-def _square_increasing_ok(A: FiniteIRL):
-    from dmm.algebra import square_increasing_witness
-    return square_increasing_witness(A)
 
 
 # ---- lollipop ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 
 from dmm.constructions import make_named
-from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
+from dmm.enumeration import (Catalog, SearchSpec, enumerate_algebras,
+                             slow_count)
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +16,12 @@ def named():
 def dmm_catalogs():
     """Complete DMM catalogs for sizes 1..6, computed once per session."""
     return {n: enumerate_algebras(SearchSpec(n)) for n in range(1, 7)}
+
+
+@pytest.fixture(scope="session")
+def slow_counts():
+    """Unpruned recounts for sizes 1..4, computed once per session."""
+    return {n: slow_count(n) for n in range(1, 5)}
 
 
 @pytest.fixture(scope="session")

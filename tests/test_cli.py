@@ -108,6 +108,26 @@ def test_quotient_and_dfg(capsys):
     assert json.loads(out)["filter"] == [1, 2, 3]
 
 
+def test_generators_out_of_range_exit_2(capsys):
+    code, out, err = run(capsys, "dfg", "--algebra", "C4", "--generators",
+                         "-1")
+    assert code == 2 and out == "" and "error:" in err
+    code, out, err = run(capsys, "quotient", "--algebra", "C4",
+                         "--generators", "9")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_enumerate_size_zero_exits_2(capsys):
+    code, _, err = run(capsys, "enumerate", "--size", "0")
+    assert code == 2 and "error:" in err
+
+
+def test_satisfies_too_many_variables_exits_2(capsys):
+    code, _, err = run(capsys, "satisfies", "--algebra", "C4",
+                       "--statement", "x*y*z*u*v<=e")
+    assert code == 2 and "error:" in err
+
+
 def test_reduct_signature(capsys):
     code, out, _ = run(capsys, "reduct", "--algebra", "C4")
     assert code == 0
