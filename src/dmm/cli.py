@@ -16,9 +16,10 @@ from dmm.algebra import (AlgebraError, FiniteIRL, predicates, validate_dmm,
                          validate_irl)
 from dmm.constructions import (UnknownName, e_free_reduct, homs,
                                is_isomorphic, is_named, make_named)
-from dmm.enumeration import (Catalog, IncompleteCatalog, SearchSpec,
-                             SizeTooLarge, SizeTooSmall, axiomatization_check,
-                             enumerate_algebras, theorem_harness)
+from dmm.enumeration import (DEFAULT_MAX_SIZE, Catalog, IncompleteCatalog,
+                             SearchSpec, SizeTooLarge, SizeTooSmall,
+                             axiomatization_check, enumerate_algebras,
+                             theorem_harness)
 from dmm.filters import classify, dfg, quotient
 from dmm.relevant import (FiniteRA, TrivialAlgebra, dfg_ra_set,
                           ra_classify, validate_ra)
@@ -35,19 +36,76 @@ class UsageError(Exception):
 
 def _load_algebra(spec: str, klass: str = "dmm"):
     """Resolve --algebra: a named constructor wins over a file of the same
-    name (with a warning); otherwise read a JSON table file."""
+    name (with a warning); otherwise read a JSON table file.  With --class ra
+    a named algebra is replaced by its e-free reduct, as a file is read as a
+    relevant algebra."""
     if is_named(spec):
         if os.path.exists(spec):
             print(f"warning: {spec!r} is both a named algebra and a file; "
                   "using the named algebra", file=sys.stderr)
-        return make_named(spec)
+        A = make_named(spec)
+        return e_free_reduct(A) if klass == "ra" else A
     if not os.path.exists(spec):
         raise UsageError(f"no such algebra or file: {spec}")
-    with open(spec) as fh:
-        d = json.load(fh)
-    if d.get("signature") == "RA" or klass == "ra":
+    try:
+        with open(spec) as fh:
+            d = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{spec}: not a text file ({exc.reason})") from exc
+    ra = (isinstance(d, dict) and d.get("signature") == "RA") or klass == "ra"
+    _check_tables(d, ra, spec)
+    if ra:
         return FiniteRA.from_dict(d)
     return FiniteIRL.from_dict(d)
+
+
+def _load_pointed(spec: str, args):
+    A = _load_algebra(spec, args.klass)
+    if isinstance(A, FiniteRA):
+        raise UsageError(f"{args.command} expects a pointed algebra")
+    return A
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_tables(d, ra: bool, spec: str) -> None:
+    """Reject a table file that is not shaped like an algebra: a JSON
+    object with the signature's keys, n x n tables and a length-n neg of
+    integers in 0..n-1, and e in range.  The laws are left to validation."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{spec}: expected a JSON object, "
+                         f"got {type(d).__name__}")
+    keys = ("size", "meet", "join", "fusion", "neg") + (() if ra else ("e",))
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise UsageError(f"{spec}: missing key(s) {', '.join(missing)}")
+    n = d["size"]
+    if not _is_int(n) or n < 1:
+        raise UsageError(f"{spec}: size must be an integer >= 1")
+    if not isinstance(d.get("name", ""), str):
+        raise UsageError(f"{spec}: name must be a string")
+
+    def in_range(x):
+        return _is_int(x) and 0 <= x < n
+
+    for k in ("meet", "join", "fusion"):
+        t = d[k]
+        if not (isinstance(t, list) and len(t) == n
+                and all(isinstance(r, list) and len(r) == n for r in t)):
+            raise UsageError(f"{spec}: {k} is not a {n}x{n} table")
+        if not all(in_range(x) for r in t for x in r):
+            raise UsageError(f"{spec}: {k} entries must be integers "
+                             f"in 0..{n - 1}")
+    neg = d["neg"]
+    if not (isinstance(neg, list) and len(neg) == n):
+        raise UsageError(f"{spec}: neg is not a list of length {n}")
+    if not all(in_range(x) for x in neg):
+        raise UsageError(f"{spec}: neg entries must be integers "
+                         f"in 0..{n - 1}")
+    if not ra and not in_range(d["e"]):
+        raise UsageError(f"{spec}: e must be an integer in 0..{n - 1}")
 
 
 def _load_statements(spec: str):
@@ -113,9 +171,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
-    if isinstance(A, FiniteRA):
-        raise UsageError("analyze expects a pointed algebra")
+    A = _load_pointed(args.algebra, args)
     reports = []
     ok = True
     try:
@@ -161,9 +217,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_satisfies(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
-    if isinstance(A, FiniteRA):
-        raise UsageError("satisfies expects a pointed algebra")
+    A = _load_pointed(args.algebra, args)
     results = []
     ok = True
     for s in _load_statements(args.statement):
@@ -201,8 +255,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_homs(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
-    B = _load_algebra(args.algebra2, args.klass)
+    A = _load_pointed(args.algebra, args)
+    B = _load_pointed(args.algebra2, args)
     hs = homs(A, B)
     payload = [{"map": list(h.mapping), "injective": h.injective,
                 "surjective": h.surjective} for h in hs]
@@ -212,8 +266,8 @@ def _cmd_homs(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
-    B = _load_algebra(args.algebra2, args.klass)
+    A = _load_pointed(args.algebra, args)
+    B = _load_pointed(args.algebra2, args)
     ok = is_isomorphic(A, B)
     _emit({"isomorphic": ok}, args, lambda: "isomorphic" if ok else
           "not isomorphic")
@@ -233,7 +287,7 @@ def _parse_generators(text: str, size: int) -> list[int]:
 
 
 def _cmd_quotient(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
+    A = _load_pointed(args.algebra, args)
     gens = _parse_generators(args.generators or "", A.size)
     G = dfg(A, gens)
     Q, proj = quotient(A, G)
@@ -266,7 +320,11 @@ def _cmd_suite(args) -> int:
     """Enumerate up to --size (default 4), then run every harness."""
     from dmm.relevant import (contains_two_reduct, dfg_oracle, dfg_ra,
                               meet_property_check, reconstruct_neutral)
-    top = args.size or 4
+    top = 4 if args.size is None else args.size
+    if top < 1:
+        raise UsageError(f"suite needs --size >= 1, got {top}")
+    if top > DEFAULT_MAX_SIZE and not args.unsafe_size:
+        raise SizeTooLarge(f"size {top} above ceiling {DEFAULT_MAX_SIZE}")
     ok = True
     rows = []
     for n in range(1, top + 1):

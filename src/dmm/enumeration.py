@@ -2,10 +2,22 @@
 persistence, and the theorem harness run over a catalog.
 
 The fast path layers the search: naturally-labeled lattices (down-set
-construction), antitone involutions, a choice of neutral element, then a
-constraint-propagating DFS over fusion tables.  A deliberately dumb slow
-path re-counts small sizes with no search pruning so that catalog counts
-can be frozen only once the two agree.
+construction), antitone involutions built as matchings, a choice of neutral
+element, then a constraint-propagating DFS over fusion tables.
+
+The DFS checks incrementally: after assigning a cell it checks only the
+constraint instances (monotonicity, square-increasingness, the involution
+law, associativity) that mention that cell.  This is exact, not a
+relaxation.  The prefilled e and bottom rows satisfy every constraint on
+their own, and every node above passed the check of all its decided cells,
+so a constraint that does not mention the new cell was already checked and
+holds.  The search therefore keeps and prunes exactly the nodes a full
+recheck after every assignment would; _fusion_tables gives the details, and
+tests/test_enumeration_oracles.py compares both against the full recheck.
+Every emitted table is still validated.
+
+A deliberately dumb slow path re-counts small sizes with no search pruning
+so that catalog counts can be frozen only once the two agree.
 """
 
 from __future__ import annotations
@@ -175,12 +187,36 @@ def _lattice_distributive(meet, join, n) -> bool:
 
 
 def _involutions(meet, n):
-    for p in permutations(range(n)):
-        if any(p[p[a]] != a for a in range(n)):
-            continue
-        if all((meet[a][b] == a) == (meet[p[b]][p[a]] == p[b])
-               for a in range(n) for b in range(n)):
-            yield p
+    """Antitone involutions of the lattice, as tuples in lexicographic order.
+
+    Built as matchings: the least unmatched position i takes a free partner
+    v >= i, tried in increasing order, and the new pair is kept if
+    a <= b iff ~b <= ~a holds between i and every element already placed.
+    That covers every pair: the condition for (v, u) is the one for
+    (~u, i) read through ~, and ~u is placed with u.  Branching happens only
+    at the least open position, so the output is exactly the involutive
+    antitone permutations in the order itertools.permutations lists them.
+    """
+    L = [[meet[a][b] == a for b in range(n)] for a in range(n)]
+    p = [-1] * n
+
+    def rec(i):
+        while i < n and p[i] >= 0:
+            i += 1
+        if i == n:
+            yield tuple(p)
+            return
+        Li = L[i]
+        for v in range(i, n):
+            if p[v] >= 0:
+                continue
+            p[i], p[v] = v, i
+            if all(p[u] < 0 or (Li[u] == L[p[u]][v] and L[u][i] == L[v][p[u]])
+                   for u in range(n)):
+                yield from rec(i + 1)
+            p[i] = p[v] = -1
+
+    yield from rec(0)
 
 
 # ---- layer 3: fusion tables by constraint-propagating DFS -------------------
@@ -191,74 +227,102 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     the involution law over the given lattice, generated depth-first.
 
     The e row is fixed by neutrality and the bottom row by absorption (both
-    forced in any residuated lattice); each assignment is screened by
-    monotonicity, the involution law, associativity on decided triples,
-    square-increasingness when requested, and residual existence on
-    completed rows.
+    forced in any residuated lattice).  Cells (a, b), a <= b, are then filled
+    in a fixed order, and each value v is screened by the constraint
+    instances that mention the new cell (a, b) = (b, a):
+
+    - monotonicity against the decided cells in down(a) x down(b) and
+      up(a) x up(b);
+    - square-increasingness of a new diagonal cell, when requested;
+    - the involution law x*y <= z iff ~z*y <= ~x on the triples whose x*y is
+      the new cell.  The triple (~z, y, ~x) states the same equivalence with
+      the two sides swapped, so this also covers the triples whose ~z*y is
+      the new cell;
+    - associativity (x*y)*z = x*(y*z) on the decided triples whose x*y or
+      (x*y)*z is the new cell.  By commutativity the triple (z, y, x) is the
+      same equation with y*z and x*(y*z) in those places.
+
+    The result is exactly that of rechecking every constraint over every
+    decided cell after each assignment:
+
+    - The prefilled cells satisfy every constraint on their own.  With
+      e != bot, a cell with a bot argument holds bot and a cell with an e
+      argument holds its other argument.  So monotonicity there is that of
+      the order, the involution law reduces to ~ being an antitone
+      involution with ~bot = top, and associativity reduces to neutrality
+      and absorption.
+    - Each node passed the check of everything decided above it, and cells
+      are not revised below it, so the only constraints a new value can
+      break are the ones that mention its cell.
+    - Residual existence on a completed row a needs no check of its own.
+      With row a decided, the involution law at (c, a, y) says
+      c*a <= y iff c <= ~(~y*a), so the solutions of a*c <= y are the
+      down-set of ~(~y*a), which has a largest element.
+
+    Hence the search keeps and prunes the same nodes in the same order.
     """
-
-    def leq(a, b):
-        return meet[a][b] == a
-
-    bot = next(a for a in range(n) if all(leq(a, b) for b in range(n)))
+    rng = range(n)
+    L = [[meet[a][b] == a for b in rng] for a in rng]
+    down = [[c for c in rng if L[c][a]] for a in rng]
+    up = [[c for c in rng if L[a][c]] for a in rng]
+    bot = next(a for a in rng if len(up[a]) == n)
     if e == bot and n > 1:
         # e neutral and bottom absorbing collapse the algebra; no tables
         return
-    fus = [[-1] * n for _ in range(n)]
-    for x in range(n):
+    fus = [[-1] * n for _ in rng]
+    for x in rng:
         fus[e][x] = fus[x][e] = x
         fus[bot][x] = fus[x][bot] = bot
-    cells = [(a, b) for a in range(n) for b in range(a, n)
+    cells = [(a, b) for a in rng for b in range(a, n)
              if fus[a][b] < 0]
-    rng = range(n)
 
     def ok_after(a, b, v):
-        # monotonicity against every decided cell
-        for c in rng:
+        Lv = L[v]
+        for c in down[a]:
             rowc = fus[c]
-            for d in rng:
+            for d in down[b]:
                 w = rowc[d]
-                if w < 0:
-                    continue
-                if leq(c, a) and leq(d, b) and not leq(w, v):
+                if w >= 0 and not L[w][v]:
                     return False
-                if leq(a, c) and leq(b, d) and not leq(v, w):
+        for c in up[a]:
+            rowc = fus[c]
+            for d in up[b]:
+                w = rowc[d]
+                if w >= 0 and not Lv[w]:
                     return False
-        if square_increasing and a == b and not leq(a, v):
+        if square_increasing and a == b and not L[a][v]:
             return False
-        # involution law on decided pairs: x*y <= z iff ~z*y <= ~x
+        rowv = fus[v]
+        for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
+            rowx, rowy, nx = fus[x], fus[y], neg[x]
+            # involution law at (x, y, ~u): v <= ~u iff u*y <= ~x
+            for u in rng:
+                q = rowy[u]
+                if q >= 0 and Lv[neg[u]] != L[q][nx]:
+                    return False
+            # associativity at (x, y, z): v*z = x*(y*z)
+            for z in rng:
+                q = rowy[z]
+                if q >= 0:
+                    l, r = rowv[z], rowx[q]
+                    if l >= 0 and r >= 0 and l != r:
+                        return False
+        # associativity at (x, y, z) with (x*y)*z new: x*(y*z) = v
         for x in rng:
             rowx = fus[x]
             for y in rng:
                 p = rowx[y]
-                if p < 0:
+                if p == a:
+                    z = b
+                elif p == b:
+                    z = a
+                else:
                     continue
-                for z in rng:
-                    q = fus[neg[z]][y]
-                    if q >= 0 and leq(p, z) != leq(q, neg[x]):
+                q = fus[y][z]
+                if q >= 0:
+                    r = rowx[q]
+                    if r >= 0 and r != v:
                         return False
-        # associativity on fully decided triples
-        for x in rng:
-            for y in rng:
-                p = fus[x][y]
-                if p < 0:
-                    continue
-                for z in rng:
-                    q = fus[y][z]
-                    if q < 0:
-                        continue
-                    l, r = fus[p][z], fus[x][q]
-                    if l >= 0 and r >= 0 and l != r:
-                        return False
-        # residual existence on completed rows
-        for x in rng:
-            rowx = fus[x]
-            if any(w < 0 for w in rowx):
-                continue
-            for y in rng:
-                sols = [c for c in rng if leq(rowx[c], y)]
-                if not any(all(leq(c, m) for c in sols) for m in sols):
-                    return False
         return True
 
     def rec(k):

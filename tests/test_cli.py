@@ -145,3 +145,68 @@ def test_suite_small(capsys):
     code, out, _ = run(capsys, "suite", "--size", "4")
     assert code == 0
     assert "[FAIL]" not in out and "[PASS]" in out
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.pop("meet"),                             # missing key
+    lambda d: d["fusion"][1].__setitem__(0, "x"),        # non-integer entry
+    lambda d: d["join"].pop(),                           # wrong shape
+    lambda d: d.__setitem__("neg", d["neg"][:-1]),       # short neg
+    lambda d: d.__setitem__("e", 7),                     # e out of range
+    lambda d: d["meet"][0].__setitem__(0, True),         # boolean entry
+], ids=["missing-key", "non-integer", "wrong-shape", "short-neg",
+        "e-out-of-range", "boolean"])
+def test_malformed_algebra_file_exits_2(capsys, tmp_path, mutate):
+    d = make_named("C4").to_dict()
+    mutate(d)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    code, out, err = run(capsys, "validate", "--algebra", str(p))
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_malformed_ra_file_exits_2(capsys, tmp_path):
+    d = make_named("C4").to_dict()
+    del d["e"]
+    p = tmp_path / "ra.json"
+    p.write_text(json.dumps(d))
+    assert run(capsys, "validate", "--class", "ra", "--algebra", str(p))[0] == 0
+    del d["fusion"]
+    p.write_text(json.dumps(d))
+    code, out, err = run(capsys, "validate", "--class", "ra",
+                         "--algebra", str(p))
+    assert code == 2 and out == "" and "fusion" in err
+
+
+def test_algebra_file_shapes_exit_2(capsys, tmp_path):
+    for text in ('{"size": 2}', "[1, 2, 3]", '"C4"', "null"):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code, out, err = run(capsys, "validate", "--algebra", str(p))
+        assert code == 2 and out == "" and "error:" in err, text
+
+
+def test_suite_size_out_of_range_exits_2_before_search(capsys, monkeypatch):
+    def no_search(*a, **kw):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("dmm.cli.enumerate_algebras", no_search)
+    for size in ("0", "-1", "9"):
+        code, out, err = run(capsys, "suite", "--size", size)
+        assert code == 2 and out == "" and "error:" in err, size
+
+
+def test_suite_default_size_is_4(capsys):
+    code, out, _ = run(capsys, "suite")
+    assert code == 0 and "sizes 1..4" in out and "size 4:" in out
+
+
+def test_classify_named_as_ra(capsys):
+    code, out, _ = run(capsys, "classify", "--class", "ra", "--algebra", "C4")
+    assert code == 0
+    d = json.loads(out)
+    assert "deductive_filters" in d and "subcover" not in d
+    for cmd in ("analyze", "homs", "iso", "quotient"):
+        code, out, err = run(capsys, cmd, "--class", "ra", "--algebra", "C4",
+                             "--algebra2", "C4", "--generators", "1")
+        assert code == 2 and out == "" and "expects a pointed" in err, cmd

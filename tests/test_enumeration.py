@@ -1,5 +1,6 @@
 import pytest
 
+from dmm import enumeration
 from dmm.constructions import direct_product, is_isomorphic, make_named
 from dmm.enumeration import (AXIOM_SETS, Catalog, IncompleteCatalog,
                              SearchSpec, SizeTooLarge, axiomatization_check,
@@ -19,6 +20,40 @@ def test_golden_counts_small(dmm_catalogs):
 def test_slow_recount_agrees(slow_counts):
     for n in range(1, 5):
         assert slow_counts[n] == GOLDEN_DMM_COUNTS[n], n
+
+
+def _search_counters(monkeypatch, klass, n):
+    """(involutions, (lattice, neg, e) triples, tables, pruned values) summed
+    over what enumerate_algebras visits."""
+    counts = [0, 0, 0, 0]
+    involutions, fusion_tables = (enumeration._involutions,
+                                  enumeration._fusion_tables)
+
+    def counted_involutions(meet, n):
+        for neg in involutions(meet, n):
+            counts[0] += 1
+            yield neg
+
+    def counted_fusion_tables(n, meet, neg, e, square_increasing, stats):
+        counts[1] += 1
+        before = stats["pruned"]
+        for fus in fusion_tables(n, meet, neg, e, square_increasing, stats):
+            counts[2] += 1
+            yield fus
+        counts[3] += stats["pruned"] - before
+
+    monkeypatch.setattr(enumeration, "_involutions", counted_involutions)
+    monkeypatch.setattr(enumeration, "_fusion_tables", counted_fusion_tables)
+    enumerate_algebras(SearchSpec.for_class(klass, n))
+    return tuple(counts)
+
+
+def test_search_counters_pinned(monkeypatch):
+    # measured with the full-recheck search; the incremental checks must
+    # visit and prune exactly the same nodes
+    assert _search_counters(monkeypatch, "dmm", 6) == (8, 48, 41, 2159)
+    assert _search_counters(monkeypatch, "dmm", 7) == (3, 21, 24, 2262)
+    assert _search_counters(monkeypatch, "irl", 5) == (8, 40, 62, 1314)
 
 
 def test_size4_catalog_contents(dmm_catalogs):
