@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmm.cli import main
 from dmm.constructions import make_named
@@ -95,6 +99,11 @@ def test_homs_and_iso(capsys):
     assert sum(1 for m in maps if m["surjective"]) == 1
     assert run(capsys, "iso", "--algebra", "C4", "--algebra2", "D4")[0] == 1
     assert run(capsys, "iso", "--algebra", "C4", "--algebra2", "C4")[0] == 0
+
+
+def test_iso_s12_with_itself(capsys):
+    # used to hang in the color refinement of the canonical form
+    assert run(capsys, "iso", "--algebra", "S12", "--algebra2", "S12")[0] == 0
 
 
 def test_quotient_and_dfg(capsys):
@@ -210,3 +219,80 @@ def test_classify_named_as_ra(capsys):
         code, out, err = run(capsys, cmd, "--class", "ra", "--algebra", "C4",
                              "--algebra2", "C4", "--generators", "1")
         assert code == 2 and out == "" and "expects a pointed" in err, cmd
+
+
+# ---- fuzz of the table-file boundary -----------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                  st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2))
+_SMALL_NAMED = [make_named(nm).to_json()
+                for nm in ("2", "S3", "C4", "D4", "S4")]
+
+
+def _chance(draw, k):
+    """True with probability 1/k."""
+    return draw(st.integers(0, k - 1)) == 0
+
+
+def _entry(draw, n):
+    # mostly in range, sometimes out of range, sometimes not an integer
+    if _chance(draw, 4):
+        return draw(st.one_of(st.integers(-2, n + 2), _JUNK))
+    return draw(st.integers(0, n - 1))
+
+
+@st.composite
+def _table_files(draw):
+    """JSON values aimed at the table-file loader: the tables of an algebra
+    of size <= 4 with a few entries overwritten, random tables with bent
+    shapes, or junk."""
+    if _chance(draw, 8):
+        return draw(_JUNK)
+    if draw(st.booleans()):
+        d = json.loads(draw(st.sampled_from(_SMALL_NAMED)))
+        n = d["size"]
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.sampled_from(["meet", "join", "fusion", "neg", "e"]))
+            if k == "e":
+                d["e"] = _entry(draw, n)
+            elif k == "neg":
+                d["neg"][draw(st.integers(0, n - 1))] = _entry(draw, n)
+            else:
+                row = d[k][draw(st.integers(0, n - 1))]
+                row[draw(st.integers(0, n - 1))] = _entry(draw, n)
+    else:
+        n = draw(st.integers(1, 4))
+
+        def length():
+            return draw(st.integers(max(0, n - 1), n + 1)) \
+                if _chance(draw, 4) else n
+
+        def table():
+            return [[_entry(draw, n) for _ in range(length())]
+                    for _ in range(length())]
+
+        d = {"size": n if not _chance(draw, 8) else _entry(draw, n),
+             "meet": table(), "join": table(), "fusion": table(),
+             "neg": [_entry(draw, n) for _ in range(length())],
+             "e": _entry(draw, n)}
+    if _chance(draw, 4):
+        d.pop(draw(st.sampled_from(sorted(d))))
+    if _chance(draw, 4):
+        d["name"] = draw(st.one_of(st.text(max_size=3), _JUNK))
+    if _chance(draw, 4):
+        d["signature"] = draw(st.sampled_from(["RA", "IRL", 3]))
+    return d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=_table_files())
+def test_fuzz_table_files_exit_cleanly(tmp_path_factory, d):
+    # every outcome is a documented exit code, never an exception
+    p = tmp_path_factory.getbasetemp() / "fuzz.json"
+    p.write_text(json.dumps(d))
+    for argv in (["validate"], ["classify"], ["classify", "--class", "ra"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--algebra", str(p)])
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

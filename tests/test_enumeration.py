@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from dmm import enumeration
+from dmm.algebra import ValidationReport
 from dmm.constructions import direct_product, is_isomorphic, make_named
 from dmm.enumeration import (AXIOM_SETS, Catalog, IncompleteCatalog,
                              SearchSpec, SizeTooLarge, axiomatization_check,
@@ -15,6 +18,48 @@ def test_golden_counts_small(dmm_catalogs):
         cat = dmm_catalogs[n]
         assert cat.complete
         assert len(cat.algebras) == GOLDEN_DMM_COUNTS[n], n
+
+
+# sha256 of enumerate_algebras(SearchSpec.for_class(c, n)).to_json(), the
+# bytes `dmm enumerate` writes, recorded before the lattice layer kept one
+# lattice per isomorphism class.  The JSON holds tool_version, so a version
+# bump changes every digest.
+CATALOG_SHA256 = {
+    ("dmm", 1):
+        "490254bc19da1ffa2a538b6dcfdffc845b33d9783e3d0f4444b089ed05522a84",
+    ("dmm", 2):
+        "7a9413dcf2b0f2fd1caea6b2bc37e291cd84b8659acc5f2c75ce667f5679cae7",
+    ("dmm", 3):
+        "16e8e7c7468f635254e1f0ac7f96898bd6893bd2225fb425bf6f2f10ec7bd8db",
+    ("dmm", 4):
+        "453dc96e8fcacd09ce7db6e206b3e35b2e120e6ad4aa85fe4a32b4059cedcc2d",
+    ("dmm", 5):
+        "f191f5d15f1da6a56d34569106498fdb988e02b9857d95d8c3b1b40746c3f9da",
+    ("dmm", 6):
+        "6225e1d94ca6d5c4a1bad144e8d2dae4a6615fa871f56af4663b9a6397e5268d",
+    ("dmm", 7):
+        "5faf5fdb1f79c80d2657185bfaa2d5272110c246ced5c5675e5877243316415a",
+    ("dmm", 8):
+        "25d59ac9bc07d12136af8baafa9814fc1030e8233ee9963c4b72ef3a620dcba4",
+    ("irl", 1):
+        "9e7957afc14423e5be80b33fbcf2f25d2ff57ea631642bfbd15af662ef38b2a1",
+    ("irl", 2):
+        "ca34fccbcc69c3bef90559bfd63191d169de91eae17d6b079cfa40c9ae0739ca",
+    ("irl", 3):
+        "7738e6ce2540cea95d8b17f4dbe4da7e2975619cc930a5bc6587e753ff0e94f6",
+    ("irl", 4):
+        "001f00ecd10dbaf1d168be6fbbddde8c714981a73ab42cd04396e4e9a4c76c2c",
+    ("irl", 5):
+        "bb108522e153cfd8bfe9d32f8c502efe14312a85ee8a2d618add9777a6de7212",
+    ("irl", 6):
+        "32ca43c39a3b8664c491e3b4001948590d5ad679170c5d90c6958c5f11217725",
+}
+
+
+def test_catalog_bytes_pinned():
+    for (klass, n), digest in CATALOG_SHA256.items():
+        text = enumerate_algebras(SearchSpec.for_class(klass, n)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (klass, n)
 
 
 def test_slow_recount_agrees(slow_counts):
@@ -49,11 +94,36 @@ def _search_counters(monkeypatch, klass, n):
 
 
 def test_search_counters_pinned(monkeypatch):
-    # measured with the full-recheck search; the incremental checks must
-    # visit and prune exactly the same nodes
-    assert _search_counters(monkeypatch, "dmm", 6) == (8, 48, 41, 2159)
+    # measured with the oracle (full-recheck) search over the oracle's first
+    # lattice of each isomorphism class; the incremental checks over
+    # _lattices must visit and prune exactly the same nodes
+    assert _search_counters(monkeypatch, "dmm", 6) == (4, 24, 21, 1064)
     assert _search_counters(monkeypatch, "dmm", 7) == (3, 21, 24, 2262)
-    assert _search_counters(monkeypatch, "irl", 5) == (8, 40, 62, 1314)
+    assert _search_counters(monkeypatch, "irl", 5) == (6, 30, 50, 1058)
+
+
+@pytest.mark.parametrize("klass, n, validator", [
+    ("dmm", 6, "validate_dmm"), ("irl", 5, "validate_irl")])
+def test_validates_each_class_once(monkeypatch, klass, n, validator):
+    calls = []
+    real = getattr(enumeration, validator)
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(enumeration, validator, counted)
+    cat = enumerate_algebras(SearchSpec.for_class(klass, n))
+    # each kept representative, once, and nothing else
+    assert len(calls) == len(cat.algebras)
+    assert {id(A) for A in calls} == {id(A) for A in cat.algebras}
+
+
+def test_invalid_representative_raises(monkeypatch):
+    monkeypatch.setattr(enumeration, "validate_dmm",
+                        lambda A: ValidationReport(False))
+    with pytest.raises(AssertionError, match="invalid algebra"):
+        enumerate_algebras(SearchSpec(4))
 
 
 def test_size4_catalog_contents(dmm_catalogs):
