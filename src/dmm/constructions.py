@@ -352,20 +352,17 @@ def _refine_colors(A: FiniteIRL) -> list[int]:
     colors = [(a == A.e, below[a], above[a], A.fusion[a][a] == a)
               for a in range(n)]
     colors = _rank(colors)
-    # Ranks order colors by repr, so a stable partition can relabel itself
-    # in a cycle; stop at the first repeated vector, not only at a fixpoint.
-    seen = set()
     while True:
-        seen.add(tuple(colors))
         sig = []
         for a in range(n):
             row = sorted((colors[b], colors[A.meet[a][b]],
                           colors[A.join[a][b]], colors[A.fusion[a][b]])
                          for b in range(n))
             sig.append((colors[a], colors[A.neg[a]], tuple(row)))
-        colors = _rank(sig)
-        if tuple(colors) in seen:
+        new = _rank(sig)
+        if new == colors:
             return colors
+        colors = new
 
 
 def _rank(keys) -> list[int]:

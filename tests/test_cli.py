@@ -101,11 +101,6 @@ def test_homs_and_iso(capsys):
     assert run(capsys, "iso", "--algebra", "C4", "--algebra2", "C4")[0] == 0
 
 
-def test_iso_s12_with_itself(capsys):
-    # used to hang in the color refinement of the canonical form
-    assert run(capsys, "iso", "--algebra", "S12", "--algebra2", "S12")[0] == 0
-
-
 def test_quotient_and_dfg(capsys):
     code, out, _ = run(capsys, "quotient", "--algebra", "S5",
                        "--generators", "1")
