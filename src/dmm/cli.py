@@ -7,6 +7,7 @@ machine-readable report on stdout); 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -364,14 +365,16 @@ def _cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; each parse_args call fills a new namespace."""
     p = argparse.ArgumentParser(
         prog="dmm",
         description="finite-model workbench for residuated structures")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, classes=("irl", "dmm", "ra"), **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
         sp.add_argument("--algebra", help="named algebra or JSON file")
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--statement", help="statement text or @file")
         sp.add_argument("--size", type=int)
         sp.add_argument("--class", dest="klass", default="dmm",
-                        choices=["irl", "dmm", "ra"])
+                        choices=classes)
         sp.add_argument("--format", default="json", choices=["json", "text"])
         sp.add_argument("--out")
         sp.add_argument("--unsafe-size", action="store_true")
@@ -392,13 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("analyze", _cmd_analyze, help="structure decomposition reports")
     add("satisfies", _cmd_satisfies, help="evaluate statements on an algebra")
     add("construct", _cmd_construct, help="build a named algebra")
-    add("enumerate", _cmd_enumerate, help="catalog all algebras of a size")
+    add("enumerate", _cmd_enumerate, ("irl", "dmm"),
+        help="catalog all algebras of a size")
     add("homs", _cmd_homs, help="all homomorphisms between two algebras")
     add("iso", _cmd_iso, help="isomorphism test")
     add("quotient", _cmd_quotient, help="quotient by a generated filter")
     add("reduct", _cmd_reduct, help="drop e (relevant-algebra reduct)")
     add("dfg", _cmd_dfg, help="generated deductive filter")
-    add("suite", _cmd_suite, help="enumerate + all theorem harnesses")
+    add("suite", _cmd_suite, ("irl", "dmm"),
+        help="enumerate + all theorem harnesses")
     return p
 
 

@@ -1,6 +1,9 @@
 """Named algebras and closure constructions: products, subalgebras,
 homomorphisms, isomorphism via canonical forms, HS membership, reducts.
 
+HS membership is an embedding search: HS(A) = SH(A) by the congruence
+extension property, and X is in SH(A) iff homs finds an injective X -> A/F.
+
 The named C4/D4 tables are *derived* from the stated rules (e-neutrality,
 absorbing bottom, rigorous compactness, f*f = f^2) and then validated,
 rather than hard-coded.
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm, validate_irl
 from dmm.filters import deductive_filters, quotient
@@ -416,24 +419,13 @@ def is_isomorphic(A: FiniteIRL, B: FiniteIRL) -> bool:
 def hs_contains(A: FiniteIRL, X: FiniteIRL) -> bool:
     """True iff some subalgebra of a quotient of A is isomorphic to X.
 
-    Subalgebras are searched through generating sets of size <= |X|: a copy
-    of X, if present, is generated by at most |X| elements.
+    X is isomorphic to a subalgebra of Q exactly when some homomorphism
+    X -> Q is injective, so each quotient is searched with homs.
     """
-    cx = canonical_form(X)
     for G in deductive_filters(A):
         Q, _ = quotient(A, G)
-        if Q.size < X.size:
-            continue
-        seen: set[frozenset[int]] = set()
-        for k in range(min(X.size, Q.size) + 1):
-            for gen in combinations(Q.elements, k):
-                u = frozenset(subuniverse(Q, gen))
-                if len(u) != X.size or u in seen:
-                    continue
-                seen.add(u)
-                S, _ = sg(Q, gen)
-                if canonical_form(S) == cx:
-                    return True
+        if Q.size >= X.size and any(h.injective for h in homs(X, Q)):
+            return True
     return False
 
 

@@ -175,10 +175,11 @@ def dfg_ra(A: FiniteRA, a: int) -> RADeductiveFilter:
 
 
 def dfg_ra_set(A: FiniteRA, X) -> RADeductiveFilter:
-    """Finitely generated filters are principal: generate from the meet."""
+    """Finitely generated filters are principal: generate from the meet.
+    The empty set generates the least filter, [t)."""
     X = list(X)
     if not X:
-        return dfg_oracle(A, ())
+        return dfg_ra(A, _abs_meet(A))
     m = X[0]
     for x in X[1:]:
         m = A.meet[m][x]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmm.cli import main
-from dmm.constructions import make_named
+from dmm.cli import build_parser, main
+from dmm.constructions import NAMED_BASIC, e_free_reduct, make_named
 from dmm.enumeration import Catalog
+from dmm.relevant import dfg_oracle
 
 
 def run(capsys, *argv):
@@ -215,6 +216,39 @@ def test_classify_named_as_ra(capsys):
                              "--algebra2", "C4", "--generators", "1")
         assert code == 2 and out == "" and "expects a pointed" in err, cmd
 
+
+
+@pytest.mark.parametrize("command", ["enumerate", "suite"])
+def test_search_class_ra_exits_2_before_search(capsys, monkeypatch, command):
+    def no_search(*a, **kw):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("dmm.cli.enumerate_algebras", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--class", "ra", "--size", "2"])
+    cap = capsys.readouterr()
+    assert exc.value.code == 2 and cap.out == ""
+    assert "error:" in cap.err and "Traceback" not in cap.err
+
+
+def test_parser_reused_with_fresh_arguments(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "dfg", "--algebra", "S5", "--generators", "1")
+    assert code == 0 and json.loads(out)["generators"] == [1]
+    code, out, _ = run(capsys, "classify", "--algebra", "S5",
+                       "--format", "text")
+    assert code == 0 and "si: True" in out
+    code, out, _ = run(capsys, "dfg", "--algebra", "S5")
+    assert code == 0 and json.loads(out)["generators"] == []
+
+
+def test_dfg_ra_empty_generators_is_least_filter(capsys):
+    for nm in NAMED_BASIC + ("S4", "S5", "C4ext_1"):
+        R = e_free_reduct(make_named(nm))
+        code, out, _ = run(capsys, "dfg", "--class", "ra", "--algebra", nm)
+        assert code == 0
+        assert json.loads(out)["filter"] == \
+            dfg_oracle(R, ()).sorted_members(), nm
 
 # ---- fuzz of the table-file boundary -----------------------------------------
 

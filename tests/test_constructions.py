@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +10,44 @@ from dmm.constructions import (NAMED_BASIC, UnknownName, canonical_form,
                                hs_contains, is_isomorphic, is_named,
                                make_named, make_sugihara, rigorous_extension,
                                sg, subuniverse, zero_generated)
+from dmm.enumeration import SearchSpec, enumerate_algebras
+from dmm.filters import deductive_filters, quotient
+
+
+# ---- oracles -----------------------------------------------------------------
+
+
+def oracle_hs_contains(A, X):
+    """True iff some subalgebra of a quotient of A is isomorphic to X.
+
+    Subalgebras are searched through generating sets of size <= |X|: a copy
+    of X, if present, is generated by at most |X| elements.  Each one is
+    closed, built and compared by canonical form, so the oracle shares no
+    search with the library's embedding search through homs.
+    """
+    cx = canonical_form(X)
+    for G in deductive_filters(A):
+        Q, _ = quotient(A, G)
+        if Q.size < X.size:
+            continue
+        seen: set[frozenset[int]] = set()
+        for k in range(min(X.size, Q.size) + 1):
+            for gen in combinations(Q.elements, k):
+                u = frozenset(subuniverse(Q, gen))
+                if len(u) != X.size or u in seen:
+                    continue
+                seen.add(u)
+                S, _ = sg(Q, gen)
+                if canonical_form(S) == cx:
+                    return True
+    return False
+
+
+def _product(*names):
+    P = make_named(names[0])
+    for nm in names[1:]:
+        P = direct_product(P, make_named(nm))
+    return P
 
 
 def test_named_validate(named):
@@ -159,6 +199,32 @@ def test_hs_contains(named):
         assert hs_contains(named[nm], T)
     assert hs_contains(named["C4ext_1"], named["S3"])
     assert hs_contains(named["C4ext_1"], named["C4"])
+    C4 = named["C4"]
+    assert hs_contains(_product("C4", "D4"), C4)
+    assert not hs_contains(_product("D4", "D4"), C4)
+    assert not hs_contains(_product("2", "2", "2", "2"), C4)
+    assert hs_contains(_product("S3", "2"), T)
+    # HS(S3^3) satisfies e = f, which C4 fails
+    S3_3 = _product("S3", "S3", "S3")
+    start = time.perf_counter()
+    assert not hs_contains(S3_3, C4)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hs_contains_matches_oracle(named, dmm_catalogs):
+    targets = [make_named("S1")] + [named[nm] for nm in
+                                    ("2", "S3", "C4", "D4", "S4", "S5",
+                                     "C4ext_1")]
+    algebras = [A for n in range(1, 7) for A in dmm_catalogs[n].algebras]
+    algebras += [A for n in range(1, 6) for A in
+                 enumerate_algebras(SearchSpec.for_class("irl", n)).algebras]
+    pairs = [(A, X) for A in algebras for X in targets]
+    products = [("2", "2", "2"), ("S3", "S3"), ("C4", "2"), ("C4", "S3"),
+                ("C4", "C4"), ("C4", "D4"), ("D4", "D4")]
+    pairs += [(_product(*names), named[nm]) for names in products
+              for nm in ("C4", "S3")]
+    for A, X in pairs:
+        assert hs_contains(A, X) == oracle_hs_contains(A, X), (A.name, X.name)
 
 
 def test_e_free_reduct_shape(named):
