@@ -217,7 +217,6 @@ def test_classify_named_as_ra(capsys):
         assert code == 2 and out == "" and "expects a pointed" in err, cmd
 
 
-
 @pytest.mark.parametrize("command", ["enumerate", "suite"])
 def test_search_class_ra_exits_2_before_search(capsys, monkeypatch, command):
     def no_search(*a, **kw):
@@ -249,6 +248,7 @@ def test_dfg_ra_empty_generators_is_least_filter(capsys):
         assert code == 0
         assert json.loads(out)["filter"] == \
             dfg_oracle(R, ()).sorted_members(), nm
+
 
 # ---- fuzz of the table-file boundary -----------------------------------------
 
