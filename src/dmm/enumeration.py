@@ -3,7 +3,9 @@ persistence, and the theorem harness run over a catalog.
 
 The fast path layers the search: naturally-labeled lattices (down-set
 construction), antitone involutions built as matchings, a choice of neutral
-element, then a constraint-propagating DFS over fusion tables.
+element, then a constraint-propagating DFS over fusion tables.  Only one
+(involution, neutral element) pair per orbit of the lattice's automorphisms
+is searched.
 
 The lattice layer yields one labelled lattice per isomorphism class: the
 first one the unpruned down-set search would yield, which is the
@@ -29,12 +31,28 @@ recheck after every assignment would; _fusion_tables gives the details, and
 tests/test_enumeration_oracles.py compares every layer against an unpruned
 or full-recheck oracle.
 
-Only the first table of each canonical class is validated, and an invalid
-one still raises AssertionError.  A later table with the same canonical
-form is isomorphic to a validated one, so it is valid too.
+Isomorphism is decided on each lattice by its automorphism group Aut(L),
+computed once per lattice.  The kept lattices are pairwise non-isomorphic,
+so tables on different kept lattices are never isomorphic, and two tables
+on the same labelled lattice L are isomorphic iff some sigma in Aut(L)
+carries one onto the other (an isomorphism of the algebras is one of their
+lattices, and the lattice is the same labelled L on both sides).  Aut(L)
+acts on the choices (neg, e) by sigma.(neg, e) = (sigma neg sigma^-1,
+sigma(e)), and only the first choice of each orbit in iteration order
+(neg lexicographic, then e) is searched.  That keeps the first table of
+every class, and so the catalog's bytes: if sigma moved the choice
+carrying it earlier, sigma would carry the table onto one of the same
+class on that earlier choice, which the search (it is complete on each
+choice) would have found sooner.  A table's dedup key is
+the index of its lattice together with its least encoding over Aut(L).
+The encoding holds e, the fusion table and neg but not meet and join,
+which every sigma fixes, so without the lattice index two tables on
+different lattices could share a key.  canonical_form runs only on the
+class representatives, to sort the catalog.
 
-A deliberately dumb slow path re-counts small sizes with no search pruning
-so that catalog counts can be frozen only once the two agree.
+Only the first table of each class is validated, and an invalid one still
+raises AssertionError.  A later table of the class is isomorphic to a
+validated one, so it is valid too.
 """
 
 from __future__ import annotations
@@ -42,8 +60,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import permutations, product
-
 from dmm import __version__
 from dmm.algebra import (FiniteIRL, check_derived_laws, predicates,
                          validate_dmm, validate_irl)
@@ -295,8 +311,44 @@ def _tables_from_below(below: list[int], n: int):
 
 
 def _lattice_distributive(meet, join, n) -> bool:
+    """Distributivity by its definition; a test oracle.  perfbench/spans.py
+    traces this name and its tests expect it to be bound here."""
     return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
                for a in range(n) for b in range(n) for c in range(n))
+
+
+def _automorphisms(meet, n):
+    """The order automorphisms of the lattice, which are its lattice
+    automorphisms, as tuples in lexicographic order (the identity first).
+
+    Backtracking: a takes a free image v that has the same number of
+    elements below and above it as a, and the pair is kept if a and v
+    compare alike with every element placed so far and its image.
+    """
+    rng = range(n)
+    L = [[meet[a][b] == a for b in rng] for a in rng]
+    shape = [(sum(L[b][a] for b in rng), sum(L[a])) for a in rng]
+    images = [[v for v in rng if shape[v] == shape[a]] for a in rng]
+    s = [-1] * n
+    used = [False] * n
+    out = []
+
+    def rec(a):
+        if a == n:
+            out.append(tuple(s))
+            return
+        for v in images[a]:
+            if used[v] or not all(L[b][a] == L[s[b]][v]
+                                  and L[a][b] == L[v][s[b]]
+                                  for b in range(a)):
+                continue
+            s[a], used[v] = v, True
+            rec(a + 1)
+            used[v] = False
+        s[a] = -1
+
+    rec(0)
+    return out
 
 
 # ---- layer 2: antitone involutions ------------------------------------------
@@ -461,40 +513,69 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
 # ---- the fast enumerator ----------------------------------------------------
 
 
+def _orbit_first_es(neg, auts):
+    """The e for which (neg, e) comes first in its Aut(L)-orbit, in the
+    enumerator's order (neg lexicographic, then e).  auts holds each sigma
+    with its inverse."""
+    stab = []
+    for s, inv in auts:
+        moved = tuple(s[neg[a]] for a in inv)  # sigma neg sigma^-1
+        if moved < neg:
+            return []
+        if moved == neg:
+            stab.append(s)
+    return [e for e in range(len(neg)) if all(s[e] >= e for s in stab)]
+
+
+def _least_encoding(fus, neg, e, auts) -> bytes:
+    """The least encoding of sigma.(e, fusion, neg) over sigma in Aut(L)."""
+    return min(bytes([s[e], *(s[fus[a][b]] for a in inv for b in inv),
+                      *(s[neg[a]] for a in inv)])
+               for s, inv in auts)
+
+
 def enumerate_algebras(spec: SearchSpec, max_size: int = DEFAULT_MAX_SIZE,
                        unsafe: bool = False, progress=None) -> Catalog:
     """Layered exhaustive search; output sorted by canonical form, so two
-    runs with the same spec are byte-identical.  The first table of each
-    canonical class is kept and validated; later tables of the class are
-    isomorphic to it and are skipped."""
+    runs with the same spec are byte-identical.
+
+    On each lattice L only the first (neg, e) of each Aut(L)-orbit is
+    searched, and the first table of each class is kept and validated.  A
+    table's key is (lattice index, least encoding over Aut(L)): the lattices
+    are pairwise non-isomorphic and Aut(L) fixes meet and join, so equal
+    keys mean isomorphic tables, and the index keeps tables on different
+    lattices apart.  The module docstring gives the orbit argument."""
     n = spec.size
     if n < 1:
         raise SizeTooSmall(f"size {n} below 1")
     if n > max_size and not unsafe:
         raise SizeTooLarge(f"size {n} above ceiling {max_size}")
     stats = {"pruned": 0, "found": 0}
-    seen: dict[bytes, FiniteIRL] = {}
-    for meet, join in _lattices(n, spec.distributive):
+    seen: dict[tuple[int, bytes], FiniteIRL] = {}
+    for li, (meet, join) in enumerate(_lattices(n, spec.distributive)):
+        auts = [(s, sorted(range(n), key=s.__getitem__))
+                for s in _automorphisms(meet, n)]
         for neg in _involutions(meet, n):
-            for e in range(n):
+            for e in _orbit_first_es(neg, auts):
                 for fus in _fusion_tables(n, meet, neg, e,
                                           spec.square_increasing, stats):
+                    key = (li, _least_encoding(fus, neg, e, auts))
+                    if key in seen:
+                        continue
                     A = FiniteIRL(n, meet, join, fus, tuple(neg), e)
-                    key = canonical_form(A).data
-                    if key not in seen:
-                        rep = (validate_dmm(A) if spec.class_name == "dmm"
-                               else validate_irl(A))
-                        if not rep.ok:
-                            raise AssertionError(
-                                "search produced an invalid algebra: "
-                                + ", ".join(rep.laws_violated()))
-                        seen[key] = A
-                        stats["found"] += 1
-                        if progress:
-                            print(f"found {stats['found']} "
-                                  f"(pruned {stats['pruned']})",
-                                  file=sys.stderr)
-    out = [seen[k] for k in sorted(seen)]
+                    rep = (validate_dmm(A) if spec.class_name == "dmm"
+                           else validate_irl(A))
+                    if not rep.ok:
+                        raise AssertionError(
+                            "search produced an invalid algebra: "
+                            + ", ".join(rep.laws_violated()))
+                    seen[key] = A
+                    stats["found"] += 1
+                    if progress:
+                        print(f"found {stats['found']} "
+                              f"(pruned {stats['pruned']})",
+                              file=sys.stderr)
+    out = sorted(seen.values(), key=lambda A: canonical_form(A).data)
     for i, A in enumerate(out):
         A.name = f"{spec.class_name}{n}-{i}"
     complete = True
@@ -509,95 +590,6 @@ def enumerate_algebras(spec: SearchSpec, max_size: int = DEFAULT_MAX_SIZE,
         out = out[:spec.limit]
         complete = False
     return Catalog(spec, out, complete)
-
-
-# ---- the slow recount (no search pruning) -----------------------------------
-
-
-def _slow_lattices(n):
-    """All lattice orders on 0..n-1, from raw binary relations.  Quadratic
-    blowup on purpose: this path must not share the fast path's generator."""
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    for bits in product((False, True), repeat=len(pairs)):
-        rel = [[a == b for b in range(n)] for a in range(n)]
-        for (a, b), v in zip(pairs, bits):
-            if v:
-                rel[a][b] = True
-        if any(rel[a][b] and rel[b][a] for a, b in pairs):
-            continue
-        if any(rel[a][b] and rel[b][c] and not rel[a][c]
-               for a in range(n) for b in range(n) for c in range(n)):
-            continue
-        meet = [[-1] * n for _ in range(n)]
-        join = [[-1] * n for _ in range(n)]
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                lbs = [c for c in range(n) if rel[c][a] and rel[c][b]]
-                glb = [c for c in lbs if all(rel[d][c] for d in lbs)]
-                ubs = [c for c in range(n) if rel[a][c] and rel[b][c]]
-                lub = [c for c in ubs if all(rel[c][d] for d in ubs)]
-                if len(glb) != 1 or len(lub) != 1:
-                    ok = False
-                    break
-                meet[a][b], join[a][b] = glb[0], lub[0]
-            if not ok:
-                break
-        if ok:
-            yield (tuple(tuple(r) for r in meet),
-                   tuple(tuple(r) for r in join))
-
-
-def _slow_fusion_ok(n, meet, neg, e, fus, square_increasing):
-    def leq(a, b):
-        return meet[a][b] == a
-
-    for a in range(n):
-        if square_increasing and not leq(a, fus[a][a]):
-            return False
-        for b in range(n):
-            for c in range(n):
-                if fus[fus[a][b]][c] != fus[a][fus[b][c]]:
-                    return False
-                if leq(fus[a][b], c) != leq(fus[neg[c]][b], neg[a]):
-                    return False
-    return True
-
-
-def slow_count(n: int, square_increasing: bool = True,
-               distributive: bool = True) -> int:
-    """Isomorphism-class count by the pruning-free path.  Exponential; meant
-    for n <= 4 cross-checks of the fast enumerator."""
-    seen = set()
-    for meet, join in _slow_lattices(n):
-        if distributive and not _lattice_distributive(meet, join, n):
-            continue
-        for negp in permutations(range(n)):
-            if any(negp[negp[a]] != a for a in range(n)):
-                continue
-            if not all((meet[a][b] == a) == (meet[negp[b]][negp[a]] == negp[b])
-                       for a in range(n) for b in range(n)):
-                continue
-            for e in range(n):
-                free = [(a, b) for a in range(n) for b in range(a, n)
-                        if a != e and b != e]
-                for vals in product(range(n), repeat=len(free)):
-                    fus = [[-1] * n for _ in range(n)]
-                    for x in range(n):
-                        fus[e][x] = fus[x][e] = x
-                    for (a, b), v in zip(free, vals):
-                        fus[a][b] = fus[b][a] = v
-                    if not _slow_fusion_ok(n, meet, negp, e, fus,
-                                           square_increasing):
-                        continue
-                    A = FiniteIRL(n, meet, join,
-                                  tuple(tuple(r) for r in fus),
-                                  tuple(negp), e)
-                    rep = (validate_dmm(A) if square_increasing and distributive
-                           else validate_irl(A))
-                    if rep.ok:
-                        seen.add(canonical_form(A).data)
-    return len(seen)
 
 
 # ---- theorem harness --------------------------------------------------------

@@ -1,8 +1,8 @@
 import pytest
 
 from dmm.constructions import make_named
-from dmm.enumeration import (Catalog, SearchSpec, enumerate_algebras,
-                             slow_count)
+from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
+from test_enumeration_oracles import slow_count
 
 
 @pytest.fixture(scope="session")

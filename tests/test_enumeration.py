@@ -9,8 +9,11 @@ from dmm.enumeration import (AXIOM_SETS, Catalog, IncompleteCatalog,
                              SearchSpec, SizeTooLarge, axiomatization_check,
                              enumerate_algebras, theorem_harness)
 
-# independently recounted by the pruning-free slow path before freezing
-GOLDEN_DMM_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 3, 6: 18}
+# n <= 4 independently recounted by the pruning-free slow path, and every
+# count certified by orbit counting (test_enumeration_oracles.py), before
+# freezing
+GOLDEN_DMM_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 3, 6: 18, 7: 15, 8: 92}
+GOLDEN_IRL_COUNTS = {1: 1, 2: 1, 3: 2, 4: 9, 5: 21, 6: 100}
 
 
 def test_golden_counts_small(dmm_catalogs):
@@ -95,11 +98,13 @@ def _search_counters(monkeypatch, klass, n):
 
 def test_search_counters_pinned(monkeypatch):
     # measured with the oracle (full-recheck) search over the oracle's first
-    # lattice of each isomorphism class; the incremental checks over
-    # _lattices must visit and prune exactly the same nodes
-    assert _search_counters(monkeypatch, "dmm", 6) == (4, 24, 21, 1064)
-    assert _search_counters(monkeypatch, "dmm", 7) == (3, 21, 24, 2262)
-    assert _search_counters(monkeypatch, "irl", 5) == (6, 30, 50, 1058)
+    # lattice of each isomorphism class, on the (neg, e) that come first in
+    # their orbit under the brute-force automorphisms of the lattice; the
+    # incremental checks over _lattices must visit and prune exactly the
+    # same nodes
+    assert _search_counters(monkeypatch, "dmm", 6) == (4, 22, 19, 949)
+    assert _search_counters(monkeypatch, "dmm", 7) == (3, 12, 15, 1369)
+    assert _search_counters(monkeypatch, "irl", 5) == (6, 17, 22, 459)
 
 
 @pytest.mark.parametrize("klass, n, validator", [
@@ -195,7 +200,7 @@ def test_theorem_harness_passes(dmm_upto):
     rep = theorem_harness(dmm_upto(6))
     assert rep.ok, rep.text()
     assert rep.checks["law-suite"].instances == sum(
-        GOLDEN_DMM_COUNTS.values())
+        GOLDEN_DMM_COUNTS[n] for n in range(1, 7))
     assert rep.checks["zero-generated-simples"].instances > 0
     assert "[PASS]" in rep.text()
 
