@@ -51,8 +51,10 @@ def _as_table(rows) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(eq=False)
-class FiniteIRL:
-    """A finite IRL candidate: tables are not assumed valid until checked.
+class Tables:
+    """The tables both signatures share: meet, join, fusion and neg on the
+    carrier 0..n-1, with the order, the extrema and the residual derived
+    from them.  Candidates are not assumed valid until checked.
 
     Instances are treated as immutable after construction; all derived data
     (residual table, extrema) is memoized on first use.
@@ -63,17 +65,6 @@ class FiniteIRL:
     join: tuple[tuple[int, ...], ...]
     fusion: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
-    e: int
-    name: str = ""
-    labels: tuple[str, ...] | None = None  # display only, never serialized
-
-    @classmethod
-    def from_tables(cls, size, meet, join, fusion, neg, e, name="", labels=None):
-        A = cls(size, _as_table(meet), _as_table(join), _as_table(fusion),
-                tuple(int(x) for x in neg), int(e), name,
-                tuple(labels) if labels else None)
-        A.check_well_formed()
-        return A
 
     def check_well_formed(self) -> None:
         n = self.size
@@ -89,18 +80,10 @@ class FiniteIRL:
                         raise MalformedTable(f"{nm} entry {v} out of range")
         if len(self.neg) != n or any(not 0 <= v < n for v in self.neg):
             raise MalformedTable("neg table malformed")
-        if not 0 <= self.e < n:
-            raise MalformedTable(f"e={self.e} out of range")
-
-    # ---- derived structure -------------------------------------------------
 
     @property
     def elements(self) -> range:
         return range(self.size)
-
-    @cached_property
-    def f(self) -> int:
-        return self.neg[self.e]
 
     def leq(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a
@@ -131,6 +114,32 @@ class FiniteIRL:
 
     def residual(self, a: int, b: int) -> int:
         return self.residual_table[a][b]
+
+
+@dataclass(eq=False)
+class FiniteIRL(Tables):
+    """A finite IRL candidate: the shared tables plus the neutral element e."""
+
+    e: int
+    name: str = ""
+    labels: tuple[str, ...] | None = None  # display only, never serialized
+
+    @classmethod
+    def from_tables(cls, size, meet, join, fusion, neg, e, name="", labels=None):
+        A = cls(size, _as_table(meet), _as_table(join), _as_table(fusion),
+                tuple(int(x) for x in neg), int(e), name,
+                tuple(labels) if labels else None)
+        A.check_well_formed()
+        return A
+
+    def check_well_formed(self) -> None:
+        super().check_well_formed()
+        if not 0 <= self.e < self.size:
+            raise MalformedTable(f"e={self.e} out of range")
+
+    @cached_property
+    def f(self) -> int:
+        return self.neg[self.e]
 
     def fuse_power(self, a: int, k: int) -> int:
         v = self.e
@@ -275,7 +284,7 @@ def validate_irl(A: FiniteIRL) -> ValidationReport:
     return report
 
 
-def is_distributive(A: FiniteIRL) -> tuple[int, int, int] | None:
+def is_distributive(A: Tables) -> tuple[int, int, int] | None:
     """First witness of a distributivity failure, or None."""
     meet, join = A.meet, A.join
     for a in range(A.size):

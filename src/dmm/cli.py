@@ -17,10 +17,9 @@ from dmm.algebra import (AlgebraError, FiniteIRL, predicates, validate_dmm,
                          validate_irl)
 from dmm.constructions import (UnknownName, e_free_reduct, homs,
                                is_isomorphic, is_named, make_named)
-from dmm.enumeration import (DEFAULT_MAX_SIZE, Catalog, IncompleteCatalog,
-                             SearchSpec, SizeTooLarge, SizeTooSmall,
-                             axiomatization_check, enumerate_algebras,
-                             theorem_harness)
+from dmm.enumeration import (DEFAULT_MAX_SIZE, IncompleteCatalog, SearchSpec,
+                             SizeTooLarge, SizeTooSmall, axiomatization_check,
+                             enumerate_algebras, theorem_harness)
 from dmm.filters import classify, dfg, quotient
 from dmm.relevant import (FiniteRA, TrivialAlgebra, dfg_ra_set,
                           ra_classify, validate_ra)
@@ -132,11 +131,9 @@ def _cmd_validate(args) -> int:
     A = _load_algebra(args.algebra, args.klass)
     if isinstance(A, FiniteRA):
         rep = validate_ra(A)
-    elif args.klass == "irl":
-        rep = validate_irl(A)
     else:
         rep = validate_irl(A)
-        if rep.ok:
+        if rep.ok and args.klass == "dmm":
             rep = validate_dmm(A)
     payload = {"algebra": getattr(A, "name", "") or args.algebra,
                "class": args.klass, "ok": rep.ok,
@@ -331,12 +328,11 @@ def _cmd_suite(args) -> int:
     for n in range(1, top + 1):
         spec = SearchSpec.for_class(args.klass, n)
         cat = enumerate_algebras(spec, unsafe=args.unsafe_size)
-        merged = Catalog(spec, cat.algebras, cat.complete)
-        hr = theorem_harness(merged)
-        ax = axiomatization_check(merged) if any(
-            classify(A).si for A in merged.algebras) else None
+        hr = theorem_harness(cat)
+        ax = axiomatization_check(cat) if any(
+            classify(A).si for A in cat.algebras) else None
         ra_ok = True
-        for A in merged.algebras:
+        for A in cat.algebras:
             R = e_free_reduct(A)
             if not validate_ra(R).ok or not meet_property_check(R):
                 ra_ok = False

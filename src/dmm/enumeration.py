@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from dmm import __version__
 from dmm.algebra import (FiniteIRL, check_derived_laws, predicates,
                          validate_dmm, validate_irl)
@@ -628,6 +629,13 @@ class HarnessReport:
         return "\n".join(lines)
 
 
+@cache
+def _basic(name: str) -> FiniteIRL:
+    """A basic named algebra, built and validated once per process.  Only
+    the harnesses call this, and they only read the algebra."""
+    return make_named(name)
+
+
 def theorem_harness(catalog: Catalog) -> HarnessReport:
     """Run the structural checks over every applicable catalog entry."""
     from dmm.structure import (NotApplicable, fusion_pattern_check, lollipop,
@@ -639,7 +647,6 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
     def rec(name) -> CheckOutcome:
         return checks.setdefault(name, CheckOutcome())
 
-    basics = {nm: make_named(nm) for nm in NAMED_BASIC}
     for A in catalog.algebras:
         cls = classify(A)
         c = rec("law-suite")
@@ -703,14 +710,14 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
             if Z.size == A.size:
                 c = rec("zero-generated-simples")
                 c.instances += 1
-                if not any(is_isomorphic(A, basics[nm])
+                if not any(is_isomorphic(A, _basic(nm))
                            for nm in ("2", "C4", "D4")):
                     c.counterexamples.append(A.name)
 
         if not cls.trivial:
             c = rec("minimality-shadow")
             c.instances += 1
-            if not any(hs_contains(A, basics[nm]) for nm in NAMED_BASIC):
+            if not any(hs_contains(A, _basic(nm)) for nm in NAMED_BASIC):
                 c.counterexamples.append(A.name)
 
         if cls.fsi and not cls.trivial:
@@ -722,7 +729,7 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
                     continue
                 if zero_generated(B)[0].size != B.size:
                     continue
-                if B.size != A.size and not is_isomorphic(B, basics["C4"]):
+                if B.size != A.size and not is_isomorphic(B, _basic("C4")):
                     c.counterexamples.append((A.name, sorted(G.members)))
     return HarnessReport(checks)
 
@@ -744,7 +751,7 @@ def axiomatization_check(catalog: Catalog) -> HarnessReport:
     checks: dict[str, CheckOutcome] = {}
     si_entries = [A for A in catalog.algebras if classify(A).si]
     for name, laws in AXIOM_SETS.items():
-        X = make_named(name)
+        X = _basic(name)
         out = CheckOutcome()
         stmts = [s for law in laws for s in law_statements(law)]
         if not all(satisfies(X, s).holds for s in stmts):

@@ -12,6 +12,8 @@ intersection of [p) and [q) is [p \\/ q).  So no function here enumerates
 subsets, and classify builds no congruence.
 
 Filters are stored as frozensets of element indices (carriers are tiny).
+DeductiveFilter and the helpers that read only the tables take
+dmm.algebra.Tables, so the relevant algebras of dmm.relevant share them.
 Congruences are block-id arrays with blocks numbered by least member.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dmm.algebra import FiniteIRL
+from dmm.algebra import FiniteIRL, Tables
 
 
 class NotAFilter(Exception):
@@ -33,7 +35,7 @@ class NotACongruence(Exception):
 @dataclass(frozen=True)
 class DeductiveFilter:
     members: frozenset[int]
-    owner: FiniteIRL
+    owner: Tables
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
@@ -77,9 +79,8 @@ def _negative_idempotents(A: FiniteIRL) -> list[int]:
     return [m for m in A.elements if A.leq(m, A.e) and A.fusion[m][m] == m]
 
 
-def _up_sets(A, least) -> list[frozenset[int]]:
-    """The up-sets [m) for m in least, sorted by (size, sorted membership).
-    Duck-typed on elements and leq, so FiniteRA shares it."""
+def _up_sets(A: Tables, least) -> list[frozenset[int]]:
+    """The up-sets [m) for m in least, sorted by (size, sorted membership)."""
     out = [frozenset(b for b in A.elements if A.leq(m, b)) for m in least]
     out.sort(key=lambda F: (len(F), sorted(F)))
     return out
@@ -113,11 +114,10 @@ def principal_filter(A: FiniteIRL, b: int) -> DeductiveFilter:
     return dfg(A, {b})
 
 
-def _kernel(A, members) -> tuple[int, ...]:
+def _kernel(A: Tables, members) -> tuple[int, ...]:
     """Blocks of {(a, b) : a->b and b->a in members}, numbered by least
     member.  members must be a deductive filter, which makes the relation
-    an equivalence.  Duck-typed on size and residual, so FiniteRA shares
-    it."""
+    an equivalence."""
     blocks: list[int] = []
     ids: dict[int, int] = {}
     for a in range(A.size):
@@ -212,13 +212,12 @@ def classify(A: FiniteIRL) -> Classification:
     return Classification(False, *_order_flags(A, A.e, below))
 
 
-def _order_flags(A, e, below) -> tuple[bool, bool, bool, int | None]:
+def _order_flags(A: Tables, e, below) -> tuple[bool, bool, bool, int | None]:
     """(simple, si, fsi, subcover) of a nontrivial algebra whose filters are
     [e), the identity congruence's, and [m) for each m < e in below.  The
     algebra is simple iff below holds the bottom alone, SI iff below has a
     largest element (the subcover), and FSI iff no two elements of below
-    join to e.  Duck-typed on leq and join, so FiniteRA shares it with t
-    in place of e."""
+    join to e.  dmm.relevant passes t in place of e."""
     sub = next((a for a in below if all(A.leq(b, a) for b in below)), None)
     fsi = not any(A.join[p][q] == e for p in below for q in below)
     return len(below) == 1, sub is not None, fsi, sub

@@ -5,18 +5,18 @@ every element a; they are in bijection with congruences just as in the
 pointed case.  They are principal: a filter F is closed under meets, so it
 contains m = /\\F; m <= t := /\\{|a|} because every |a| is in F; and
 F = [m) because F is an up-set.  Conversely [m) is a filter for every
-m <= t.  So the filters are the [m) for m <= t, the least one is [t), and
-classification reads the order below t as dmm.filters reads it below e.
+m <= t.  So the filters are the [m) for m <= t, the least one is [t), the
+filter generated by X is [t /\\ /\\X), and classification reads the order
+below t as dmm.filters reads it below e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from dmm.algebra import (MalformedTable, ValidationReport, _Collector,
+from dmm.algebra import (FiniteIRL, Tables, ValidationReport, _Collector,
                          _as_table, is_distributive)
-from dmm.filters import _kernel, _order_flags, _up_sets
+from dmm.filters import DeductiveFilter, _kernel, _order_flags, _up_sets
 
 
 class TrivialAlgebra(Exception):
@@ -24,12 +24,9 @@ class TrivialAlgebra(Exception):
 
 
 @dataclass(eq=False)
-class FiniteRA:
-    size: int
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    fusion: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
+class FiniteRA(Tables):
+    """The shared tables without a neutral element."""
+
     name: str = ""
 
     @classmethod
@@ -38,40 +35,6 @@ class FiniteRA:
                 tuple(int(x) for x in neg), name)
         A.check_well_formed()
         return A
-
-    def check_well_formed(self):
-        n = self.size
-        if n < 1:
-            raise MalformedTable("size must be >= 1")
-        for nm, tab in (("meet", self.meet), ("join", self.join),
-                        ("fusion", self.fusion)):
-            if len(tab) != n or any(len(r) != n for r in tab):
-                raise MalformedTable(f"{nm} table is not {n}x{n}")
-            if any(not 0 <= v < n for r in tab for v in r):
-                raise MalformedTable(f"{nm} entry out of range")
-        if len(self.neg) != n or any(not 0 <= v < n for v in self.neg):
-            raise MalformedTable("neg table malformed")
-
-    @property
-    def elements(self) -> range:
-        return range(self.size)
-
-    def leq(self, a, b) -> bool:
-        return self.meet[a][b] == a
-
-    @cached_property
-    def bottom(self) -> int:
-        return next(a for a in self.elements
-                    if all(self.leq(a, b) for b in self.elements))
-
-    @cached_property
-    def top(self) -> int:
-        return next(a for a in self.elements
-                    if all(self.leq(b, a) for b in self.elements))
-
-    def residual(self, a, b) -> int:
-        # a -> b := ~(a * ~b), as in the involutive pointed case
-        return self.neg[self.fusion[a][self.neg[b]]]
 
     def abs_value(self, a) -> int:
         """|a| := a -> a."""
@@ -88,14 +51,6 @@ class FiniteRA:
     def from_dict(cls, d: dict) -> "FiniteRA":
         return cls.from_tables(d["size"], d["meet"], d["join"], d["fusion"],
                                d["neg"], d.get("name", ""))
-
-
-@dataclass(frozen=True)
-class RADeductiveFilter:
-    members: frozenset[int]
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
 
 
 def validate_ra(A: FiniteRA) -> ValidationReport:
@@ -141,7 +96,7 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
                 if not leq(a, fus[a][t]):
                     col.add("identity-bound a <= a*(~(b*~b)/\\~(c*~c))",
                             (a, b, c))
-    d = is_distributive(A)  # duck-typed: only needs meet/join/size
+    d = is_distributive(A)
     if d is not None:
         col.add("distributive", d)
     return ValidationReport(not col.violations, col.violations)
@@ -155,38 +110,29 @@ def _abs_meet(A: FiniteRA) -> int:
     return m
 
 
-def ra_deductive_filters(A: FiniteRA) -> list[RADeductiveFilter]:
+def ra_deductive_filters(A: FiniteRA) -> list[DeductiveFilter]:
     """All deductive filters: [m) for each m <= t, sorted by (size, sorted
     membership)."""
     t = _abs_meet(A)
-    return [RADeductiveFilter(F)
+    return [DeductiveFilter(F, A)
             for F in _up_sets(A, [m for m in A.elements if A.leq(m, t)])]
 
 
-def dfg_ra(A: FiniteRA, a: int) -> RADeductiveFilter:
-    """Closed-form principal filter: {c : a /\\ |d| <= c for some d}."""
-    mem = set()
-    for c in A.elements:
-        for d in A.elements:
-            if A.leq(A.meet[a][A.abs_value(d)], c):
-                mem.add(c)
-                break
-    return RADeductiveFilter(frozenset(mem))
+def dfg_ra(A: FiniteRA, a: int) -> DeductiveFilter:
+    """The least deductive filter containing a: [a /\\ t)."""
+    return dfg_ra_set(A, (a,))
 
 
-def dfg_ra_set(A: FiniteRA, X) -> RADeductiveFilter:
-    """Finitely generated filters are principal: generate from the meet.
-    The empty set generates the least filter, [t)."""
-    X = list(X)
-    if not X:
-        return dfg_ra(A, _abs_meet(A))
-    m = X[0]
-    for x in X[1:]:
+def dfg_ra_set(A: FiniteRA, X) -> DeductiveFilter:
+    """The least deductive filter containing X: [t /\\ /\\X), the least up-set
+    closed under meets that holds X and every |d|.  X = {} gives [t)."""
+    m = _abs_meet(A)
+    for x in X:
         m = A.meet[m][x]
-    return dfg_ra(A, m)
+    return DeductiveFilter(_up_sets(A, [m])[0], A)
 
 
-def dfg_oracle(A: FiniteRA, X) -> RADeductiveFilter:
+def dfg_oracle(A: FiniteRA, X) -> DeductiveFilter:
     """Independent oracle: least fixpoint closure of X plus all |a| under
     meet and upward closure."""
     cur = set(X) | {A.abs_value(a) for a in A.elements}
@@ -199,7 +145,7 @@ def dfg_oracle(A: FiniteRA, X) -> RADeductiveFilter:
             for b in cur:
                 new.add(A.meet[a][b])
         if new == cur:
-            return RADeductiveFilter(frozenset(cur))
+            return DeductiveFilter(frozenset(cur), A)
         cur = new
 
 
@@ -226,8 +172,7 @@ def reconstruct_neutral(A: FiniteRA) -> int | None:
     return None
 
 
-def to_irl(A: FiniteRA, e: int):
-    from dmm.algebra import FiniteIRL
+def to_irl(A: FiniteRA, e: int) -> FiniteIRL:
     return FiniteIRL.from_tables(A.size, A.meet, A.join, A.fusion, A.neg, e,
                                  name=f"{A.name}+" if A.name else "")
 

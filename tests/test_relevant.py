@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from dmm.algebra import NotAnIRL
 from dmm.constructions import e_free_reduct, make_named
 from dmm.filters import classify, congruence_lattice
 from dmm.relevant import (FiniteRA, TrivialAlgebra, contains_two_reduct,
@@ -39,12 +42,16 @@ def test_dfg_ra_examples(reducts):
     assert dfg_ra(two, two.top).sorted_members() == [1]
 
 
-def test_dfg_ra_matches_fixpoint_oracle(reducts):
-    for R in reducts.values():
+def test_dfg_ra_matches_fixpoint_oracle(reducts, dmm_upto):
+    catalog = [e_free_reduct(A) for A in dmm_upto(6).algebras]
+    for R in [*reducts.values(), *catalog]:
         for a in R.elements:
             assert dfg_ra(R, a).members == dfg_oracle(R, {a}).members
-        assert dfg_ra_set(R, set(R.elements)).members == \
-            dfg_oracle(R, set(R.elements)).members
+        gens = [(), *combinations(R.elements, 1),
+                *combinations(R.elements, 2), tuple(R.elements)]
+        for X in gens:
+            assert dfg_ra_set(R, X).members == dfg_oracle(R, X).members, \
+                (R.name, X)
 
 
 def test_meet_property(reducts):
@@ -111,6 +118,16 @@ def test_rigorous_compactness_on_fsi(dmm_upto):
     for A in dmm_upto(6).algebras:
         if A.size > 1 and classify(A).fsi:
             assert is_rigorously_compact_ra(e_free_reduct(A)), A.name
+
+
+def test_ra_without_extrema_raises_not_an_irl():
+    # well-shaped tables whose meet orders 0 and 1 as an antichain
+    R = FiniteRA.from_tables(2, [[0, 1], [0, 1]], [[0, 0], [0, 0]],
+                             [[0, 0], [0, 0]], [0, 1])
+    with pytest.raises(NotAnIRL):
+        R.bottom
+    with pytest.raises(NotAnIRL):
+        R.top
 
 
 def test_ra_json_format(reducts):
