@@ -2,13 +2,14 @@
 
 An algebra lives on the carrier 0..n-1.  The lattice order is *derived* from
 the meet table (a <= b iff meet(a, b) == a); it is never stored separately.
-The residual a -> b := ~(a * ~b) is computed on demand and memoized.
+The residual a -> b := ~(a * ~b) is computed on demand and memoized, and so
+are the validate_irl and validate_dmm reports.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -33,10 +34,10 @@ class Violation:
     witness: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    violations: list[Violation] = field(default_factory=list)
+    violations: tuple[Violation, ...] = ()
 
     def laws_violated(self) -> list[str]:
         seen: list[str] = []
@@ -57,7 +58,10 @@ class Tables:
     from them.  Candidates are not assumed valid until checked.
 
     Instances are treated as immutable after construction; all derived data
-    (residual table, extrema) is memoized on first use.
+    (residual table, extrema, and in subclasses the validation reports and
+    t) is memoized on the instance on first use, so it goes away with the
+    instance.  The parsed law library (dmm.terms.law_statements) is memoized
+    once per process instead, as it depends on no algebra.
     """
 
     size: int
@@ -141,6 +145,15 @@ class FiniteIRL(Tables):
     def f(self) -> int:
         return self.neg[self.e]
 
+    # The reports depend on the tables alone, never on name or labels.
+    @cached_property
+    def _irl_report(self) -> "ValidationReport":
+        return _check_irl(self)
+
+    @cached_property
+    def _dmm_report(self) -> "ValidationReport":
+        return _check_dmm(self)
+
     def fuse_power(self, a: int, k: int) -> int:
         v = self.e
         for _ in range(k):
@@ -216,13 +229,21 @@ class _Collector:
             self.violations.append(Violation(law, witness))
         self._counts[law] = c + 1
 
+    def report(self) -> ValidationReport:
+        return ValidationReport(not self.violations, tuple(self.violations))
+
 
 def validate_irl(A: FiniteIRL) -> ValidationReport:
     """Check every defining axiom of an involutive residuated lattice.
 
     All violations are collected (capped per axiom) rather than failing fast,
-    since enumeration debugging needs witnesses.
+    since enumeration debugging needs witnesses.  The report is computed once
+    per instance.
     """
+    return A._irl_report
+
+
+def _check_irl(A: FiniteIRL) -> ValidationReport:
     A.check_well_formed()
     n = A.size
     meet, join, fus, neg, e = A.meet, A.join, A.fusion, A.neg, A.e
@@ -271,8 +292,7 @@ def validate_irl(A: FiniteIRL) -> ValidationReport:
                 if leq(fus[x][y], z) != leq(fus[neg[z]][y], neg[x]):
                     col.add("involution-fusion", (x, y, z))
 
-    report = ValidationReport(not col.violations, col.violations)
-    if report.ok:
+    if not col.violations:
         # Sanity: with the axioms in place, a -> b must be max{c : a*c <= b}.
         for a in range(n):
             for b in range(n):
@@ -280,8 +300,7 @@ def validate_irl(A: FiniteIRL) -> ValidationReport:
                 sols = [c for c in range(n) if leq(fus[a][c], b)]
                 if r not in sols or any(not leq(c, r) for c in sols):
                     col.add("residual-is-max", (a, b))
-        report = ValidationReport(not col.violations, col.violations)
-    return report
+    return col.report()
 
 
 def is_distributive(A: Tables) -> tuple[int, int, int] | None:
@@ -303,8 +322,20 @@ def square_increasing_witness(A: FiniteIRL) -> int | None:
     return None
 
 
+def is_rigorously_compact(A: Tables) -> bool:
+    """top * a = top for every a other than the bottom."""
+    bot, top = A.bottom, A.top
+    return all(A.fusion[top][a] == top for a in A.elements if a != bot)
+
+
 def validate_dmm(A: FiniteIRL) -> ValidationReport:
-    """A De Morgan monoid is a distributive square-increasing IRL."""
+    """A De Morgan monoid is a distributive square-increasing IRL.  Raises
+    NotAnIRL, on every call, when A is not an IRL; the report is computed
+    once per instance."""
+    return A._dmm_report
+
+
+def _check_dmm(A: FiniteIRL) -> ValidationReport:
     base = validate_irl(A)
     if not base.ok:
         raise NotAnIRL(
@@ -316,7 +347,7 @@ def validate_dmm(A: FiniteIRL) -> ValidationReport:
     d = is_distributive(A)
     if d is not None:
         col.add("distributive", d)
-    return ValidationReport(not col.violations, col.violations)
+    return col.report()
 
 
 # ---- predicates ------------------------------------------------------------
@@ -341,7 +372,6 @@ def predicates(A: FiniteIRL) -> PredicateRecord:
     bot, top = A.bottom, A.top
     idempotent = all(fus[a][a] == a for a in A.elements)
     anti_idem = all(A.leq(a, f2) for a in A.elements)
-    rc = all(fus[top][a] == top for a in A.elements if a != bot)
     distributive = is_distributive(A) is None
     # Semilinearity is decided by the axiom test; the SI-quotient oracle
     # lives in the test suite.
@@ -354,7 +384,7 @@ def predicates(A: FiniteIRL) -> PredicateRecord:
         anti_idempotent=anti_idem,
         integral=A.e == top,
         extrema=(bot, top),
-        rigorously_compact=rc,
+        rigorously_compact=is_rigorously_compact(A),
         distributive=distributive,
         semilinear=semilinear,
     )

@@ -62,8 +62,8 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from dmm import __version__
-from dmm.algebra import (FiniteIRL, check_derived_laws, predicates,
-                         validate_dmm, validate_irl)
+from dmm.algebra import (FiniteIRL, check_derived_laws, is_rigorously_compact,
+                         predicates, validate_dmm, validate_irl)
 from dmm.constructions import (NAMED_BASIC, canonical_form, hs_contains,
                                is_isomorphic, make_named, sg, zero_generated)
 from dmm.filters import classify, deductive_filters, filter_of, omega, quotient
@@ -671,7 +671,7 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
                 c.counterexamples.append((A.name, r.witness))
             c = rec("rigorous-compactness")
             c.instances += 1
-            if not predicates(A).rigorously_compact:
+            if not is_rigorously_compact(A):
                 c.counterexamples.append(A.name)
             c = rec("lollipop")
             c.instances += 1

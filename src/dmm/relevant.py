@@ -7,15 +7,17 @@ contains m = /\\F; m <= t := /\\{|a|} because every |a| is in F; and
 F = [m) because F is an up-set.  Conversely [m) is a filter for every
 m <= t.  So the filters are the [m) for m <= t, the least one is [t), the
 filter generated by X is [t /\\ /\\X), and classification reads the order
-below t as dmm.filters reads it below e.
+below t as dmm.filters reads it below e.  t is computed once per algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from dmm.algebra import (FiniteIRL, Tables, ValidationReport, _Collector,
-                         _as_table, is_distributive)
+                         _as_table, is_distributive,
+                         is_rigorously_compact as is_rigorously_compact_ra)
 from dmm.filters import DeductiveFilter, _kernel, _order_flags, _up_sets
 
 
@@ -25,7 +27,7 @@ class TrivialAlgebra(Exception):
 
 @dataclass(eq=False)
 class FiniteRA(Tables):
-    """The shared tables without a neutral element."""
+    """The shared tables without a neutral element, and t, memoized."""
 
     name: str = ""
 
@@ -39,6 +41,14 @@ class FiniteRA(Tables):
     def abs_value(self, a) -> int:
         """|a| := a -> a."""
         return self.residual(a, a)
+
+    @cached_property
+    def t(self) -> int:
+        """t = /\\{|a|}: the least element of the least deductive filter."""
+        m = self.abs_value(0)
+        for a in self.elements:
+            m = self.meet[m][self.abs_value(a)]
+        return m
 
     def to_dict(self) -> dict:
         return {"name": self.name, "signature": "RA", "size": self.size,
@@ -99,23 +109,14 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
     d = is_distributive(A)
     if d is not None:
         col.add("distributive", d)
-    return ValidationReport(not col.violations, col.violations)
-
-
-def _abs_meet(A: FiniteRA) -> int:
-    """t = /\\{|a|}: the least element of the least deductive filter."""
-    m = A.abs_value(0)
-    for a in A.elements:
-        m = A.meet[m][A.abs_value(a)]
-    return m
+    return col.report()
 
 
 def ra_deductive_filters(A: FiniteRA) -> list[DeductiveFilter]:
     """All deductive filters: [m) for each m <= t, sorted by (size, sorted
     membership)."""
-    t = _abs_meet(A)
     return [DeductiveFilter(F, A)
-            for F in _up_sets(A, [m for m in A.elements if A.leq(m, t)])]
+            for F in _up_sets(A, [m for m in A.elements if A.leq(m, A.t)])]
 
 
 def dfg_ra(A: FiniteRA, a: int) -> DeductiveFilter:
@@ -126,7 +127,7 @@ def dfg_ra(A: FiniteRA, a: int) -> DeductiveFilter:
 def dfg_ra_set(A: FiniteRA, X) -> DeductiveFilter:
     """The least deductive filter containing X: [t /\\ /\\X), the least up-set
     closed under meets that holds X and every |d|.  X = {} gives [t)."""
-    m = _abs_meet(A)
+    m = A.t
     for x in X:
         m = A.meet[m][x]
     return DeductiveFilter(_up_sets(A, [m])[0], A)
@@ -151,14 +152,16 @@ def dfg_oracle(A: FiniteRA, X) -> DeductiveFilter:
 
 def meet_property_check(A: FiniteRA) -> bool:
     """DFg{a} Intersection DFg{b} = DFg{a \\/ b} for all pairs, plus
-    ||a| /\\ |b|| <= |a| /\\ |b|."""
+    ||a| /\\ |b|| <= |a| /\\ |b|.  DFg{a} is [t /\\ a), as in dfg_ra_set."""
+    t = A.t
+    up = [frozenset(b for b in A.elements if A.leq(A.meet[t][a], b))
+          for a in A.elements]
     for a in A.elements:
         for b in A.elements:
             m = A.meet[A.abs_value(a)][A.abs_value(b)]
             if not A.leq(A.abs_value(m), m):
                 return False
-            lhs = dfg_ra(A, a).members & dfg_ra(A, b).members
-            if lhs != dfg_ra(A, A.join[a][b]).members:
+            if up[a] & up[b] != up[A.join[a][b]]:
                 return False
     return True
 
@@ -166,7 +169,7 @@ def meet_property_check(A: FiniteRA) -> bool:
 def reconstruct_neutral(A: FiniteRA) -> int | None:
     """The glb of all |a|, if it acts as a fusion identity; for finite RAs
     the generating set is taken to be the whole carrier."""
-    m = _abs_meet(A)
+    m = A.t
     if all(A.fusion[m][x] == x for x in A.elements):
         return m
     return None
@@ -214,12 +217,8 @@ def ra_classify(A: FiniteRA) -> RAClassification:
     e; one filter per element of the down-set of t."""
     if A.size == 1:
         return RAClassification(True, False, False, True, 1)
-    t = _abs_meet(A)
+    t = A.t
     below = [m for m in A.elements if m != t and A.leq(m, t)]
     simple, si, fsi, _ = _order_flags(A, t, below)
     return RAClassification(False, simple, si, fsi, len(below) + 1)
 
-
-def is_rigorously_compact_ra(A: FiniteRA) -> bool:
-    bot, top = A.bottom, A.top
-    return all(A.fusion[top][a] == top for a in A.elements if a != bot)

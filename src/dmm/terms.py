@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from dmm.algebra import FiniteIRL
@@ -442,7 +443,9 @@ SQUARE_INCREASING_LAWS = tuple(f"law-{i}" for i in range(1, 16))
 GENERAL_IRL_LAWS = tuple(f"law-{i}" for i in range(1, 13))
 
 
+@cache
 def law_statements(name: str) -> tuple[Statement, ...]:
+    """The parsed statements of a LAW_LIBRARY entry, parsed once per name."""
     return tuple(parse_statement(src) for src in LAW_LIBRARY[name])
 
 

@@ -2,9 +2,10 @@ import hashlib
 
 import pytest
 
-from dmm import enumeration
-from dmm.algebra import ValidationReport
-from dmm.constructions import direct_product, is_isomorphic, make_named
+from dmm import algebra, enumeration
+from dmm.algebra import FiniteIRL, ValidationReport
+from dmm.constructions import (NAMED_BASIC, direct_product, is_isomorphic,
+                               make_named)
 from dmm.enumeration import (AXIOM_SETS, Catalog, IncompleteCatalog,
                              SearchSpec, SizeTooLarge, axiomatization_check,
                              enumerate_algebras, theorem_harness)
@@ -203,6 +204,51 @@ def test_theorem_harness_passes(dmm_upto):
         GOLDEN_DMM_COUNTS[n] for n in range(1, 7))
     assert rep.checks["zero-generated-simples"].instances > 0
     assert "[PASS]" in rep.text()
+
+
+# (instances, ok) per check on the dmm catalogs n <= 6, in report order,
+# recorded before the structure checks shared one validation per algebra
+HARNESS_VERDICTS = {
+    "law-suite": (28, True), "filter-congruence-bijection": (28, True),
+    "splitting": (24, True), "rigorous-compactness": (24, True),
+    "lollipop": (24, True), "zero-generated-simples": (3, True),
+    "minimality-shadow": (27, True),
+    "surjections-onto-zero-generated": (24, True),
+    "fusion-pattern": (19, True), "odd-sugihara-quotient": (19, True),
+    "idempotents-above-f": (19, True)}
+AXIOM_VERDICTS = {"axioms-2": (24, True), "axioms-S3": (24, True),
+                  "axioms-D4": (24, True), "axioms-C4": (24, True)}
+
+
+def test_harness_verdicts_pinned(dmm_upto):
+    cat = dmm_upto(6)
+    for run, want in ((theorem_harness, HARNESS_VERDICTS),
+                      (axiomatization_check, AXIOM_VERDICTS)):
+        got = [(name, (c.instances, c.ok))
+               for name, c in run(cat).checks.items()]
+        assert got == list(want.items()), run.__name__
+
+
+def test_harness_validates_each_algebra_once(monkeypatch):
+    for nm in NAMED_BASIC:
+        enumeration._basic(nm)      # built and validated before counting
+    # a fresh copy: make_named already validated its own instance
+    A = FiniteIRL.from_dict(make_named("C4ext_1").to_dict())
+    calls = {"irl": [], "dmm": []}
+    for kind in calls:
+        real = getattr(algebra, f"_check_{kind}")
+
+        def counted(B, real=real, seen=calls[kind]):
+            seen.append(B)
+            return real(B)
+
+        monkeypatch.setattr(algebra, f"_check_{kind}", counted)
+    rep = theorem_harness(Catalog(SearchSpec(A.size), [A], True))
+    assert rep.ok and rep.checks["odd-sugihara-quotient"].instances == 1
+    # A itself, then its odd Sugihara quotient A/[~(f^2))
+    for seen in calls.values():
+        assert len(seen) == 2
+        assert seen[0] is A and seen[1].size < A.size
 
 
 def test_axiomatization_check_passes(dmm_upto):

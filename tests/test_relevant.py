@@ -4,6 +4,7 @@ import pytest
 
 from dmm.algebra import NotAnIRL
 from dmm.constructions import e_free_reduct, make_named
+from dmm.enumeration import SearchSpec, enumerate_algebras
 from dmm.filters import classify, congruence_lattice
 from dmm.relevant import (FiniteRA, TrivialAlgebra, contains_two_reduct,
                           dfg_oracle, dfg_ra, dfg_ra_set,
@@ -57,6 +58,45 @@ def test_dfg_ra_matches_fixpoint_oracle(reducts, dmm_upto):
 def test_meet_property(reducts):
     for nm, R in reducts.items():
         assert meet_property_check(R), nm
+
+
+def oracle_meet_property_check(A: FiniteRA) -> bool:
+    """Reference: three dfg_ra calls per pair of elements."""
+    for a in A.elements:
+        for b in A.elements:
+            m = A.meet[A.abs_value(a)][A.abs_value(b)]
+            if not A.leq(A.abs_value(m), m):
+                return False
+            lhs = dfg_ra(A, a).members & dfg_ra(A, b).members
+            if lhs != dfg_ra(A, A.join[a][b]).members:
+                return False
+    return True
+
+
+# Both fail the meet property.  The 3-element chain with a -> 2 - a fails
+# only the ||a| /\ |b|| clause (at a = b = 1).  The 2-element junk table
+# has a meet that is not commutative, and fails only when DFg{a} is taken
+# from meet[t][a], as dfg_ra_set takes it, not from meet[a][t].
+FAILING_RAS = [
+    FiniteRA.from_tables(3, [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+                         [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+                         [[0, 0, 0], [0, 2, 0], [0, 0, 2]], [2, 1, 0]),
+    FiniteRA.from_tables(2, [[0, 1], [0, 0]], [[0, 0], [0, 0]],
+                         [[0, 0], [0, 0]], [0, 1]),
+]
+
+
+def test_meet_property_matches_oracle(dmm_upto):
+    irl = [A for n in range(1, 6)
+           for A in enumerate_algebras(SearchSpec.for_class("irl", n)).algebras]
+    reducts = [e_free_reduct(A) for A in [*dmm_upto(6).algebras, *irl]]
+    for R in reducts:
+        assert meet_property_check(R) == oracle_meet_property_check(R), R.name
+    # the irl entries of size 5 fail it, so both answers are compared
+    assert not all(meet_property_check(R) for R in reducts)
+    for R in FAILING_RAS:
+        assert not oracle_meet_property_check(R)
+        assert not meet_property_check(R)
 
 
 def test_reconstruct_neutral_recovers_e(named, reducts):

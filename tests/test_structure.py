@@ -1,8 +1,9 @@
 import pytest
 
-from dmm.algebra import validate_dmm
+from dmm.algebra import square_increasing_witness, validate_dmm, validate_irl
 from dmm.constructions import direct_product, is_isomorphic, make_named
-from dmm.structure import (BoundsCertificate, NotApplicable, NotFSI,
+from dmm.enumeration import SearchSpec, enumerate_algebras
+from dmm.structure import (BoundsCertificate, NotApplicable, NotDMM, NotFSI,
                            bounds_of_generated, embed_c4_if_e_below_f,
                            fusion_pattern_check, hasse_text, lollipop,
                            odd_sugihara_quotient, splitting_check)
@@ -22,6 +23,19 @@ def test_splitting_on_named(named):
 def test_splitting_rejects_non_fsi(twosq):
     with pytest.raises(NotFSI):
         splitting_check(twosq)
+
+
+@pytest.mark.parametrize("check", [splitting_check, lollipop,
+                                   fusion_pattern_check,
+                                   odd_sugihara_quotient])
+def test_structure_checks_reject_non_dmm_every_call(check):
+    # an IRL that is not square-increasing: its cached DMM report fails
+    irl3 = enumerate_algebras(SearchSpec.for_class("irl", 3)).algebras
+    A = next(A for A in irl3 if square_increasing_witness(A) is not None)
+    assert validate_irl(A).ok
+    for _ in range(2):
+        with pytest.raises(NotDMM):
+            check(A)
 
 
 def test_bounds_c4_empty(named):
