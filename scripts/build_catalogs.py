@@ -9,7 +9,7 @@ import argparse
 import pathlib
 import time
 
-from dmm.enumeration import SearchSpec, enumerate_algebras
+from dmm.enumeration import DEFAULT_MAX_SIZE, SearchSpec, enumerate_algebras
 
 
 def main() -> None:
@@ -22,6 +22,11 @@ def main() -> None:
     ap.add_argument("--unsafe-size", action="store_true",
                     help="allow sizes above the built-in ceiling")
     args = ap.parse_args()
+    if args.min_size < 1:
+        ap.error(f"--min-size must be at least 1, got {args.min_size}")
+    if args.max_size > DEFAULT_MAX_SIZE and not args.unsafe_size:
+        ap.error(f"--max-size {args.max_size} is above the ceiling "
+                 f"{DEFAULT_MAX_SIZE}; pass --unsafe-size to go past it")
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

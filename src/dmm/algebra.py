@@ -47,8 +47,40 @@ class ValidationReport:
         return seen
 
 
-def _as_table(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+_SEQ = (list, tuple)
+
+
+def _ints(row, what: str) -> tuple[int, ...]:
+    """row as a tuple, if it is a list or tuple of ints (bools excluded)."""
+    if not isinstance(row, _SEQ) or not set(map(type, row)) <= {int}:
+        raise MalformedTable(f"{what} must be a list of integers")
+    return tuple(row)
+
+
+def _checked_tables(size, meet, join, fusion, neg) -> tuple:
+    """The five shared fields as tuples, after the type checks; the shape and
+    range checks are check_well_formed's."""
+    if type(size) is not int:
+        raise MalformedTable("size must be an integer")
+    tabs = []
+    for nm, rows in (("meet", meet), ("join", join), ("fusion", fusion)):
+        if not isinstance(rows, _SEQ):
+            raise MalformedTable(f"{nm} must be a list of rows")
+        tabs.append(tuple(_ints(row, f"{nm} row") for row in rows))
+    return (size, *tabs, _ints(neg, "neg"))
+
+
+def _read_dict(d, keys: tuple[str, ...]) -> list:
+    """The values of keys in a table object, then its name (default "")."""
+    if not isinstance(d, dict):
+        raise MalformedTable(f"expected a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise MalformedTable(f"missing key(s) {', '.join(missing)}")
+    name = d.get("name", "")
+    if not isinstance(name, str):
+        raise MalformedTable("name must be a string")
+    return [d[k] for k in keys] + [name]
 
 
 @dataclass(eq=False)
@@ -130,8 +162,12 @@ class FiniteIRL(Tables):
 
     @classmethod
     def from_tables(cls, size, meet, join, fusion, neg, e, name="", labels=None):
-        A = cls(size, _as_table(meet), _as_table(join), _as_table(fusion),
-                tuple(int(x) for x in neg), int(e), name,
+        """The one check of table input: entries must be ints (not bools),
+        tables lists or tuples of rows, and everything in range; raises
+        MalformedTable otherwise.  FiniteRA.from_tables shares it."""
+        if type(e) is not int:
+            raise MalformedTable("e must be an integer")
+        A = cls(*_checked_tables(size, meet, join, fusion, neg), e, name,
                 tuple(labels) if labels else None)
         A.check_well_formed()
         return A
@@ -199,8 +235,8 @@ class FiniteIRL(Tables):
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteIRL":
-        return cls.from_tables(d["size"], d["meet"], d["join"], d["fusion"],
-                               d["neg"], d["e"], d.get("name", ""))
+        return cls.from_tables(*_read_dict(
+            d, ("size", "meet", "join", "fusion", "neg", "e")))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -13,8 +13,8 @@ import os
 import sys
 
 from dmm import __version__
-from dmm.algebra import (AlgebraError, FiniteIRL, predicates, validate_dmm,
-                         validate_irl)
+from dmm.algebra import (AlgebraError, FiniteIRL, MalformedTable, predicates,
+                         validate_dmm, validate_irl)
 from dmm.constructions import (UnknownName, e_free_reduct, homs,
                                is_isomorphic, is_named, make_named)
 from dmm.enumeration import (DEFAULT_MAX_SIZE, IncompleteCatalog, SearchSpec,
@@ -53,10 +53,10 @@ def _load_algebra(spec: str, klass: str = "dmm"):
     except UnicodeDecodeError as exc:
         raise UsageError(f"{spec}: not a text file ({exc.reason})") from exc
     ra = (isinstance(d, dict) and d.get("signature") == "RA") or klass == "ra"
-    _check_tables(d, ra, spec)
-    if ra:
-        return FiniteRA.from_dict(d)
-    return FiniteIRL.from_dict(d)
+    try:
+        return (FiniteRA if ra else FiniteIRL).from_dict(d)
+    except MalformedTable as exc:
+        raise UsageError(f"{spec}: {exc}") from exc
 
 
 def _load_pointed(spec: str, args):
@@ -64,48 +64,6 @@ def _load_pointed(spec: str, args):
     if isinstance(A, FiniteRA):
         raise UsageError(f"{args.command} expects a pointed algebra")
     return A
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_tables(d, ra: bool, spec: str) -> None:
-    """Reject a table file that is not shaped like an algebra: a JSON
-    object with the signature's keys, n x n tables and a length-n neg of
-    integers in 0..n-1, and e in range.  The laws are left to validation."""
-    if not isinstance(d, dict):
-        raise UsageError(f"{spec}: expected a JSON object, "
-                         f"got {type(d).__name__}")
-    keys = ("size", "meet", "join", "fusion", "neg") + (() if ra else ("e",))
-    missing = [k for k in keys if k not in d]
-    if missing:
-        raise UsageError(f"{spec}: missing key(s) {', '.join(missing)}")
-    n = d["size"]
-    if not _is_int(n) or n < 1:
-        raise UsageError(f"{spec}: size must be an integer >= 1")
-    if not isinstance(d.get("name", ""), str):
-        raise UsageError(f"{spec}: name must be a string")
-
-    def in_range(x):
-        return _is_int(x) and 0 <= x < n
-
-    for k in ("meet", "join", "fusion"):
-        t = d[k]
-        if not (isinstance(t, list) and len(t) == n
-                and all(isinstance(r, list) and len(r) == n for r in t)):
-            raise UsageError(f"{spec}: {k} is not a {n}x{n} table")
-        if not all(in_range(x) for r in t for x in r):
-            raise UsageError(f"{spec}: {k} entries must be integers "
-                             f"in 0..{n - 1}")
-    neg = d["neg"]
-    if not (isinstance(neg, list) and len(neg) == n):
-        raise UsageError(f"{spec}: neg is not a list of length {n}")
-    if not all(in_range(x) for x in neg):
-        raise UsageError(f"{spec}: neg entries must be integers "
-                         f"in 0..{n - 1}")
-    if not ra and not in_range(d["e"]):
-        raise UsageError(f"{spec}: e must be an integer in 0..{n - 1}")
 
 
 def _load_statements(spec: str):
@@ -239,8 +197,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.size is None:
-        raise UsageError("enumerate needs --size")
     spec = SearchSpec.for_class(args.klass, args.size)
     cat = enumerate_algebras(spec, unsafe=args.unsafe_size,
                              progress=args.format == "text")
@@ -370,53 +326,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, classes=("irl", "dmm", "ra"), **kw):
+    flags = {"algebra": dict(help="named algebra or JSON file"),
+             "algebra2": dict(help="second algebra"),
+             "statement": dict(help="statement text or @file"),
+             "size": dict(type=int),
+             "format": dict(default="json", choices=["json", "text"]),
+             "out": dict(help="write to this file instead of stdout"),
+             "unsafe-size": dict(action="store_true"),
+             "generators": dict(help="comma-separated element list"),
+             "hasse": dict(action="store_true")}
+
+    def add(name, fn, needs, takes, classes=("irl", "dmm", "ra"), **kw):
+        """A subcommand that accepts only the flags its handler reads: the
+        ones in needs, which main requires, and the ones in takes."""
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--algebra", help="named algebra or JSON file")
-        sp.add_argument("--algebra2", help="second algebra (homs, iso)")
-        sp.add_argument("--statement", help="statement text or @file")
-        sp.add_argument("--size", type=int)
-        sp.add_argument("--class", dest="klass", default="dmm",
-                        choices=classes)
-        sp.add_argument("--format", default="json", choices=["json", "text"])
-        sp.add_argument("--out")
-        sp.add_argument("--unsafe-size", action="store_true")
-        sp.add_argument("--generators", help="comma-separated element list")
-        sp.add_argument("--hasse", action="store_true")
-        return sp
+        sp.set_defaults(fn=fn, needs=needs)
+        for f in needs + takes:
+            if f == "class":
+                sp.add_argument("--class", dest="klass", default="dmm",
+                                choices=classes)
+            else:
+                sp.add_argument("--" + f, **flags[f])
 
-    add("validate", _cmd_validate, help="check the axioms of a class")
-    add("classify", _cmd_classify, help="simple/SI/FSI flags and predicates")
-    add("analyze", _cmd_analyze, help="structure decomposition reports")
-    add("satisfies", _cmd_satisfies, help="evaluate statements on an algebra")
-    add("construct", _cmd_construct, help="build a named algebra")
-    add("enumerate", _cmd_enumerate, ("irl", "dmm"),
-        help="catalog all algebras of a size")
-    add("homs", _cmd_homs, help="all homomorphisms between two algebras")
-    add("iso", _cmd_iso, help="isomorphism test")
-    add("quotient", _cmd_quotient, help="quotient by a generated filter")
-    add("reduct", _cmd_reduct, help="drop e (relevant-algebra reduct)")
-    add("dfg", _cmd_dfg, help="generated deductive filter")
-    add("suite", _cmd_suite, ("irl", "dmm"),
-        help="enumerate + all theorem harnesses")
+    alg = ("algebra",)
+    emit = ("class", "format", "out")
+    add("validate", _cmd_validate, alg, emit,
+        help="check the axioms of a class")
+    add("classify", _cmd_classify, alg, emit,
+        help="simple/SI/FSI flags and predicates")
+    add("analyze", _cmd_analyze, alg, emit + ("hasse",),
+        help="structure decomposition reports")
+    add("satisfies", _cmd_satisfies, alg + ("statement",), emit,
+        help="evaluate statements on an algebra")
+    add("construct", _cmd_construct, alg, ("format", "out"),
+        help="build a named algebra")
+    add("enumerate", _cmd_enumerate, ("size",), emit + ("unsafe-size",),
+        ("irl", "dmm"), help="catalog all algebras of a size")
+    add("homs", _cmd_homs, alg + ("algebra2",), emit,
+        help="all homomorphisms between two algebras")
+    add("iso", _cmd_iso, alg + ("algebra2",), emit, help="isomorphism test")
+    add("quotient", _cmd_quotient, alg, emit + ("generators",),
+        help="quotient by a generated filter")
+    add("reduct", _cmd_reduct, alg, emit,
+        help="drop e (relevant-algebra reduct)")
+    add("dfg", _cmd_dfg, alg, emit + ("generators",),
+        help="generated deductive filter")
+    add("suite", _cmd_suite, (), ("size", "class", "unsafe-size"),
+        ("irl", "dmm"), help="enumerate + all theorem harnesses")
     return p
-
-
-_NEEDS_ALGEBRA = {"validate", "classify", "analyze", "satisfies",
-                  "construct", "homs", "iso", "quotient", "reduct", "dfg"}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in _NEEDS_ALGEBRA and not args.algebra:
-            raise UsageError(f"{args.command} needs --algebra")
-        if args.command in ("homs", "iso") and not args.algebra2:
-            raise UsageError(f"{args.command} needs --algebra2")
-        if args.command == "satisfies" and not args.statement:
-            raise UsageError("satisfies needs --statement")
+        for f in args.needs:
+            if getattr(args, f) is None:
+                raise UsageError(f"{args.command} needs --{f}")
         return args.fn(args)
     except (UsageError, UnknownName, ParseError, SizeTooLarge, SizeTooSmall,
             IncompleteCatalog, AlgebraError, TrivialAlgebra,

@@ -111,7 +111,7 @@ def make_sugihara(n: int) -> FiniteIRL:
     return _chain(vals, fus, lambda a: -a, e, f"S{n}")
 
 
-def _rigorous_fusion(values, order_idx, e, bot, top, inner_fusion):
+def _rigorous_fusion(e, bot, top, inner_fusion):
     """Fusion fixed by: e neutral, bot absorbing, top*a = top for a != bot,
     and inner_fusion on the remaining pairs."""
     def fus(a, b):
@@ -130,8 +130,8 @@ def _rigorous_fusion(values, order_idx, e, bot, top, inner_fusion):
 def make_c4() -> FiniteIRL:
     # chain bot < e < f < top, with top = f^2 and bot = ~(f^2)
     vals = ["bot", "e", "f", "top"]
-    fus = _rigorous_fusion(vals, None, "e", "bot", "top",
-                           lambda a, b: "top")  # only f*f remains
+    # only f*f remains
+    fus = _rigorous_fusion("e", "bot", "top", lambda a, b: "top")
     neg = {"bot": "top", "e": "f", "f": "e", "top": "bot"}
     return _chain(vals, fus, neg.__getitem__, "e", "C4",
                   labels=["~(f^2)", "e", "f", "f^2"])
@@ -142,8 +142,7 @@ def make_d4() -> FiniteIRL:
     vals = ["bot", "e", "f", "top"]
     pairs = {(a, a) for a in vals} | {("bot", x) for x in vals} | {
         (x, "top") for x in vals}
-    fus = _rigorous_fusion(vals, None, "e", "bot", "top",
-                           lambda a, b: "top")
+    fus = _rigorous_fusion("e", "bot", "top", lambda a, b: "top")
     neg = {"bot": "top", "e": "f", "f": "e", "top": "bot"}
     return _from_order(vals, pairs, fus, neg.__getitem__, "e", "D4",
                        labels=["~(f^2)", "e", "f", "f^2"])

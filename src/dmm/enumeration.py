@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from dmm import __version__
 from dmm.algebra import (FiniteIRL, check_derived_laws, is_rigorously_compact,
-                         predicates, validate_dmm, validate_irl)
+                         validate_dmm, validate_irl)
 from dmm.constructions import (NAMED_BASIC, canonical_form, hs_contains,
                                is_isomorphic, make_named, sg, zero_generated)
 from dmm.filters import classify, deductive_filters, filter_of, omega, quotient
@@ -85,34 +85,35 @@ class IncompleteCatalog(Exception):
 
 @dataclass(frozen=True)
 class SearchSpec:
+    """A search: every algebra of one class and size, up to isomorphism.
+    The class is "dmm" (De Morgan monoids, the square-increasing
+    distributive IRLs) or "irl" (all IRLs); the enumerator reads it through
+    square_increasing and distributive."""
     size: int
-    square_increasing: bool = True
-    distributive: bool = True
-    predicate_filters: tuple[str, ...] = ()
-    limit: int | None = None
+    klass: str = "dmm"
+
+    def __post_init__(self):
+        if self.klass not in ("dmm", "irl"):
+            raise ValueError(f"unknown algebra class {self.klass!r}")
 
     @property
-    def class_name(self) -> str:
-        if self.square_increasing and self.distributive:
-            return "dmm"
-        if not self.square_increasing and not self.distributive:
-            return "irl"
-        return "irl+" + ("sq" if self.square_increasing else "dist")
+    def square_increasing(self) -> bool:
+        return self.klass == "dmm"
+
+    @property
+    def distributive(self) -> bool:
+        return self.klass == "dmm"
 
     @classmethod
-    def for_class(cls, name: str, size: int, **kw) -> "SearchSpec":
-        if name == "dmm":
-            return cls(size, True, True, **kw)
-        if name == "irl":
-            return cls(size, False, False, **kw)
-        raise ValueError(f"unknown algebra class {name!r}")
+    def for_class(cls, name: str, size: int) -> "SearchSpec":
+        return cls(size, name)
 
     def to_dict(self) -> dict:
+        # predicate_filters and limit are constants of the file format
         return {"size": self.size,
                 "square_increasing": self.square_increasing,
                 "distributive": self.distributive,
-                "predicate_filters": list(self.predicate_filters),
-                "limit": self.limit}
+                "predicate_filters": [], "limit": None}
 
 
 @dataclass
@@ -132,9 +133,9 @@ class Catalog:
     def from_json(cls, text: str) -> "Catalog":
         d = json.loads(text)
         s = d["spec"]
-        spec = SearchSpec(s["size"], s["square_increasing"],
-                          s["distributive"], tuple(s["predicate_filters"]),
-                          s["limit"])
+        flags = (s["square_increasing"], s["distributive"])
+        spec = SearchSpec(s["size"], {(True, True): "dmm",
+                                      (False, False): "irl"}.get(flags))
         return cls(spec, [FiniteIRL.from_dict(a) for a in d["algebras"]],
                    d["complete"])
 
@@ -535,8 +536,8 @@ def _least_encoding(fus, neg, e, auts) -> bytes:
                for s, inv in auts)
 
 
-def enumerate_algebras(spec: SearchSpec, max_size: int = DEFAULT_MAX_SIZE,
-                       unsafe: bool = False, progress=None) -> Catalog:
+def enumerate_algebras(spec: SearchSpec, unsafe: bool = False,
+                       progress=None) -> Catalog:
     """Layered exhaustive search; output sorted by canonical form, so two
     runs with the same spec are byte-identical.
 
@@ -549,8 +550,8 @@ def enumerate_algebras(spec: SearchSpec, max_size: int = DEFAULT_MAX_SIZE,
     n = spec.size
     if n < 1:
         raise SizeTooSmall(f"size {n} below 1")
-    if n > max_size and not unsafe:
-        raise SizeTooLarge(f"size {n} above ceiling {max_size}")
+    if n > DEFAULT_MAX_SIZE and not unsafe:
+        raise SizeTooLarge(f"size {n} above ceiling {DEFAULT_MAX_SIZE}")
     stats = {"pruned": 0, "found": 0}
     seen: dict[tuple[int, bytes], FiniteIRL] = {}
     for li, (meet, join) in enumerate(_lattices(n, spec.distributive)):
@@ -564,7 +565,7 @@ def enumerate_algebras(spec: SearchSpec, max_size: int = DEFAULT_MAX_SIZE,
                     if key in seen:
                         continue
                     A = FiniteIRL(n, meet, join, fus, tuple(neg), e)
-                    rep = (validate_dmm(A) if spec.class_name == "dmm"
+                    rep = (validate_dmm(A) if spec.klass == "dmm"
                            else validate_irl(A))
                     if not rep.ok:
                         raise AssertionError(
@@ -578,19 +579,8 @@ def enumerate_algebras(spec: SearchSpec, max_size: int = DEFAULT_MAX_SIZE,
                               file=sys.stderr)
     out = sorted(seen.values(), key=lambda A: canonical_form(A).data)
     for i, A in enumerate(out):
-        A.name = f"{spec.class_name}{n}-{i}"
-    complete = True
-    if spec.predicate_filters:
-        keep = []
-        for A in out:
-            rec = predicates(A)
-            if all(getattr(rec, p) for p in spec.predicate_filters):
-                keep.append(A)
-        out = keep
-    if spec.limit is not None and len(out) > spec.limit:
-        out = out[:spec.limit]
-        complete = False
-    return Catalog(spec, out, complete)
+        A.name = f"{spec.klass}{n}-{i}"
+    return Catalog(spec, out, True)
 
 
 # ---- theorem harness --------------------------------------------------------

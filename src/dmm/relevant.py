@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from dmm.algebra import (FiniteIRL, Tables, ValidationReport, _Collector,
-                         _as_table, is_distributive,
+                         _checked_tables, _read_dict, is_distributive,
                          is_rigorously_compact as is_rigorously_compact_ra)
 from dmm.filters import DeductiveFilter, _kernel, _order_flags, _up_sets
 
@@ -33,8 +33,7 @@ class FiniteRA(Tables):
 
     @classmethod
     def from_tables(cls, size, meet, join, fusion, neg, name=""):
-        A = cls(size, _as_table(meet), _as_table(join), _as_table(fusion),
-                tuple(int(x) for x in neg), name)
+        A = cls(*_checked_tables(size, meet, join, fusion, neg), name)
         A.check_well_formed()
         return A
 
@@ -59,8 +58,8 @@ class FiniteRA(Tables):
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteRA":
-        return cls.from_tables(d["size"], d["meet"], d["join"], d["fusion"],
-                               d["neg"], d.get("name", ""))
+        return cls.from_tables(*_read_dict(
+            d, ("size", "meet", "join", "fusion", "neg")))
 
 
 def validate_ra(A: FiniteRA) -> ValidationReport:

@@ -1,8 +1,13 @@
+import json
+
 import pytest
 
 from dmm.algebra import (FiniteIRL, MalformedTable, NotAnIRL, Violation,
                          check_derived_laws, is_distributive, predicates,
                          validate_dmm, validate_irl)
+from dmm.constructions import make_named
+from dmm.enumeration import Catalog, SearchSpec
+from dmm.relevant import FiniteRA
 
 
 def chain_meet(n):
@@ -31,6 +36,39 @@ def test_malformed_tables_rejected():
     with pytest.raises(MalformedTable):
         FiniteIRL.from_tables(2, chain_meet(2), chain_join(2),
                               chain_meet(2), [1, 0], 7)
+
+
+@pytest.mark.parametrize("bad", [3.9, True, "3", None])
+@pytest.mark.parametrize("where", ["size", "meet", "fusion", "neg", "e"])
+def test_from_dict_accepts_only_int_entries(bad, where):
+    # entries are never coerced: 3.9 is not read as 3, nor true as 1
+    d = make_named("C4").to_dict()
+    if where in ("meet", "fusion"):
+        d[where][1][2] = bad
+    elif where == "neg":
+        d["neg"][0] = bad
+    else:
+        d[where] = bad
+    with pytest.raises(MalformedTable):
+        FiniteIRL.from_dict(d)
+    if where != "e":
+        with pytest.raises(MalformedTable):
+            FiniteRA.from_dict(d)
+    C4 = make_named("C4")
+    cat = json.loads(Catalog(SearchSpec(4), [C4], True).to_json())
+    cat["algebras"] = [d]
+    with pytest.raises(MalformedTable):
+        Catalog.from_json(json.dumps(cat))
+
+
+def test_from_dict_rejects_bad_shapes():
+    C4 = make_named("C4").to_dict()
+    no_e = {k: v for k, v in C4.items() if k != "e"}
+    for d in (None, [1, 2], "C4", {"size": 4}, no_e, {**C4, "name": 3},
+              {**C4, "meet": "abcd"}, {**C4, "neg": 5},
+              {**C4, "join": [[0, 1, 2, 3]] * 3 + [5]}):
+        with pytest.raises(MalformedTable):
+            FiniteIRL.from_dict(d)
 
 
 def test_trivial_algebra_passes_everything():

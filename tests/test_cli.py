@@ -201,6 +201,30 @@ def test_suite_size_out_of_range_exits_2_before_search(capsys, monkeypatch):
         assert code == 2 and out == "" and "error:" in err, size
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--algebra", "C4", "--algebra2", "Q99"],
+    ["suite", "--size", "2", "--out", "x.json"],
+    ["construct", "--algebra", "C4", "--class", "ra"],
+], ids=["validate-algebra2", "suite-out", "construct-class"])
+def test_flag_of_another_command_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    cap = capsys.readouterr()
+    assert exc.value.code == 2 and cap.out == ""
+    assert "unrecognized arguments" in cap.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_required_flag_names_it(capsys):
+    for argv, flag in ((["homs", "--algebra", "C4"], "--algebra2"),
+                       (["iso", "--algebra2", "C4"], "--algebra"),
+                       (["enumerate"], "--size")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"error: {argv[0]} needs {flag}" in err, argv
+
+
 def test_suite_default_size_is_4(capsys):
     code, out, _ = run(capsys, "suite")
     assert code == 0 and "sizes 1..4" in out and "size 4:" in out
@@ -211,9 +235,11 @@ def test_classify_named_as_ra(capsys):
     assert code == 0
     d = json.loads(out)
     assert "deductive_filters" in d and "subcover" not in d
-    for cmd in ("analyze", "homs", "iso", "quotient"):
+    for cmd, *extra in (("analyze",), ("homs", "--algebra2", "C4"),
+                        ("iso", "--algebra2", "C4"),
+                        ("quotient", "--generators", "1")):
         code, out, err = run(capsys, cmd, "--class", "ra", "--algebra", "C4",
-                             "--algebra2", "C4", "--generators", "1")
+                             *extra)
         assert code == 2 and out == "" and "expects a pointed" in err, cmd
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -146,14 +147,14 @@ def test_entries_named_and_sorted(dmm_catalogs):
         f"dmm5-{i}" for i in range(len(cat.algebras))]
 
 
-def test_size_ceiling():
+def test_size_ceiling(monkeypatch):
     with pytest.raises(SizeTooLarge):
         enumerate_algebras(SearchSpec(9))
-    # the ceiling can be lowered or raised explicitly
+    # the ceiling is read at call time, and unsafe=True goes past it
+    monkeypatch.setattr(enumeration, "DEFAULT_MAX_SIZE", 2)
     with pytest.raises(SizeTooLarge):
-        enumerate_algebras(SearchSpec(3), max_size=2)
-    assert len(enumerate_algebras(SearchSpec(3), max_size=2,
-                                  unsafe=True).algebras) == 1
+        enumerate_algebras(SearchSpec(3))
+    assert len(enumerate_algebras(SearchSpec(3), unsafe=True).algebras) == 1
 
 
 def test_determinism_byte_identical():
@@ -173,15 +174,18 @@ def test_catalog_roundtrip(tmp_path, dmm_catalogs):
         assert A.tables_equal(B)
 
 
-def test_limit_marks_incomplete():
-    cat = enumerate_algebras(SearchSpec(4, limit=2))
-    assert not cat.complete and len(cat.algebras) == 2
-
-
-def test_predicate_filters():
-    cat = enumerate_algebras(SearchSpec(4, predicate_filters=("semilinear",)))
-    assert all(not is_isomorphic(A, make_named("D4")) for A in cat.algebras)
-    assert any(is_isomorphic(A, make_named("C4")) for A in cat.algebras)
+def test_irl_catalog_roundtrip_and_unknown_class():
+    cat = enumerate_algebras(SearchSpec.for_class("irl", 3))
+    text = cat.to_json()
+    back = Catalog.from_json(text)
+    assert back.spec == SearchSpec(3, "irl") and back.to_json() == text
+    with pytest.raises(ValueError):
+        SearchSpec(4, "ra")
+    # the two flags name a class only when they agree
+    d = json.loads(text)
+    d["spec"]["distributive"] = True
+    with pytest.raises(ValueError):
+        Catalog.from_json(json.dumps(d))
 
 
 def test_irl_class_counts_at_least_dmm():
@@ -190,11 +194,12 @@ def test_irl_class_counts_at_least_dmm():
         assert len(irl.algebras) >= GOLDEN_DMM_COUNTS[n]
 
 
-def test_harness_rejects_incomplete():
+def test_harness_rejects_incomplete(dmm_catalogs):
     with pytest.raises(IncompleteCatalog):
         theorem_harness(Catalog(SearchSpec(4), [], True))
+    algs = dmm_catalogs[4].algebras
     with pytest.raises(IncompleteCatalog):
-        theorem_harness(enumerate_algebras(SearchSpec(4, limit=2)))
+        theorem_harness(Catalog(SearchSpec(4), algs[:2], False))
 
 
 def test_theorem_harness_passes(dmm_upto):

@@ -30,9 +30,7 @@ def test_validate_ra_catches_broken_fusion():
     B = FiniteRA.from_tables(R.size, R.meet, R.join, bad, R.neg)
     rep = validate_ra(B)
     assert not rep.ok
-    assert any(v.law in ("fusion-commutative", "contraposition",
-                         "square-increasing", "identity-bound")
-               for v in rep.violations)
+    assert "fusion-commutative" in rep.laws_violated()
 
 
 def test_dfg_ra_examples(reducts):

@@ -1,0 +1,21 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("flags", [["--min-size", "0"], ["--max-size", "9"]])
+def test_build_catalogs_checks_sizes_before_search(tmp_path, flags):
+    out = tmp_path / "catalogs"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "build_catalogs.py"),
+         "--out-dir", str(out), *flags],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
