@@ -40,11 +40,7 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
     def laws_violated(self) -> list[str]:
-        seen: list[str] = []
-        for v in self.violations:
-            if v.law not in seen:
-                seen.append(v.law)
-        return seen
+        return list(dict.fromkeys(v.law for v in self.violations))
 
 
 _SEQ = (list, tuple)
@@ -279,22 +275,22 @@ def validate_irl(A: FiniteIRL) -> ValidationReport:
     return A._irl_report
 
 
-def _check_irl(A: FiniteIRL) -> ValidationReport:
-    A.check_well_formed()
-    n = A.size
-    meet, join, fus, neg, e = A.meet, A.join, A.fusion, A.neg, A.e
-    col = _Collector()
-
-    for a in range(n):
+def _check_shared(A: Tables, col: _Collector):
+    """The laws an IRL and a relevant algebra share, on well-formed tables:
+    lattice laws, neg of period 2, commutative and associative fusion, and
+    involution-fusion.  A generator: it yields each a between a's one- and
+    two-variable laws, where a caller adds its own law for a."""
+    rng = range(A.size)
+    meet, join, fus, neg = A.meet, A.join, A.fusion, A.neg
+    for a in rng:
         if meet[a][a] != a:
             col.add("meet-idempotent", (a,))
         if join[a][a] != a:
             col.add("join-idempotent", (a,))
         if neg[neg[a]] != a:
             col.add("involution-period-2", (a,))
-        if fus[e][a] != a or fus[a][e] != a:
-            col.add("e-neutral", (a,))
-        for b in range(n):
+        yield a
+        for b in rng:
             if meet[a][b] != meet[b][a]:
                 col.add("meet-commutative", (a, b))
             if join[a][b] != join[b][a]:
@@ -308,34 +304,45 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
             # join must agree with the meet-derived order
             if (join[a][b] == b) != (meet[a][b] == a):
                 col.add("order-agreement", (a, b))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
+    for a in rng:
+        ma, ja, fa = meet[a], join[a], fus[a]
+        for b in rng:
+            mab, jab, fab = meet[ma[b]], join[ja[b]], fus[fa[b]]
+            mb, jb, fb = meet[b], join[b], fus[b]
+            for c in rng:
+                if mab[c] != ma[mb[c]]:
                     col.add("meet-associative", (a, b, c))
-                if join[join[a][b]][c] != join[a][join[b][c]]:
+                if jab[c] != ja[jb[c]]:
                     col.add("join-associative", (a, b, c))
-                if fus[fus[a][b]][c] != fus[a][fus[b][c]]:
+                if fab[c] != fa[fb[c]]:
                     col.add("fusion-associative", (a, b, c))
-
-    def leq(a, b):
-        return meet[a][b] == a
-
     # involution-fusion law: x*y <= z  iff  ~z*y <= ~x
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if leq(fus[x][y], z) != leq(fus[neg[z]][y], neg[x]):
+    for x in rng:
+        fx, nx = fus[x], neg[x]
+        for y in rng:
+            xy = fx[y]
+            up = meet[xy]               # up[z] == xy iff x*y <= z
+            for z in rng:
+                zy = fus[neg[z]][y]
+                if (up[z] == xy) != (meet[zy][nx] == zy):
                     col.add("involution-fusion", (x, y, z))
 
+
+def _check_irl(A: FiniteIRL) -> ValidationReport:
+    A.check_well_formed()
+    rng = range(A.size)
+    meet, fus, e = A.meet, A.fusion, A.e
+    col = _Collector()
+    for a in _check_shared(A, col):
+        if fus[e][a] != a or fus[a][e] != a:
+            col.add("e-neutral", (a,))
     if not col.violations:
         # Sanity: with the axioms in place, a -> b must be max{c : a*c <= b}.
-        for a in range(n):
-            for b in range(n):
-                r = A.residual(a, b)
-                sols = [c for c in range(n) if leq(fus[a][c], b)]
-                if r not in sols or any(not leq(c, r) for c in sols):
-                    col.add("residual-is-max", (a, b))
+        for a, b in product(rng, rng):
+            r = A.residual(a, b)
+            sols = [c for c in rng if meet[fus[a][c]][b] == fus[a][c]]
+            if r not in sols or any(meet[c][r] != c for c in sols):
+                col.add("residual-is-max", (a, b))
     return col.report()
 
 
@@ -350,7 +357,7 @@ def is_distributive(A: Tables) -> tuple[int, int, int] | None:
     return None
 
 
-def square_increasing_witness(A: FiniteIRL) -> int | None:
+def square_increasing_witness(A: Tables) -> int | None:
     """First a with a*a < a (not square-increasing), or None."""
     for a in range(A.size):
         if not A.leq(a, A.fusion[a][a]):
@@ -376,7 +383,12 @@ def _check_dmm(A: FiniteIRL) -> ValidationReport:
     if not base.ok:
         raise NotAnIRL(
             "not an IRL: " + ", ".join(base.laws_violated()))
-    col = _Collector()
+    return _dmm_tail(A, _Collector())
+
+
+def _dmm_tail(A: Tables, col: _Collector) -> ValidationReport:
+    """Add the laws a DMM adds to an IRL, which a relevant algebra has too
+    (square-increasing and distributive, first witness each); report."""
     w = square_increasing_witness(A)
     if w is not None:
         col.add("square-increasing", (w,))

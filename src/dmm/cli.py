@@ -19,7 +19,8 @@ from dmm.constructions import (UnknownName, e_free_reduct, homs,
                                is_isomorphic, is_named, make_named)
 from dmm.enumeration import (DEFAULT_MAX_SIZE, IncompleteCatalog, SearchSpec,
                              SizeTooLarge, SizeTooSmall, axiomatization_check,
-                             enumerate_algebras, theorem_harness)
+                             enumerate_algebras, relevant_harness,
+                             theorem_harness)
 from dmm.filters import classify, dfg, quotient
 from dmm.relevant import (FiniteRA, TrivialAlgebra, dfg_ra_set,
                           ra_classify, validate_ra)
@@ -60,7 +61,7 @@ def _load_algebra(spec: str, klass: str = "dmm"):
 
 
 def _load_pointed(spec: str, args):
-    A = _load_algebra(spec, args.klass)
+    A = _load_algebra(spec)
     if isinstance(A, FiniteRA):
         raise UsageError(f"{args.command} expects a pointed algebra")
     return A
@@ -74,7 +75,7 @@ def _load_statements(spec: str):
 
 
 def _emit(payload, args, text_fn=None):
-    if args.format == "text" and text_fn is not None:
+    if text_fn is not None and args.format == "text":
         body = text_fn()
     else:
         body = json.dumps(payload, indent=2, sort_keys=True, default=str)
@@ -198,8 +199,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = SearchSpec.for_class(args.klass, args.size)
-    cat = enumerate_algebras(spec, unsafe=args.unsafe_size,
-                             progress=args.format == "text")
+    cat = enumerate_algebras(spec, unsafe=args.unsafe_size)
     if args.out:
         cat.save(args.out)
         print(f"{len(cat.algebras)} algebra(s) -> {args.out}")
@@ -252,8 +252,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_reduct(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
-    R = e_free_reduct(A)
+    R = e_free_reduct(_load_algebra(args.algebra))
     _emit(R.to_dict(), args)
     return 0
 
@@ -272,8 +271,6 @@ def _cmd_dfg(args) -> int:
 
 def _cmd_suite(args) -> int:
     """Enumerate up to --size (default 4), then run every harness."""
-    from dmm.relevant import (contains_two_reduct, dfg_oracle, dfg_ra,
-                              meet_property_check, reconstruct_neutral)
     top = 4 if args.size is None else args.size
     if top < 1:
         raise UsageError(f"suite needs --size >= 1, got {top}")
@@ -284,36 +281,19 @@ def _cmd_suite(args) -> int:
     for n in range(1, top + 1):
         spec = SearchSpec.for_class(args.klass, n)
         cat = enumerate_algebras(spec, unsafe=args.unsafe_size)
-        hr = theorem_harness(cat)
-        ax = axiomatization_check(cat) if any(
-            classify(A).si for A in cat.algebras) else None
-        ra_ok = True
-        for A in cat.algebras:
-            R = e_free_reduct(A)
-            if not validate_ra(R).ok or not meet_property_check(R):
-                ra_ok = False
-            for a in R.elements:
-                if dfg_ra(R, a).members != dfg_oracle(R, {a}).members:
-                    ra_ok = False
-            if reconstruct_neutral(R) != A.e:
-                ra_ok = False
-            if R.size > 1:
-                try:
-                    if contains_two_reduct(R) is None:
-                        ra_ok = False
-                except TrivialAlgebra:
-                    ra_ok = False
-        row_ok = hr.ok and (ax is None or ax.ok) and ra_ok
+        reports = [theorem_harness(cat)]
+        if any(classify(A).si for A in cat.algebras):
+            reports.append(axiomatization_check(cat))
+        reports.append(relevant_harness(cat))
+        row_ok = all(r.ok for r in reports)
         ok &= row_ok
-        rows.append((n, len(cat.algebras), row_ok, hr, ax, ra_ok))
+        rows.append((n, len(cat.algebras), row_ok, reports))
     print(f"suite ({args.klass}, sizes 1..{top}), tool {__version__}")
-    for n, count, row_ok, hr, ax, ra_ok in rows:
+    for n, count, row_ok, reports in rows:
         print(f"size {n}: {count} algebra(s) "
               f"[{'PASS' if row_ok else 'FAIL'}]")
-        print(hr.text())
-        if ax is not None:
-            print(ax.text())
-        print(f"  [{'PASS' if ra_ok else 'FAIL'}] relevant-algebra checks")
+        for r in reports:
+            print(r.text())
     return 0 if ok else 1
 
 
@@ -349,27 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
                 sp.add_argument("--" + f, **flags[f])
 
     alg = ("algebra",)
-    emit = ("class", "format", "out")
-    add("validate", _cmd_validate, alg, emit,
+    emit = ("format", "out")
+    add("validate", _cmd_validate, alg, ("class",) + emit,
         help="check the axioms of a class")
-    add("classify", _cmd_classify, alg, emit,
+    add("classify", _cmd_classify, alg, ("class",) + emit,
         help="simple/SI/FSI flags and predicates")
     add("analyze", _cmd_analyze, alg, emit + ("hasse",),
         help="structure decomposition reports")
     add("satisfies", _cmd_satisfies, alg + ("statement",), emit,
         help="evaluate statements on an algebra")
-    add("construct", _cmd_construct, alg, ("format", "out"),
-        help="build a named algebra")
-    add("enumerate", _cmd_enumerate, ("size",), emit + ("unsafe-size",),
+    add("construct", _cmd_construct, alg, emit, help="build a named algebra")
+    add("enumerate", _cmd_enumerate, ("size",), ("class", "out", "unsafe-size"),
         ("irl", "dmm"), help="catalog all algebras of a size")
     add("homs", _cmd_homs, alg + ("algebra2",), emit,
         help="all homomorphisms between two algebras")
     add("iso", _cmd_iso, alg + ("algebra2",), emit, help="isomorphism test")
     add("quotient", _cmd_quotient, alg, emit + ("generators",),
         help="quotient by a generated filter")
-    add("reduct", _cmd_reduct, alg, emit,
+    add("reduct", _cmd_reduct, alg, ("out",),
         help="drop e (relevant-algebra reduct)")
-    add("dfg", _cmd_dfg, alg, emit + ("generators",),
+    add("dfg", _cmd_dfg, alg, ("class",) + emit + ("generators",),
         help="generated deductive filter")
     add("suite", _cmd_suite, (), ("size", "class", "unsafe-size"),
         ("irl", "dmm"), help="enumerate + all theorem harnesses")

@@ -58,15 +58,17 @@ validated one, so it is valid too.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from functools import cache
 from dmm import __version__
 from dmm.algebra import (FiniteIRL, check_derived_laws, is_rigorously_compact,
                          validate_dmm, validate_irl)
-from dmm.constructions import (NAMED_BASIC, canonical_form, hs_contains,
-                               is_isomorphic, make_named, sg, zero_generated)
+from dmm.constructions import (NAMED_BASIC, canonical_form, e_free_reduct,
+                               hs_contains, is_isomorphic, make_named, sg,
+                               zero_generated)
 from dmm.filters import classify, deductive_filters, filter_of, omega, quotient
+from dmm.relevant import (contains_two_reduct, dfg_oracle, dfg_ra,
+                          meet_property_check, reconstruct_neutral, validate_ra)
 
 DEFAULT_MAX_SIZE = 8
 
@@ -536,8 +538,7 @@ def _least_encoding(fus, neg, e, auts) -> bytes:
                for s, inv in auts)
 
 
-def enumerate_algebras(spec: SearchSpec, unsafe: bool = False,
-                       progress=None) -> Catalog:
+def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
     """Layered exhaustive search; output sorted by canonical form, so two
     runs with the same spec are byte-identical.
 
@@ -552,7 +553,7 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False,
         raise SizeTooSmall(f"size {n} below 1")
     if n > DEFAULT_MAX_SIZE and not unsafe:
         raise SizeTooLarge(f"size {n} above ceiling {DEFAULT_MAX_SIZE}")
-    stats = {"pruned": 0, "found": 0}
+    stats = {"pruned": 0}
     seen: dict[tuple[int, bytes], FiniteIRL] = {}
     for li, (meet, join) in enumerate(_lattices(n, spec.distributive)):
         auts = [(s, sorted(range(n), key=s.__getitem__))
@@ -572,11 +573,6 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False,
                             "search produced an invalid algebra: "
                             + ", ".join(rep.laws_violated()))
                     seen[key] = A
-                    stats["found"] += 1
-                    if progress:
-                        print(f"found {stats['found']} "
-                              f"(pruned {stats['pruned']})",
-                              file=sys.stderr)
     out = sorted(seen.values(), key=lambda A: canonical_form(A).data)
     for i, A in enumerate(out):
         A.name = f"{spec.klass}{n}-{i}"
@@ -721,6 +717,35 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
                     continue
                 if B.size != A.size and not is_isomorphic(B, _basic("C4")):
                     c.counterexamples.append((A.name, sorted(G.members)))
+    return HarnessReport(checks)
+
+
+def relevant_harness(catalog: Catalog) -> HarnessReport:
+    """The relevant-algebra checks on the e-free reduct R of every catalog
+    entry A: R satisfies the RA axioms and the meet property, dfg_ra agrees
+    with the fixpoint oracle, t is A's e, and R has a 2-element subreduct
+    when nontrivial."""
+    if not catalog.complete or not catalog.algebras:
+        raise IncompleteCatalog("harness needs a complete, nonempty catalog")
+    checks: dict[str, CheckOutcome] = {}
+
+    def check(name, ok, A) -> None:
+        c = checks.setdefault(name, CheckOutcome())
+        c.instances += 1
+        if not ok:
+            c.counterexamples.append(A.name)
+
+    for A in catalog.algebras:
+        R = e_free_reduct(A)
+        check("ra-axioms", validate_ra(R).ok, A)
+        check("ra-meet-property", meet_property_check(R), A)
+        check("ra-dfg-oracle", all(dfg_ra(R, a).members
+                                   == dfg_oracle(R, {a}).members
+                                   for a in R.elements), A)
+        check("ra-neutral-reconstructed", reconstruct_neutral(R) == A.e, A)
+        if R.size > 1:
+            check("ra-two-element-subreduct",
+                  contains_two_reduct(R) is not None, A)
     return HarnessReport(checks)
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from dmm.algebra import (FiniteIRL, Tables, ValidationReport, _Collector,
-                         _checked_tables, _read_dict, is_distributive,
-                         is_rigorously_compact as is_rigorously_compact_ra)
+from dmm.algebra import (FiniteIRL, Tables, ValidationReport, _check_shared,
+                         _dmm_tail, _checked_tables, _Collector, _read_dict)
 from dmm.filters import DeductiveFilter, _kernel, _order_flags, _up_sets
 
 
@@ -63,52 +62,24 @@ class FiniteRA(Tables):
 
 
 def validate_ra(A: FiniteRA) -> ValidationReport:
-    """Check every defining condition of a relevant algebra by exhaustive
-    loops, reporting witnesses."""
+    """Check every defining condition of a relevant algebra, reporting
+    witnesses: the laws shared with IRLs and with DMMs, then neg antitone
+    and a <= a*(~(b*~b) /\\ ~(c*~c)).  With commutative fusion the RA law
+    a*b <= c iff a*~c <= ~b is involution-fusion at (b, a, c)."""
     A.check_well_formed()
-    n = A.size
-    meet, join, fus, neg = A.meet, A.join, A.fusion, A.neg
+    rng = A.elements
+    meet, fus, neg = A.meet, A.fusion, A.neg
     col = _Collector()
-
-    def leq(a, b):
-        return meet[a][b] == a
-
-    for a in range(n):
-        if meet[a][a] != a or join[a][a] != a:
-            col.add("lattice-idempotent", (a,))
-        if neg[neg[a]] != a:
-            col.add("involution-period-2", (a,))
-        if not leq(a, fus[a][a]):
-            col.add("square-increasing", (a,))
-        for b in range(n):
-            if meet[a][b] != meet[b][a] or join[a][b] != join[b][a]:
-                col.add("lattice-commutative", (a, b))
-            if fus[a][b] != fus[b][a]:
-                col.add("fusion-commutative", (a, b))
-            if meet[a][join[a][b]] != a or join[a][meet[a][b]] != a:
-                col.add("absorption", (a, b))
-            if (join[a][b] == b) != (meet[a][b] == a):
-                col.add("order-agreement", (a, b))
-            if leq(a, b) != leq(neg[b], neg[a]):
+    u = [neg[fus[b][neg[b]]] for b in rng]      # u[b] = ~(b*~b)
+    for a in _check_shared(A, col):
+        for b in rng:
+            if (meet[a][b] == a) != (meet[neg[b]][neg[a]] == neg[b]):
                 col.add("neg-antitone", (a, b))
-            for c in range(n):
-                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
-                    col.add("meet-associative", (a, b, c))
-                if join[join[a][b]][c] != join[a][join[b][c]]:
-                    col.add("join-associative", (a, b, c))
-                if fus[fus[a][b]][c] != fus[a][fus[b][c]]:
-                    col.add("fusion-associative", (a, b, c))
-                if leq(fus[a][b], c) != leq(fus[a][neg[c]], neg[b]):
-                    col.add("contraposition a*b<=c iff a*~c<=~b", (a, b, c))
-                # a <= a * (~(b*~b) /\ ~(c*~c))
-                t = meet[neg[fus[b][neg[b]]]][neg[fus[c][neg[c]]]]
-                if not leq(a, fus[a][t]):
+            for c in rng:
+                if meet[a][fus[a][meet[u[b]][u[c]]]] != a:
                     col.add("identity-bound a <= a*(~(b*~b)/\\~(c*~c))",
                             (a, b, c))
-    d = is_distributive(A)
-    if d is not None:
-        col.add("distributive", d)
-    return col.report()
+    return _dmm_tail(A, col)
 
 
 def ra_deductive_filters(A: FiniteRA) -> list[DeductiveFilter]:
@@ -184,15 +155,12 @@ def contains_two_reduct(A: FiniteRA) -> tuple[int, int] | None:
     a, b swapped by neg, a absorbing and b*b = b)."""
     if A.size == 1:
         raise TrivialAlgebra("trivial relevant algebra")
+    fus = A.fusion
     for a in A.elements:
-        for b in A.elements:
-            if a == b or not A.leq(a, b):
-                continue
-            if A.neg[a] != b:
-                continue
-            if (A.fusion[a][a] == a and A.fusion[a][b] == a
-                    and A.fusion[b][b] == b):
-                return (a, b)
+        b = A.neg[a]
+        if (A.lt(a, b) and fus[a][a] == a and fus[a][b] == a
+                and fus[b][b] == b):
+            return (a, b)
     return None
 
 

@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmm.algebra import (FiniteIRL, MalformedTable, NotAnIRL, Violation,
+from dmm.algebra import (FiniteIRL, MalformedTable, NotAnIRL,
+                         ValidationReport, Violation, _Collector,
                          check_derived_laws, is_distributive, predicates,
                          validate_dmm, validate_irl)
 from dmm.constructions import make_named
-from dmm.enumeration import Catalog, SearchSpec
+from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
 from dmm.relevant import FiniteRA
 
 
@@ -81,6 +84,98 @@ def test_trivial_algebra_passes_everything():
 def test_validate_irl_named(named):
     for nm in ("2", "S3", "C4", "D4"):
         assert validate_irl(named[nm]).ok
+
+
+def oracle_check_irl(A: FiniteIRL) -> ValidationReport:
+    """Reference: the IRL axioms in the loops validate_irl ran before it
+    shared them with validate_ra; same law names, witnesses and order."""
+    A.check_well_formed()
+    n = A.size
+    meet, join, fus, neg, e = A.meet, A.join, A.fusion, A.neg, A.e
+    col = _Collector()
+
+    for a in range(n):
+        if meet[a][a] != a:
+            col.add("meet-idempotent", (a,))
+        if join[a][a] != a:
+            col.add("join-idempotent", (a,))
+        if neg[neg[a]] != a:
+            col.add("involution-period-2", (a,))
+        if fus[e][a] != a or fus[a][e] != a:
+            col.add("e-neutral", (a,))
+        for b in range(n):
+            if meet[a][b] != meet[b][a]:
+                col.add("meet-commutative", (a, b))
+            if join[a][b] != join[b][a]:
+                col.add("join-commutative", (a, b))
+            if fus[a][b] != fus[b][a]:
+                col.add("fusion-commutative", (a, b))
+            if meet[a][join[a][b]] != a:
+                col.add("absorption-meet-join", (a, b))
+            if join[a][meet[a][b]] != a:
+                col.add("absorption-join-meet", (a, b))
+            # join must agree with the meet-derived order
+            if (join[a][b] == b) != (meet[a][b] == a):
+                col.add("order-agreement", (a, b))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
+                    col.add("meet-associative", (a, b, c))
+                if join[join[a][b]][c] != join[a][join[b][c]]:
+                    col.add("join-associative", (a, b, c))
+                if fus[fus[a][b]][c] != fus[a][fus[b][c]]:
+                    col.add("fusion-associative", (a, b, c))
+
+    def leq(a, b):
+        return meet[a][b] == a
+
+    # involution-fusion law: x*y <= z  iff  ~z*y <= ~x
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if leq(fus[x][y], z) != leq(fus[neg[z]][y], neg[x]):
+                    col.add("involution-fusion", (x, y, z))
+
+    if not col.violations:
+        # Sanity: with the axioms in place, a -> b must be max{c : a*c <= b}.
+        for a in range(n):
+            for b in range(n):
+                r = A.residual(a, b)
+                sols = [c for c in range(n) if leq(fus[a][c], b)]
+                if r not in sols or any(not leq(c, r) for c in sols):
+                    col.add("residual-is-max", (a, b))
+    return col.report()
+
+
+_SMALL = [*(make_named(nm) for nm in ("2", "S3", "C4", "D4", "S4", "S5")),
+          *(A for n in range(1, 5) for klass in ("dmm", "irl")
+            for A in enumerate_algebras(SearchSpec.for_class(klass, n))
+            .algebras)]
+
+
+@st.composite
+def corrupted_tables(draw):
+    """The table object of a small IRL with one entry of meet, join,
+    fusion, neg or e set to any element."""
+    d = draw(st.sampled_from(_SMALL)).to_dict()
+    n = d["size"]
+    k = draw(st.sampled_from(["meet", "join", "fusion", "neg", "e"]))
+    v = draw(st.integers(0, n - 1))
+    if k == "e":
+        d["e"] = v
+    elif k == "neg":
+        d["neg"][draw(st.integers(0, n - 1))] = v
+    else:
+        d[k][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = v
+    return d
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(d=corrupted_tables())
+def test_validate_irl_matches_oracle(d):
+    A = FiniteIRL.from_dict(d)
+    assert validate_irl(A) == oracle_check_irl(A)
 
 
 def test_bad_two_chain_fails_involution_fusion_law():

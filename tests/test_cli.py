@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -205,7 +206,11 @@ def test_suite_size_out_of_range_exits_2_before_search(capsys, monkeypatch):
     ["validate", "--algebra", "C4", "--algebra2", "Q99"],
     ["suite", "--size", "2", "--out", "x.json"],
     ["construct", "--algebra", "C4", "--class", "ra"],
-], ids=["validate-algebra2", "suite-out", "construct-class"])
+    ["reduct", "--algebra", "C4", "--format", "text"],
+    ["enumerate", "--size", "2", "--format", "text"],
+    ["analyze", "--algebra", "C4", "--class", "ra"],
+], ids=["validate-algebra2", "suite-out", "construct-class", "reduct-format",
+        "enumerate-format", "analyze-class"])
 def test_flag_of_another_command_exits_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -230,17 +235,43 @@ def test_suite_default_size_is_4(capsys):
     assert code == 0 and "sizes 1..4" in out and "size 4:" in out
 
 
-def test_classify_named_as_ra(capsys):
+def test_classify_named_as_ra(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "--class", "ra", "--algebra", "C4")
     assert code == 0
     d = json.loads(out)
     assert "deductive_filters" in d and "subcover" not in d
+    p = tmp_path / "ra.json"
+    p.write_text(json.dumps(e_free_reduct(make_named("C4")).to_dict()))
     for cmd, *extra in (("analyze",), ("homs", "--algebra2", "C4"),
                         ("iso", "--algebra2", "C4"),
                         ("quotient", "--generators", "1")):
-        code, out, err = run(capsys, cmd, "--class", "ra", "--algebra", "C4",
-                             *extra)
+        code, out, err = run(capsys, cmd, "--algebra", str(p), *extra)
         assert code == 2 and out == "" and "expects a pointed" in err, cmd
+
+
+def test_flags_per_subcommand():
+    # each subcommand accepts only the flags its handler reads
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [o for a in sp._actions for o in a.option_strings
+                    if o not in ("-h", "--help")]
+             for name, sp in sub.choices.items()}
+    emit = ["--format", "--out"]
+    assert flags == {
+        "validate": ["--algebra", "--class", *emit],
+        "classify": ["--algebra", "--class", *emit],
+        "analyze": ["--algebra", *emit, "--hasse"],
+        "satisfies": ["--algebra", "--statement", *emit],
+        "construct": ["--algebra", *emit],
+        "enumerate": ["--size", "--class", "--out", "--unsafe-size"],
+        "homs": ["--algebra", "--algebra2", *emit],
+        "iso": ["--algebra", "--algebra2", *emit],
+        "quotient": ["--algebra", *emit, "--generators"],
+        "reduct": ["--algebra", "--out"],
+        "dfg": ["--algebra", "--class", *emit, "--generators"],
+        "suite": ["--size", "--class", "--unsafe-size"],
+    }
+    assert sum(map(len, flags.values())) == 45
 
 
 @pytest.mark.parametrize("command", ["enumerate", "suite"])

@@ -9,7 +9,8 @@ from dmm.constructions import (NAMED_BASIC, direct_product, is_isomorphic,
                                make_named)
 from dmm.enumeration import (AXIOM_SETS, Catalog, IncompleteCatalog,
                              SearchSpec, SizeTooLarge, axiomatization_check,
-                             enumerate_algebras, theorem_harness)
+                             enumerate_algebras, relevant_harness,
+                             theorem_harness)
 
 # n <= 4 independently recounted by the pruning-free slow path, and every
 # count certified by orbit counting (test_enumeration_oracles.py), before
@@ -195,11 +196,12 @@ def test_irl_class_counts_at_least_dmm():
 
 
 def test_harness_rejects_incomplete(dmm_catalogs):
-    with pytest.raises(IncompleteCatalog):
-        theorem_harness(Catalog(SearchSpec(4), [], True))
     algs = dmm_catalogs[4].algebras
-    with pytest.raises(IncompleteCatalog):
-        theorem_harness(Catalog(SearchSpec(4), algs[:2], False))
+    for harness in (theorem_harness, relevant_harness):
+        with pytest.raises(IncompleteCatalog):
+            harness(Catalog(SearchSpec(4), [], True))
+        with pytest.raises(IncompleteCatalog):
+            harness(Catalog(SearchSpec(4), algs[:2], False))
 
 
 def test_theorem_harness_passes(dmm_upto):
@@ -223,15 +225,30 @@ HARNESS_VERDICTS = {
     "idempotents-above-f": (19, True)}
 AXIOM_VERDICTS = {"axioms-2": (24, True), "axioms-S3": (24, True),
                   "axioms-D4": (24, True), "axioms-C4": (24, True)}
+# the trivial entry has no two-element subreduct to look for
+RELEVANT_VERDICTS = {
+    "ra-axioms": (28, True), "ra-meet-property": (28, True),
+    "ra-dfg-oracle": (28, True), "ra-neutral-reconstructed": (28, True),
+    "ra-two-element-subreduct": (27, True)}
 
 
 def test_harness_verdicts_pinned(dmm_upto):
     cat = dmm_upto(6)
     for run, want in ((theorem_harness, HARNESS_VERDICTS),
-                      (axiomatization_check, AXIOM_VERDICTS)):
+                      (axiomatization_check, AXIOM_VERDICTS),
+                      (relevant_harness, RELEVANT_VERDICTS)):
         got = [(name, (c.instances, c.ok))
                for name, c in run(cat).checks.items()]
         assert got == list(want.items()), run.__name__
+
+
+def test_relevant_harness_names_reducts_that_are_not_ras():
+    # the IRLs of size 4 that are not square-increasing
+    rep = relevant_harness(enumerate_algebras(SearchSpec.for_class("irl", 4)))
+    assert not rep.ok
+    assert [(name, c.instances, c.counterexamples)
+            for name, c in rep.checks.items() if not c.ok] == [
+        ("ra-axioms", 9, ["irl4-1", "irl4-3", "irl4-4", "irl4-5", "irl4-6"])]
 
 
 def test_harness_validates_each_algebra_once(monkeypatch):

@@ -1,16 +1,18 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from dmm.algebra import NotAnIRL
+from dmm.algebra import (NotAnIRL, ValidationReport, _Collector,
+                         is_distributive, is_rigorously_compact)
 from dmm.constructions import e_free_reduct, make_named
 from dmm.enumeration import SearchSpec, enumerate_algebras
 from dmm.filters import classify, congruence_lattice
 from dmm.relevant import (FiniteRA, TrivialAlgebra, contains_two_reduct,
-                          dfg_oracle, dfg_ra, dfg_ra_set,
-                          is_rigorously_compact_ra, meet_property_check,
+                          dfg_oracle, dfg_ra, dfg_ra_set, meet_property_check,
                           ra_classify, ra_congruences, ra_deductive_filters,
                           reconstruct_neutral, to_irl, validate_ra)
+from test_algebra import corrupted_tables
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,83 @@ def test_validate_ra_catches_broken_fusion():
     rep = validate_ra(B)
     assert not rep.ok
     assert "fusion-commutative" in rep.laws_violated()
+
+
+def oracle_validate_ra(A: FiniteRA) -> ValidationReport:
+    """Reference: the RA axioms in one loop of their own, as validate_ra
+    checked them before it shared the IRL checks."""
+    A.check_well_formed()
+    n = A.size
+    meet, join, fus, neg = A.meet, A.join, A.fusion, A.neg
+    col = _Collector()
+
+    def leq(a, b):
+        return meet[a][b] == a
+
+    for a in range(n):
+        if meet[a][a] != a or join[a][a] != a:
+            col.add("lattice-idempotent", (a,))
+        if neg[neg[a]] != a:
+            col.add("involution-period-2", (a,))
+        if not leq(a, fus[a][a]):
+            col.add("square-increasing", (a,))
+        for b in range(n):
+            if meet[a][b] != meet[b][a] or join[a][b] != join[b][a]:
+                col.add("lattice-commutative", (a, b))
+            if fus[a][b] != fus[b][a]:
+                col.add("fusion-commutative", (a, b))
+            if meet[a][join[a][b]] != a or join[a][meet[a][b]] != a:
+                col.add("absorption", (a, b))
+            if (join[a][b] == b) != (meet[a][b] == a):
+                col.add("order-agreement", (a, b))
+            if leq(a, b) != leq(neg[b], neg[a]):
+                col.add("neg-antitone", (a, b))
+            for c in range(n):
+                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
+                    col.add("meet-associative", (a, b, c))
+                if join[join[a][b]][c] != join[a][join[b][c]]:
+                    col.add("join-associative", (a, b, c))
+                if fus[fus[a][b]][c] != fus[a][fus[b][c]]:
+                    col.add("fusion-associative", (a, b, c))
+                if leq(fus[a][b], c) != leq(fus[a][neg[c]], neg[b]):
+                    col.add("contraposition a*b<=c iff a*~c<=~b", (a, b, c))
+                # a <= a * (~(b*~b) /\ ~(c*~c))
+                t = meet[neg[fus[b][neg[b]]]][neg[fus[c][neg[c]]]]
+                if not leq(a, fus[a][t]):
+                    col.add("identity-bound a <= a*(~(b*~b)/\\~(c*~c))",
+                            (a, b, c))
+    d = is_distributive(A)
+    if d is not None:
+        col.add("distributive", d)
+    return col.report()
+
+
+# Each oracle law name and the validate_ra names that check the same law;
+# the others keep their names.  Contraposition is involution-fusion only
+# when fusion is commutative.
+ORACLE_LAWS = {
+    "lattice-idempotent": {"meet-idempotent", "join-idempotent"},
+    "lattice-commutative": {"meet-commutative", "join-commutative"},
+    "absorption": {"absorption-meet-join", "absorption-join-meet"},
+    "contraposition a*b<=c iff a*~c<=~b": {"involution-fusion"},
+    **{law: {law} for law in (
+        "involution-period-2", "square-increasing", "fusion-commutative",
+        "order-agreement", "neg-antitone", "meet-associative",
+        "join-associative", "fusion-associative", "distributive",
+        "identity-bound a <= a*(~(b*~b)/\\~(c*~c))")}}
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(d=corrupted_tables())
+def test_validate_ra_matches_oracle(d):
+    R = FiniteRA.from_dict(d)       # e is not read
+    new, old = validate_ra(R), oracle_validate_ra(R)
+    assert new.ok == old.ok
+    if all(R.fusion[a][b] == R.fusion[b][a]
+           for a in R.elements for b in R.elements):
+        laws = set(new.laws_violated())
+        assert laws <= set().union(*ORACLE_LAWS.values())
+        for law, names in ORACLE_LAWS.items():
+            assert (law in old.laws_violated()) == bool(names & laws), law
 
 
 def test_dfg_ra_examples(reducts):
@@ -155,7 +234,7 @@ def test_filter_counts(reducts):
 def test_rigorous_compactness_on_fsi(dmm_upto):
     for A in dmm_upto(6).algebras:
         if A.size > 1 and classify(A).fsi:
-            assert is_rigorously_compact_ra(e_free_reduct(A)), A.name
+            assert is_rigorously_compact(e_free_reduct(A)), A.name
 
 
 def test_ra_without_extrema_raises_not_an_irl():
