@@ -1,8 +1,11 @@
 """Named algebras and closure constructions: products, subalgebras,
-homomorphisms, isomorphism via canonical forms, HS membership, reducts.
+homomorphisms, isomorphism, HS membership, reducts.
 
-HS membership is an embedding search: HS(A) = SH(A) by the congruence
-extension property, and X is in SH(A) iff homs finds an injective X -> A/F.
+Isomorphism and HS membership are one embedding search, _embeds, which
+stops at the first injective homomorphism: A = B up to isomorphism iff
+|A| = |B| and A embeds in B, and X is in HS(A) = SH(A) (congruence
+extension) iff X embeds in some A/F.  canonical_form is the catalog's sort
+key only.
 
 The named C4/D4 tables are *derived* from the stated rules (e-neutrality,
 absorbing bottom, rigorous compactness, f*f = f^2) and then validated,
@@ -296,10 +299,9 @@ def zero_generated(A: FiniteIRL) -> tuple[FiniteIRL, list[int]]:
     return sg(A, ())
 
 
-def homs(A: FiniteIRL, B: FiniteIRL) -> list[Homomorphism]:
-    """All homomorphisms A -> B, by backtracking with closure propagation."""
-    out: list[Homomorphism] = []
-
+def _maps(A: FiniteIRL, B: FiniteIRL):
+    """Element maps of the homomorphisms A -> B, by backtracking with
+    closure propagation."""
     def propagate(h: dict[int, int]) -> dict[int, int] | None:
         h = dict(h)
         changed = True
@@ -331,17 +333,24 @@ def homs(A: FiniteIRL, B: FiniteIRL) -> list[Homomorphism]:
             return
         free = [a for a in A.elements if a not in h2]
         if not free:
-            out.append(Homomorphism(A, B, tuple(h2[a] for a in A.elements)))
+            yield tuple(h2[a] for a in A.elements)
             return
-        a = free[0]
         for v in B.elements:
-            h2[a] = v
-            search(h2)
-        del h2[a]
+            h2[free[0]] = v
+            yield from search(h2)
 
-    search({A.e: B.e})
-    out.sort(key=lambda h: h.mapping)
-    return out
+    return search({A.e: B.e})
+
+
+def homs(A: FiniteIRL, B: FiniteIRL) -> list[Homomorphism]:
+    """All homomorphisms A -> B, sorted by mapping."""
+    return [Homomorphism(A, B, m) for m in sorted(_maps(A, B))]
+
+
+def _embeds(X: FiniteIRL, Q: FiniteIRL) -> bool:
+    """True iff X is isomorphic to a subalgebra of Q: the search stops at
+    the first injective homomorphism X -> Q."""
+    return any(len(set(m)) == X.size for m in _maps(X, Q))
 
 
 # ---- canonical forms and isomorphism ---------------------------------------
@@ -388,7 +397,8 @@ def _encode(A: FiniteIRL, perm) -> bytes:
 
 def canonical_form(A: FiniteIRL) -> CanonicalForm:
     """Isomorphism-invariant encoding: the minimum table encoding over all
-    relabelings respecting the stable (iso-invariant) color partition."""
+    relabelings respecting the stable (iso-invariant) color partition.  The
+    catalog's sort key only: it does not return on S12 or 2^4."""
     n = A.size
     colors = _refine_colors(A)
     classes: dict[int, list[int]] = {}
@@ -410,20 +420,15 @@ def canonical_form(A: FiniteIRL) -> CanonicalForm:
 
 
 def is_isomorphic(A: FiniteIRL, B: FiniteIRL) -> bool:
-    if A.size != B.size:
-        return False
-    return canonical_form(A) == canonical_form(B)
+    """One size and an injective (so bijective) homomorphism A -> B."""
+    return A.size == B.size and _embeds(A, B)
 
 
 def hs_contains(A: FiniteIRL, X: FiniteIRL) -> bool:
-    """True iff some subalgebra of a quotient of A is isomorphic to X.
-
-    X is isomorphic to a subalgebra of Q exactly when some homomorphism
-    X -> Q is injective, so each quotient is searched with homs.
-    """
+    """True iff X embeds in a quotient A/F by some deductive filter F."""
     for G in deductive_filters(A):
         Q, _ = quotient(A, G)
-        if Q.size >= X.size and any(h.injective for h in homs(X, Q)):
+        if Q.size >= X.size and _embeds(X, Q):
             return True
     return False
 

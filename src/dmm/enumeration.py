@@ -594,11 +594,18 @@ class CheckOutcome:
 
 @dataclass
 class HarnessReport:
-    checks: dict[str, CheckOutcome]
+    checks: dict[str, CheckOutcome] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks.values())
+
+    def check(self, name: str, *counterexamples) -> None:
+        """Count one instance of check `name` and record its counterexamples,
+        dropping the Nones."""
+        c = self.checks.setdefault(name, CheckOutcome())
+        c.instances += 1
+        c.counterexamples.extend(x for x in counterexamples if x is not None)
 
     def to_dict(self) -> dict:
         return {name: {"instances": c.instances, "ok": c.ok,
@@ -628,96 +635,64 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
                                odd_sugihara_quotient, splitting_check)
     if not catalog.complete or not catalog.algebras:
         raise IncompleteCatalog("harness needs a complete, nonempty catalog")
-    checks: dict[str, CheckOutcome] = {}
-
-    def rec(name) -> CheckOutcome:
-        return checks.setdefault(name, CheckOutcome())
-
+    report = HarnessReport()
     for A in catalog.algebras:
         cls = classify(A)
-        c = rec("law-suite")
-        c.instances += 1
         lr = check_derived_laws(A)
-        if not lr.ok:
-            c.counterexamples.append((A.name, lr.failures()))
-
-        c = rec("filter-congruence-bijection")
-        c.instances += 1
-        for G in deductive_filters(A):
-            if filter_of(A, omega(A, G)).members != G.members:
-                c.counterexamples.append((A.name, sorted(G.members)))
-                break
+        report.check("law-suite", None if lr.ok else (A.name, lr.failures()))
+        report.check("filter-congruence-bijection", next(
+            ((A.name, sorted(G.members)) for G in deductive_filters(A)
+             if filter_of(A, omega(A, G)).members != G.members), None))
 
         if cls.fsi and not cls.trivial:
-            idem = all(A.fusion[a][a] == a for a in A.elements)
-            c = rec("splitting")
-            c.instances += 1
             r = splitting_check(A)
-            if not r.ok:
-                c.counterexamples.append((A.name, r.witness))
-            c = rec("rigorous-compactness")
-            c.instances += 1
-            if not is_rigorously_compact(A):
-                c.counterexamples.append(A.name)
-            c = rec("lollipop")
-            c.instances += 1
+            report.check("splitting", None if r.ok else (A.name, r.witness))
+            report.check("rigorous-compactness",
+                         None if is_rigorously_compact(A) else A.name)
             lp = lollipop(A)
-            if not lp.ok:
-                c.counterexamples.append((A.name, lp.violations))
-            if not idem:
-                c = rec("fusion-pattern")
-                c.instances += 1
+            report.check("lollipop",
+                         None if lp.ok else (A.name, lp.violations))
+            if not all(A.fusion[a][a] == a for a in A.elements):
                 try:
                     r = fusion_pattern_check(A)
-                    if not r.ok:
-                        c.counterexamples.append((A.name, r.witness, r.detail))
+                    bad = None if r.ok else (A.name, r.witness, r.detail)
                 except NotApplicable:
-                    c.counterexamples.append((A.name, "unexpected NotApplicable"))
-                c = rec("odd-sugihara-quotient")
-                c.instances += 1
+                    bad = (A.name, "unexpected NotApplicable")
+                report.check("fusion-pattern", bad)
                 _, q = odd_sugihara_quotient(A)
-                if not q.ok:
-                    c.counterexamples.append((A.name, q.violations))
+                report.check("odd-sugihara-quotient",
+                             None if q.ok else (A.name, q.violations))
                 # f^2 > e and idempotents at or above f are linearly ordered
-                c = rec("idempotents-above-f")
-                c.instances += 1
                 f2 = A.fusion[A.f][A.f]
                 idems = [a for a in A.elements
                          if A.leq(A.f, a) and A.fusion[a][a] == a]
-                if not (A.lt(A.e, f2)
-                        and all(A.leq(a, b) or A.leq(b, a)
-                                for a in idems for b in idems)
-                        and all(A.fusion[a][a] == a for a in A.elements
-                                if A.leq(A.f, a) and not A.lt(a, f2))):
-                    c.counterexamples.append(A.name)
+                report.check("idempotents-above-f", None if (
+                    A.lt(A.e, f2)
+                    and all(A.leq(a, b) or A.leq(b, a)
+                            for a in idems for b in idems)
+                    and all(A.fusion[a][a] == a for a in A.elements
+                            if A.leq(A.f, a) and not A.lt(a, f2)))
+                    else A.name)
 
-        if cls.simple and not cls.trivial:
-            Z, _ = sg(A, ())
-            if Z.size == A.size:
-                c = rec("zero-generated-simples")
-                c.instances += 1
-                if not any(is_isomorphic(A, _basic(nm))
-                           for nm in ("2", "C4", "D4")):
-                    c.counterexamples.append(A.name)
+        if cls.simple and not cls.trivial and sg(A, ())[0].size == A.size:
+            report.check("zero-generated-simples", None if any(
+                is_isomorphic(A, _basic(nm)) for nm in ("2", "C4", "D4"))
+                else A.name)
 
         if not cls.trivial:
-            c = rec("minimality-shadow")
-            c.instances += 1
-            if not any(hs_contains(A, _basic(nm)) for nm in NAMED_BASIC):
-                c.counterexamples.append(A.name)
+            report.check("minimality-shadow", None if any(
+                hs_contains(A, _basic(nm)) for nm in NAMED_BASIC)
+                else A.name)
 
         if cls.fsi and not cls.trivial:
-            c = rec("surjections-onto-zero-generated")
-            c.instances += 1
-            for G in deductive_filters(A):
-                B, _ = quotient(A, G)
-                if B.size == 1:
-                    continue
-                if zero_generated(B)[0].size != B.size:
-                    continue
-                if B.size != A.size and not is_isomorphic(B, _basic("C4")):
-                    c.counterexamples.append((A.name, sorted(G.members)))
-    return HarnessReport(checks)
+            # every proper nontrivial zero-generated quotient is C4
+            report.check("surjections-onto-zero-generated", *(
+                (A.name, sorted(G.members)) for G in deductive_filters(A)
+                for B in [quotient(A, G)[0]]
+                if 1 < B.size < A.size
+                and zero_generated(B)[0].size == B.size
+                and not is_isomorphic(B, _basic("C4"))))
+    return report
 
 
 def relevant_harness(catalog: Catalog) -> HarnessReport:
@@ -727,26 +702,21 @@ def relevant_harness(catalog: Catalog) -> HarnessReport:
     when nontrivial."""
     if not catalog.complete or not catalog.algebras:
         raise IncompleteCatalog("harness needs a complete, nonempty catalog")
-    checks: dict[str, CheckOutcome] = {}
-
-    def check(name, ok, A) -> None:
-        c = checks.setdefault(name, CheckOutcome())
-        c.instances += 1
-        if not ok:
-            c.counterexamples.append(A.name)
-
+    report = HarnessReport()
     for A in catalog.algebras:
         R = e_free_reduct(A)
-        check("ra-axioms", validate_ra(R).ok, A)
-        check("ra-meet-property", meet_property_check(R), A)
-        check("ra-dfg-oracle", all(dfg_ra(R, a).members
-                                   == dfg_oracle(R, {a}).members
-                                   for a in R.elements), A)
-        check("ra-neutral-reconstructed", reconstruct_neutral(R) == A.e, A)
+        report.check("ra-axioms", None if validate_ra(R).ok else A.name)
+        report.check("ra-meet-property",
+                     None if meet_property_check(R) else A.name)
+        report.check("ra-dfg-oracle", None if all(
+            dfg_ra(R, a).members == dfg_oracle(R, {a}).members
+            for a in R.elements) else A.name)
+        report.check("ra-neutral-reconstructed",
+                     None if reconstruct_neutral(R) == A.e else A.name)
         if R.size > 1:
-            check("ra-two-element-subreduct",
-                  contains_two_reduct(R) is not None, A)
-    return HarnessReport(checks)
+            report.check("ra-two-element-subreduct",
+                         None if contains_two_reduct(R) else A.name)
+    return report
 
 
 AXIOM_SETS = {
@@ -763,18 +733,20 @@ def axiomatization_check(catalog: Catalog) -> HarnessReport:
     from dmm.terms import law_statements, satisfies
     if not catalog.complete or not catalog.algebras:
         raise IncompleteCatalog("axiomatization check needs a complete catalog")
-    checks: dict[str, CheckOutcome] = {}
+    report = HarnessReport()
     si_entries = [A for A in catalog.algebras if classify(A).si]
     for name, laws in AXIOM_SETS.items():
         X = _basic(name)
-        out = CheckOutcome()
         stmts = [s for law in laws for s in law_statements(law)]
-        if not all(satisfies(X, s).holds for s in stmts):
-            out.counterexamples.append(f"{name} fails its own axioms")
+
+        def holds(A):
+            return all(satisfies(A, s).holds for s in stmts)
+
+        # a check with no SI entry still reports, with 0 instances
+        own = report.checks[f"axioms-{name}"] = CheckOutcome()
+        if not holds(X):
+            own.counterexamples.append(f"{name} fails its own axioms")
         for A in si_entries:
-            out.instances += 1
-            if all(satisfies(A, s).holds for s in stmts):
-                if not is_isomorphic(A, X):
-                    out.counterexamples.append(A.name)
-        checks[f"axioms-{name}"] = out
-    return HarnessReport(checks)
+            report.check(f"axioms-{name}", A.name if holds(A)
+                         and not is_isomorphic(A, X) else None)
+    return report

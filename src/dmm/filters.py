@@ -108,12 +108,6 @@ def dfg(A: FiniteIRL, X) -> DeductiveFilter:
     return DeductiveFilter(_up_sets(A, [m])[0], A)
 
 
-def principal_filter(A: FiniteIRL, b: int) -> DeductiveFilter:
-    """[b): the up-set of b (a deductive filter whenever b <= e in a
-    square-increasing algebra)."""
-    return dfg(A, {b})
-
-
 def _kernel(A: Tables, members) -> tuple[int, ...]:
     """Blocks of {(a, b) : a->b and b->a in members}, numbered by least
     member.  members must be a deductive filter, which makes the relation

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from dmm.algebra import (FiniteIRL, Tables, ValidationReport, _check_shared,
-                         _dmm_tail, _checked_tables, _Collector, _read_dict)
-from dmm.filters import DeductiveFilter, _kernel, _order_flags, _up_sets
+from dmm.algebra import (Tables, ValidationReport, _check_shared, _dmm_tail,
+                         _checked_tables, _Collector, _read_dict)
+from dmm.filters import DeductiveFilter, _order_flags, _up_sets
 
 
 class TrivialAlgebra(Exception):
@@ -145,11 +145,6 @@ def reconstruct_neutral(A: FiniteRA) -> int | None:
     return None
 
 
-def to_irl(A: FiniteRA, e: int) -> FiniteIRL:
-    return FiniteIRL.from_tables(A.size, A.meet, A.join, A.fusion, A.neg, e,
-                                 name=f"{A.name}+" if A.name else "")
-
-
 def contains_two_reduct(A: FiniteRA) -> tuple[int, int] | None:
     """A pair {a, b} forming a subuniverse isomorphic to 2^- (a < b with
     a, b swapped by neg, a absorbing and b*b = b)."""
@@ -171,12 +166,6 @@ class RAClassification:
     si: bool
     fsi: bool
     filter_count: int
-
-
-def ra_congruences(A: FiniteRA) -> list[tuple[int, ...]]:
-    """Congruence block arrays via the deductive-filter bijection
-    (theta_F = {(a,b) : a->b, b->a in F})."""
-    return [_kernel(A, F.members) for F in ra_deductive_filters(A)]
 
 
 def ra_classify(A: FiniteRA) -> RAClassification:

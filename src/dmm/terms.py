@@ -447,13 +447,3 @@ GENERAL_IRL_LAWS = tuple(f"law-{i}" for i in range(1, 13))
 def law_statements(name: str) -> tuple[Statement, ...]:
     """The parsed statements of a LAW_LIBRARY entry, parsed once per name."""
     return tuple(parse_statement(src) for src in LAW_LIBRARY[name])
-
-
-def satisfies_all(A: FiniteIRL, names, max_vars: int = 4):
-    """First (law name, counterexample) among the named laws, or None."""
-    for name in names:
-        for stmt in law_statements(name):
-            r = satisfies(A, stmt, max_vars=max_vars)
-            if not r.holds:
-                return name, r.counterexample
-    return None

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmm.cli import build_parser, main
-from dmm.constructions import NAMED_BASIC, e_free_reduct, make_named
+from dmm.constructions import (NAMED_BASIC, direct_product, e_free_reduct,
+                               make_named)
 from dmm.enumeration import Catalog
 from dmm.relevant import dfg_oracle
 
@@ -101,6 +102,25 @@ def test_homs_and_iso(capsys):
     assert sum(1 for m in maps if m["surjective"]) == 1
     assert run(capsys, "iso", "--algebra", "C4", "--algebra2", "D4")[0] == 1
     assert run(capsys, "iso", "--algebra", "C4", "--algebra2", "C4")[0] == 0
+
+
+def test_iso_on_relabelled_files(capsys, tmp_path):
+    def write(name, A):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(A.to_dict()))
+        return str(p)
+
+    two = make_named("2")
+    two4 = direct_product(direct_product(two, two), direct_product(two, two))
+    a = write("a", two4.relabel([(5 * i + 3) % 16 for i in range(16)]))
+    b = write("b", two4.relabel([(7 * i + 2) % 16 for i in range(16)]))
+    code, out, _ = run(capsys, "iso", "--algebra", a, "--algebra2", b)
+    assert code == 0 and json.loads(out) == {"isomorphic": True}
+    C4, D4 = make_named("C4"), make_named("D4")
+    c = write("c", direct_product(C4, C4))
+    d = write("d", direct_product(D4, D4))
+    code, out, _ = run(capsys, "iso", "--algebra", c, "--algebra2", d)
+    assert code == 1 and json.loads(out) == {"isomorphic": False}
 
 
 def test_quotient_and_dfg(capsys):

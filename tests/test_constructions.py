@@ -1,8 +1,11 @@
 import random
 import time
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmm.algebra import validate_dmm
 from dmm.constructions import (NAMED_BASIC, UnknownName, canonical_form,
@@ -189,6 +192,63 @@ def test_pairwise_non_isomorphic_basics(named):
     for i, A in enumerate(basics):
         for B in basics[i + 1:]:
             assert not is_isomorphic(A, B)
+
+
+# Algebras on which canonical_form does not return, each with a
+# non-isomorphic algebra of the same size (given by its factors).
+HARD = {"S12": (("S12",), ("C4", "S3")),
+        "C4ext_4": (("C4ext_4",), ("S12",)),
+        "C4xS3": (("C4", "S3"), ("C4ext_4",)),
+        "C4xD4": (("C4", "D4"), ("2", "2", "2", "2")),
+        "2^4": (("2", "2", "2", "2"), ("C4", "C4")),
+        "S3^3": (("S3", "S3", "S3"), ("S3", "S9"))}
+
+
+@pytest.mark.parametrize("name", list(HARD))
+def test_is_isomorphic_returns_where_canonical_form_hangs(name):
+    factors, partner = HARD[name]
+    A = _product(*factors)
+    perm = list(range(A.size))
+    random.Random(20261018 + A.size).shuffle(perm)
+    start = time.perf_counter()
+    assert is_isomorphic(A, A.relabel(perm))
+    assert time.perf_counter() - start < 1.0
+    B = _product(*partner)
+    assert B.size == A.size
+    assert not is_isomorphic(A, B) and not is_isomorphic(B, A)
+
+
+def test_is_isomorphic_matches_canonical_form(dmm_catalogs):
+    rng = random.Random(20261018)
+    for n, cat in dmm_catalogs.items():
+        forms = {C.name: canonical_form(C) for C in cat.algebras}
+        for A in cat.algebras:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            B = A.relabel(perm)
+            for C in cat.algebras:
+                assert is_isomorphic(B, C) == (forms[A.name]
+                                               == forms[C.name]), (A.name,
+                                                                   C.name)
+
+
+CORPUS_PRODUCTS = [("2", "2", "2"), ("2", "2", "2", "2"), ("S3", "S3"),
+                   ("S3", "S3", "S3"), ("C4", "2"), ("C4", "S3"),
+                   ("C4", "C4"), ("C4", "D4"), ("D4", "D4")]
+_corpus_product = cache(_product)
+
+
+@st.composite
+def _relabelled_product(draw):
+    A = _corpus_product(*draw(st.sampled_from(CORPUS_PRODUCTS)))
+    return A, draw(st.permutations(range(A.size)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_relabelled_product())
+def test_is_isomorphic_under_random_relabelling(case):
+    A, perm = case
+    assert is_isomorphic(A, A.relabel(perm))
 
 
 def test_hs_contains(named):

@@ -242,6 +242,32 @@ def test_harness_verdicts_pinned(dmm_upto):
         assert got == list(want.items()), run.__name__
 
 
+# With no isomorphism and no HS membership, the checks that ask for them
+# fail; their payloads as to_dict() reports them for dmm n <= 6.
+FAILURE_PAYLOADS = {
+    "zero-generated-simples": {
+        "instances": 3, "ok": False,
+        "counterexamples": ["dmm2-0", "dmm4-1", "dmm4-3"]},
+    "minimality-shadow": {
+        "instances": 27, "ok": False,
+        "counterexamples": ["dmm2-0", "dmm3-0", "dmm4-0", "dmm4-1", "dmm4-2",
+                            "dmm4-3", "dmm5-0", "dmm5-1", "dmm5-2"]
+        + [f"dmm6-{i}" for i in range(18)]},
+    "surjections-onto-zero-generated": {
+        "instances": 24, "ok": False,
+        "counterexamples": [("dmm6-7", [1, 2, 3, 4, 5]),
+                            ("dmm6-10", [1, 2, 3, 4, 5])]}}
+
+
+def test_harness_failure_payloads_pinned(dmm_upto, monkeypatch):
+    monkeypatch.setattr(enumeration, "is_isomorphic", lambda A, B: False)
+    monkeypatch.setattr(enumeration, "hs_contains", lambda A, X: False)
+    got = theorem_harness(dmm_upto(6)).to_dict()
+    assert list(got) == list(HARNESS_VERDICTS)
+    assert {name: got[name] for name in FAILURE_PAYLOADS} == FAILURE_PAYLOADS
+    assert all(got[name]["ok"] for name in got if name not in FAILURE_PAYLOADS)
+
+
 def test_relevant_harness_names_reducts_that_are_not_ras():
     # the IRLs of size 4 that are not square-increasing
     rep = relevant_harness(enumerate_algebras(SearchSpec.for_class("irl", 4)))

@@ -4,8 +4,7 @@ from dmm.constructions import direct_product, is_isomorphic, make_named
 from dmm.filters import (Congruence, DeductiveFilter, NotACongruence,
                          NotAFilter, classify, congruence_lattice,
                          deductive_filters, dfg, filter_of,
-                         is_deductive_filter, omega, principal_filter,
-                         quotient)
+                         is_deductive_filter, omega, quotient)
 
 
 def members(filters):
@@ -35,7 +34,7 @@ def test_dfg_examples(named):
     assert dfg(C4, {}).sorted_members() == [1, 2, 3]       # [e)
     # S5 indices: -2,-1,0,1,2 -> 0..4; upward closure of -1
     assert dfg(S5, {1}).sorted_members() == [1, 2, 3, 4]
-    assert principal_filter(S5, 1).members == dfg(S5, {1}).members
+    assert dfg(S5, {1}).members == {b for b in S5.elements if S5.leq(1, b)}
 
 
 def test_filters_in_square_increasing_are_lattice_filters(named):

@@ -3,15 +3,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from dmm.algebra import (NotAnIRL, ValidationReport, _Collector,
+from dmm.algebra import (FiniteIRL, NotAnIRL, ValidationReport, _Collector,
                          is_distributive, is_rigorously_compact)
 from dmm.constructions import e_free_reduct, make_named
 from dmm.enumeration import SearchSpec, enumerate_algebras
 from dmm.filters import classify, congruence_lattice
 from dmm.relevant import (FiniteRA, TrivialAlgebra, contains_two_reduct,
                           dfg_oracle, dfg_ra, dfg_ra_set, meet_property_check,
-                          ra_classify, ra_congruences, ra_deductive_filters,
-                          reconstruct_neutral, to_irl, validate_ra)
+                          ra_classify, ra_deductive_filters,
+                          reconstruct_neutral, validate_ra)
 from test_algebra import corrupted_tables
 
 
@@ -183,7 +183,8 @@ def test_reconstruct_neutral_recovers_e(named, reducts):
 
 def test_to_irl_roundtrip(named, reducts):
     for nm, R in reducts.items():
-        A = to_irl(R, reconstruct_neutral(R))
+        A = FiniteIRL.from_tables(R.size, R.meet, R.join, R.fusion, R.neg,
+                                  reconstruct_neutral(R))
         assert A.tables_equal(named[nm])
 
 
@@ -217,13 +218,35 @@ def test_ra_classify(reducts):
     assert c5.filter_count == 3
 
 
+def _ra_congruences(R):
+    """Every partition of R's carrier that meet, join, fusion and neg
+    respect, as a block array numbered by least member (a restricted
+    growth string)."""
+    def partitions(blocks):
+        if len(blocks) == R.size:
+            yield tuple(blocks)
+            return
+        for b in range(max(blocks, default=-1) + 2):
+            yield from partitions(blocks + [b])
+
+    return {blk for blk in partitions([])
+            if all(blk[R.neg[a]] == blk[R.neg[b]]
+                   and all(blk[t[a][c]] == blk[t[b][c]]
+                           for t in (R.meet, R.join, R.fusion)
+                           for c in R.elements)
+                   for a in R.elements for b in R.elements
+                   if blk[a] == blk[b])}
+
+
 def test_ra_congruences_match_pointed(named, reducts, dmm_upto):
-    for nm in ("2", "S3", "C4", "D4", "S4", "S5"):
-        pointed = {c.blocks for c in congruence_lattice(named[nm])}
-        assert set(ra_congruences(reducts[nm])) == pointed
-    for A in dmm_upto(5).algebras:
-        pointed = {c.blocks for c in congruence_lattice(A)}
-        assert set(ra_congruences(e_free_reduct(A))) == pointed
+    pairs = [(named[nm], reducts[nm])
+             for nm in ("2", "S3", "C4", "D4", "S4", "S5")]
+    pairs += [(A, e_free_reduct(A)) for A in dmm_upto(5).algebras]
+    for A, R in pairs:
+        cong = _ra_congruences(R)
+        assert {c.blocks for c in congruence_lattice(A)} == cong
+        # one deductive filter per congruence
+        assert len(ra_deductive_filters(R)) == len(cong)
 
 
 def test_filter_counts(reducts):
