@@ -24,9 +24,8 @@ from dmm.enumeration import (DEFAULT_MAX_SIZE, IncompleteCatalog, SearchSpec,
 from dmm.filters import classify, dfg, quotient
 from dmm.relevant import (FiniteRA, TrivialAlgebra, dfg_ra_set,
                           ra_classify, validate_ra)
-from dmm.structure import (NotApplicable, NotDMM, NotFSI,
-                           fusion_pattern_check, hasse_text, lollipop,
-                           odd_sugihara_quotient, splitting_check)
+from dmm.structure import (NotDMM, NotFSI, fusion_pattern_check, hasse_text,
+                           lollipop, odd_sugihara_quotient, splitting_check)
 from dmm.terms import (ParseError, TooManyVariables, parse_statement,
                        satisfies, statements_from_text, to_text)
 
@@ -139,15 +138,12 @@ def _cmd_analyze(args) -> int:
         reports.append(lp.to_dict())
         ok &= lp.ok
         if not lp.idempotent_case:
-            try:
-                fp = fusion_pattern_check(A)
-                reports.append(fp.to_dict())
-                ok &= fp.ok
-                _, q = odd_sugihara_quotient(A)
-                reports.append(q.to_dict())
-                ok &= q.ok
-            except NotApplicable:
-                pass
+            fp = fusion_pattern_check(A)
+            reports.append(fp.to_dict())
+            ok &= fp.ok
+            _, q = odd_sugihara_quotient(A)
+            reports.append(q.to_dict())
+            ok &= q.ok
     except (NotFSI, NotDMM) as exc:
         reports.append({"note": f"structure checks skipped: "
                         f"{type(exc).__name__}({exc})"})
@@ -270,7 +266,7 @@ def _cmd_dfg(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    """Enumerate up to --size (default 4), then run every harness."""
+    """Enumerate the DMMs up to --size (default 4), then run every harness."""
     top = 4 if args.size is None else args.size
     if top < 1:
         raise UsageError(f"suite needs --size >= 1, got {top}")
@@ -279,8 +275,7 @@ def _cmd_suite(args) -> int:
     ok = True
     rows = []
     for n in range(1, top + 1):
-        spec = SearchSpec.for_class(args.klass, n)
-        cat = enumerate_algebras(spec, unsafe=args.unsafe_size)
+        cat = enumerate_algebras(SearchSpec(n), unsafe=args.unsafe_size)
         reports = [theorem_harness(cat)]
         if any(classify(A).si for A in cat.algebras):
             reports.append(axiomatization_check(cat))
@@ -288,7 +283,7 @@ def _cmd_suite(args) -> int:
         row_ok = all(r.ok for r in reports)
         ok &= row_ok
         rows.append((n, len(cat.algebras), row_ok, reports))
-    print(f"suite ({args.klass}, sizes 1..{top}), tool {__version__}")
+    print(f"suite (dmm, sizes 1..{top}), tool {__version__}")
     for n, count, row_ok, reports in rows:
         print(f"size {n}: {count} algebra(s) "
               f"[{'PASS' if row_ok else 'FAIL'}]")
@@ -350,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop e (relevant-algebra reduct)")
     add("dfg", _cmd_dfg, alg, ("class",) + emit + ("generators",),
         help="generated deductive filter")
-    add("suite", _cmd_suite, (), ("size", "class", "unsafe-size"),
-        ("irl", "dmm"), help="enumerate + all theorem harnesses")
+    add("suite", _cmd_suite, (), ("size", "unsafe-size"),
+        help="enumerate the DMMs + all theorem harnesses")
     return p
 
 

@@ -424,13 +424,14 @@ def is_isomorphic(A: FiniteIRL, B: FiniteIRL) -> bool:
     return A.size == B.size and _embeds(A, B)
 
 
+def embeds_in_some(X: FiniteIRL, quotients) -> bool:
+    """True iff X embeds in some algebra of quotients (an iterable)."""
+    return any(Q.size >= X.size and _embeds(X, Q) for Q in quotients)
+
+
 def hs_contains(A: FiniteIRL, X: FiniteIRL) -> bool:
     """True iff X embeds in a quotient A/F by some deductive filter F."""
-    for G in deductive_filters(A):
-        Q, _ = quotient(A, G)
-        if Q.size >= X.size and _embeds(X, Q):
-            return True
-    return False
+    return embeds_in_some(X, (quotient(A, G)[0] for G in deductive_filters(A)))
 
 
 def e_free_reduct(A: FiniteIRL):

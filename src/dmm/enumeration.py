@@ -64,9 +64,10 @@ from dmm import __version__
 from dmm.algebra import (FiniteIRL, check_derived_laws, is_rigorously_compact,
                          validate_dmm, validate_irl)
 from dmm.constructions import (NAMED_BASIC, canonical_form, e_free_reduct,
-                               hs_contains, is_isomorphic, make_named, sg,
+                               embeds_in_some, is_isomorphic, make_named,
                                zero_generated)
-from dmm.filters import classify, deductive_filters, filter_of, omega, quotient
+from dmm.filters import (Congruence, classify, deductive_filters, filter_of,
+                         quotient)
 from dmm.relevant import (contains_two_reduct, dfg_oracle, dfg_ra,
                           meet_property_check, reconstruct_neutral, validate_ra)
 
@@ -630,8 +631,10 @@ def _basic(name: str) -> FiniteIRL:
 
 
 def theorem_harness(catalog: Catalog) -> HarnessReport:
-    """Run the structural checks over every applicable catalog entry."""
-    from dmm.structure import (NotApplicable, fusion_pattern_check, lollipop,
+    """Run the structural checks over every applicable entry of a catalog
+    of DMMs.  Each entry's quotients A/F are built once, one per deductive
+    filter F, and every filter check reads them."""
+    from dmm.structure import (fusion_pattern_check, lollipop,
                                odd_sugihara_quotient, splitting_check)
     if not catalog.complete or not catalog.algebras:
         raise IncompleteCatalog("harness needs a complete, nonempty catalog")
@@ -640,9 +643,12 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
         cls = classify(A)
         lr = check_derived_laws(A)
         report.check("law-suite", None if lr.ok else (A.name, lr.failures()))
+        # (F, A/F, projection); the projection's blocks are omega(A, F)'s
+        quots = [(G, *quotient(A, G)) for G in deductive_filters(A)]
         report.check("filter-congruence-bijection", next(
-            ((A.name, sorted(G.members)) for G in deductive_filters(A)
-             if filter_of(A, omega(A, G)).members != G.members), None))
+            ((A.name, sorted(G.members)) for G, _, proj in quots
+             if filter_of(A, Congruence(tuple(proj), A)).members != G.members),
+            None))
 
         if cls.fsi and not cls.trivial:
             r = splitting_check(A)
@@ -653,12 +659,9 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
             report.check("lollipop",
                          None if lp.ok else (A.name, lp.violations))
             if not all(A.fusion[a][a] == a for a in A.elements):
-                try:
-                    r = fusion_pattern_check(A)
-                    bad = None if r.ok else (A.name, r.witness, r.detail)
-                except NotApplicable:
-                    bad = (A.name, "unexpected NotApplicable")
-                report.check("fusion-pattern", bad)
+                r = fusion_pattern_check(A)
+                report.check("fusion-pattern",
+                             None if r.ok else (A.name, r.witness, r.detail))
                 _, q = odd_sugihara_quotient(A)
                 report.check("odd-sugihara-quotient",
                              None if q.ok else (A.name, q.violations))
@@ -674,21 +677,21 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
                             if A.leq(A.f, a) and not A.lt(a, f2)))
                     else A.name)
 
-        if cls.simple and not cls.trivial and sg(A, ())[0].size == A.size:
+        if (cls.simple and not cls.trivial
+                and zero_generated(A)[0].size == A.size):
             report.check("zero-generated-simples", None if any(
                 is_isomorphic(A, _basic(nm)) for nm in ("2", "C4", "D4"))
                 else A.name)
 
         if not cls.trivial:
             report.check("minimality-shadow", None if any(
-                hs_contains(A, _basic(nm)) for nm in NAMED_BASIC)
-                else A.name)
+                embeds_in_some(_basic(nm), (Q for _, Q, _ in quots))
+                for nm in NAMED_BASIC) else A.name)
 
         if cls.fsi and not cls.trivial:
             # every proper nontrivial zero-generated quotient is C4
             report.check("surjections-onto-zero-generated", *(
-                (A.name, sorted(G.members)) for G in deductive_filters(A)
-                for B in [quotient(A, G)[0]]
+                (A.name, sorted(G.members)) for G, B, _ in quots
                 if 1 < B.size < A.size
                 and zero_generated(B)[0].size == B.size
                 and not is_isomorphic(B, _basic("C4"))))

@@ -40,9 +40,6 @@ class DeductiveFilter:
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 
-    def to_json(self) -> list[int]:
-        return self.sorted_members()
-
 
 @dataclass(frozen=True)
 class Congruence:
@@ -51,15 +48,6 @@ class Congruence:
 
     def related(self, a: int, b: int) -> bool:
         return self.blocks[a] == self.blocks[b]
-
-    def classes(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for a, bid in enumerate(self.blocks):
-            out.setdefault(bid, []).append(a)
-        return [out[k] for k in sorted(out)]
-
-    def to_json(self) -> list[int]:
-        return list(self.blocks)
 
 
 def is_deductive_filter(A: FiniteIRL, members: frozenset[int]) -> bool:

@@ -289,19 +289,23 @@ def test_flags_per_subcommand():
         "quotient": ["--algebra", *emit, "--generators"],
         "reduct": ["--algebra", "--out"],
         "dfg": ["--algebra", "--class", *emit, "--generators"],
-        "suite": ["--size", "--class", "--unsafe-size"],
+        "suite": ["--size", "--unsafe-size"],
     }
-    assert sum(map(len, flags.values())) == 45
+    assert sum(map(len, flags.values())) == 44
 
 
-@pytest.mark.parametrize("command", ["enumerate", "suite"])
-def test_search_class_ra_exits_2_before_search(capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, klass", [
+    ("enumerate", "ra"), ("suite", "ra"), ("suite", "irl"),
+], ids=["enumerate", "suite", "suite-irl"])
+def test_search_class_ra_exits_2_before_search(capsys, monkeypatch, command,
+                                               klass):
+    # suite takes no --class: it runs harnesses that are about DMMs
     def no_search(*a, **kw):
         raise AssertionError("searched")
 
     monkeypatch.setattr("dmm.cli.enumerate_algebras", no_search)
     with pytest.raises(SystemExit) as exc:
-        main([command, "--class", "ra", "--size", "2"])
+        main([command, "--class", klass, "--size", "2"])
     cap = capsys.readouterr()
     assert exc.value.code == 2 and cap.out == ""
     assert "error:" in cap.err and "Traceback" not in cap.err

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-from dmm import algebra, enumeration
+from dmm import algebra, enumeration, filters
 from dmm.algebra import FiniteIRL, ValidationReport
 from dmm.constructions import (NAMED_BASIC, direct_product, is_isomorphic,
                                make_named)
@@ -261,11 +262,32 @@ FAILURE_PAYLOADS = {
 
 def test_harness_failure_payloads_pinned(dmm_upto, monkeypatch):
     monkeypatch.setattr(enumeration, "is_isomorphic", lambda A, B: False)
-    monkeypatch.setattr(enumeration, "hs_contains", lambda A, X: False)
+    monkeypatch.setattr(enumeration, "embeds_in_some", lambda X, Qs: False)
     got = theorem_harness(dmm_upto(6)).to_dict()
     assert list(got) == list(HARNESS_VERDICTS)
     assert {name: got[name] for name in FAILURE_PAYLOADS} == FAILURE_PAYLOADS
     assert all(got[name]["ok"] for name in got if name not in FAILURE_PAYLOADS)
+
+
+def test_harness_builds_each_quotient_once(dmm_upto, monkeypatch):
+    # one A/F per deductive filter of each entry, read by every filter
+    # check, plus the quotient odd_sugihara_quotient builds for itself
+    cat = dmm_upto(6)
+    real = filters.quotient
+    calls = []
+
+    def counted(A, G):
+        calls.append((A.name, G.members))
+        return real(A, G)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dmm") and getattr(mod, "quotient", None) is real:
+            monkeypatch.setattr(mod, "quotient", counted)
+    rep = theorem_harness(cat)
+    n_filters = sum(len(filters.deductive_filters(A)) for A in cat.algebras)
+    odd = rep.checks["odd-sugihara-quotient"].instances
+    assert (n_filters, odd) == (70, 19)
+    assert len(calls) == n_filters + odd == 89
 
 
 def test_relevant_harness_names_reducts_that_are_not_ras():
