@@ -34,6 +34,14 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a text file ({exc.reason})") from exc
+
+
 def _load_algebra(spec: str, klass: str = "dmm"):
     """Resolve --algebra: a named constructor wins over a file of the same
     name (with a warning); otherwise read a JSON table file.  With --class ra
@@ -47,11 +55,7 @@ def _load_algebra(spec: str, klass: str = "dmm"):
         return e_free_reduct(A) if klass == "ra" else A
     if not os.path.exists(spec):
         raise UsageError(f"no such algebra or file: {spec}")
-    try:
-        with open(spec) as fh:
-            d = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{spec}: not a text file ({exc.reason})") from exc
+    d = json.loads(_read_text(spec))
     ra = (isinstance(d, dict) and d.get("signature") == "RA") or klass == "ra"
     try:
         return (FiniteRA if ra else FiniteIRL).from_dict(d)
@@ -68,8 +72,7 @@ def _load_pointed(spec: str, args):
 
 def _load_statements(spec: str):
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            return statements_from_text(fh.read())
+        return statements_from_text(_read_text(spec[1:]))
     return [parse_statement(spec)]
 
 

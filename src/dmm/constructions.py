@@ -167,31 +167,17 @@ def rigorous_extension(A: FiniteIRL) -> FiniteIRL:
     bot, top = 0, n + 1
     m = n + 2
 
-    def tab(old, low, high):
-        t = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                if i == bot or j == bot:
-                    t[i][j] = low(i, j)
-                elif i == top or j == top:
-                    t[i][j] = high(i, j)
-                else:
-                    t[i][j] = sh(old[i - 1][j - 1])
-        return t
+    def tab(old, edge):
+        """old on the shifted carrier, edge(i, j) on the new extrema's
+        rows and columns."""
+        return [[edge(i, j) if bot in (i, j) or top in (i, j)
+                 else sh(old[i - 1][j - 1]) for j in range(m)]
+                for i in range(m)]
 
-    meet = tab(A.meet, lambda i, j: bot, lambda i, j: min(i, j)
-               if bot in (i, j) else (j if i == top else i))
-    join = tab(A.join, lambda i, j: max(i, j) if top in (i, j)
-               else (j if i == bot else i), lambda i, j: top)
-    fusion = tab(A.fusion, lambda i, j: bot,
-                 lambda i, j: bot if bot in (i, j) else top)
+    meet = tab(A.meet, lambda i, j: bot if bot in (i, j) else min(i, j))
+    join = tab(A.join, lambda i, j: top if top in (i, j) else max(i, j))
+    fusion = tab(A.fusion, lambda i, j: bot if bot in (i, j) else top)
     neg = [top] + [sh(A.neg[a]) for a in range(n)] + [bot]
-    # fix meet/join rows involving the new extrema properly
-    for i in range(m):
-        meet[bot][i] = meet[i][bot] = bot
-        join[bot][i] = join[i][bot] = i
-        meet[top][i] = meet[i][top] = i
-        join[top][i] = join[i][top] = top
     labels = None
     if A.labels:
         labels = ["bot'"] + list(A.labels) + ["top'"]

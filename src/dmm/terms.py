@@ -110,25 +110,19 @@ F = Const("f")
 
 def variables(node) -> list[str]:
     """Variable names, sorted (this fixes the assignment iteration order)."""
-    seen: set[str] = set()
-
-    def walk(t):
+    seen, todo = set(), [node]
+    while todo:
+        t = todo.pop()
         if isinstance(t, Var):
             seen.add(t.name)
         elif isinstance(t, Neg):
-            walk(t.arg)
-        elif isinstance(t, (Fusion, Meet, Join, Arrow)):
-            walk(t.left)
-            walk(t.right)
+            todo.append(t.arg)
         elif isinstance(t, (Equation, Inequation)):
-            walk(t.lhs)
-            walk(t.rhs)
+            todo += (t.lhs, t.rhs)
         elif isinstance(t, QuasiEquation):
-            for p in t.premises:
-                walk(p)
-            walk(t.conclusion)
-
-    walk(node)
+            todo += (*t.premises, t.conclusion)
+        elif not isinstance(t, Const):
+            todo += (t.left, t.right)
     return sorted(seen)
 
 
@@ -137,6 +131,7 @@ def variables(node) -> list[str]:
 _ALIASES = [("·", "*"), ("∧", "/\\"), ("∨", "\\/"), ("¬", "~"),
             ("→", "->"), ("≤", "<="), ("⟹", "=>"), ("⇒", "=>")]
 
+_END = "end of input"  # the value of the last token
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<op>=>|<=|->|/\\|\\/|[*~&=()])|(?P<ident>[A-Za-z][A-Za-z0-9_]*))")
 
@@ -155,14 +150,24 @@ def _tokenize(text: str):
         kind = "op" if m.group("op") else "ident"
         toks.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    toks.append(("end", "", len(text)))
+    toks.append(("end", _END, len(text)))
     return toks
+
+
+# A term nests at most MAX_DEPTH levels deep: every walk over a parsed term
+# (printing, variables, hashing, the compiled code) then stays far inside the
+# interpreter's recursion and nesting limits.
+MAX_DEPTH = 100
+
+_CHAINS = (("\\/", Join), ("/\\", Meet), ("*", Fusion))  # loosest first
 
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0  # the '(', '~' and '->' the parser is inside
+        self.heights: dict[Term, int] = {}  # of the operator nodes built
 
     def peek(self):
         return self.toks[self.i]
@@ -174,55 +179,58 @@ class _Parser:
         self.i += 1
         return kind, val, pos
 
-    def term(self) -> Term:
-        return self.arrow()
+    def too_deep(self) -> ParseError:
+        return ParseError(f"term nested deeper than {MAX_DEPTH} levels",
+                          self.peek()[2])
 
-    def arrow(self) -> Term:
-        left = self.join()
-        if self.peek()[1] == "->":
+    def nested(self, parse) -> Term:
+        """parse(), one level deeper."""
+        if self.depth == MAX_DEPTH:
+            raise self.too_deep()
+        self.depth += 1
+        t = parse()
+        self.depth -= 1
+        return t
+
+    def node(self, cls, *kids: Term) -> Term:
+        t = cls(*kids)
+        h = self.heights[t] = 1 + max(self.heights.get(k, 0) for k in kids)
+        if h > MAX_DEPTH:
+            raise self.too_deep()
+        return t
+
+    def term(self) -> Term:
+        left = self.chain()
+        if self.peek()[1] == "->":  # right-associative
             self.take()
-            return Arrow(left, self.arrow())  # right-associative
+            return self.node(Arrow, left, self.nested(self.term))
         return left
 
-    def join(self) -> Term:
-        t = self.meet()
-        while self.peek()[1] == "\\/":
+    def chain(self, level: int = 0) -> Term:
+        """A left-associative chain of _CHAINS[level]'s operator."""
+        if level == len(_CHAINS):
+            return self.unary()
+        op, cls = _CHAINS[level]
+        t = self.chain(level + 1)
+        while self.peek()[1] == op:
             self.take()
-            t = Join(t, self.meet())
-        return t
-
-    def meet(self) -> Term:
-        t = self.fusion()
-        while self.peek()[1] == "/\\":
-            self.take()
-            t = Meet(t, self.fusion())
-        return t
-
-    def fusion(self) -> Term:
-        t = self.unary()
-        while self.peek()[1] == "*":
-            self.take()
-            t = Fusion(t, self.unary())
+            t = self.node(cls, t, self.chain(level + 1))
         return t
 
     def unary(self) -> Term:
         kind, val, pos = self.peek()
         if val == "~":
             self.take()
-            return Neg(self.unary())
+            return self.node(Neg, self.nested(self.unary))
         if val == "(":
             self.take()
-            t = self.term()
+            t = self.nested(self.term)
             self.take(")")
             return t
         if kind == "ident":
             self.take()
-            if val == "e":
-                return E
-            if val == "f":
-                return F
-            return Var(val)
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos,
+            return {"e": E, "f": F}.get(val) or Var(val)
+        raise ParseError(f"unexpected token {val!r}", pos,
                          ("~", "(", "identifier"))
 
     def eqineq(self) -> Statement:
@@ -232,8 +240,7 @@ class _Parser:
             return Equation(lhs, self.term())
         if val == "<=":
             return Inequation(lhs, self.term())
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos,
-                         ("=", "<="))
+        raise ParseError(f"unexpected token {val!r}", pos, ("=", "<="))
 
     def statement_or_term(self):
         # A statement iff a relation symbol occurs at the top level.
@@ -252,10 +259,10 @@ class _Parser:
                     raise ParseError("premises without a conclusion",
                                      self.peek()[2], ("=>",))
                 stmt = first
-            self.take("")  # end
+            self.take(_END)
             return stmt
         t = self.term()
-        self.take("")
+        self.take(_END)
         return t
 
 
@@ -299,65 +306,96 @@ def to_text(node) -> str:
     return _term_text(node)
 
 
+def _operand(t: Term, above: int) -> str:
+    """t's text, in parentheses unless t binds tighter than `above`."""
+    text = _term_text(t)
+    return text if _PREC[type(t)] > above else f"({text})"
+
+
 def _term_text(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Const):
         return t.sym
-    if isinstance(t, Neg):
-        inner = _term_text(t.arg)
-        if _PREC[type(t.arg)] < _PREC[Neg]:
-            inner = f"({inner})"
-        return "~" + inner
     prec = _PREC[type(t)]
-    left, right = _term_text(t.left), _term_text(t.right)
-    if isinstance(t, Arrow):
-        if _PREC[type(t.left)] <= prec:
-            left = f"({left})"
-        if _PREC[type(t.right)] < prec:
-            right = f"({right})"
-    else:
-        if _PREC[type(t.left)] < prec:
-            left = f"({left})"
-        if _PREC[type(t.right)] <= prec:
-            right = f"({right})"
-    return left + _OPSYM[type(t)] + right
+    if isinstance(t, Neg):
+        return "~" + _operand(t.arg, prec - 1)
+    arrow = isinstance(t, Arrow)  # -> associates right, the others left
+    return (_operand(t.left, prec - 1 + arrow) + _OPSYM[type(t)]
+            + _operand(t.right, prec - arrow))
 
 
 # ---- evaluation ------------------------------------------------------------
+#
+# A term or statement is compiled once into one Python function over the
+# tables.  Its source is built from a fixed vocabulary only: the table names
+# below, e and f, and v0, v1, ... for the sorted variables.  No character of
+# the term enters it, so user statements cannot inject code.
+
+_TABLES = "meet, join, fus, res, neg, e, f"
+_BINARY = {Fusion: "fus", Meet: "meet", Join: "join", Arrow: "res"}
+_CONSTANTS = {"e": "e", "f": "f"}
+
+
+def _tables(A: FiniteIRL) -> tuple:
+    return (A.meet, A.join, A.fusion, A.residual_table, A.neg, A.e, A.f)
+
+
+def _expr(t: Term, slots: dict[str, str]) -> str:
+    if isinstance(t, Var):
+        return slots[t.name]
+    if isinstance(t, Const):
+        return _CONSTANTS[t.sym]
+    if isinstance(t, Neg):
+        return f"neg[{_expr(t.arg, slots)}]"
+    return (f"{_BINARY[type(t)]}[{_expr(t.left, slots)}]"
+            f"[{_expr(t.right, slots)}]")
+
+
+def _test(s: Statement, slots: dict[str, str]) -> str:
+    lhs, rhs = _expr(s.lhs, slots), _expr(s.rhs, slots)
+    if isinstance(s, Inequation):  # s <= t  iff  s /\ t = s
+        return f"meet[{lhs}][{rhs}] == {lhs}"
+    return f"{lhs} == {rhs}"
+
+
+def _source(node, slots: dict[str, str]) -> str:
+    """A term becomes run(tables, v0, v1, ...) -> its value.  A statement
+    becomes run(rng, tables) -> (first failing assignment or None, number of
+    conclusion evaluations); the loop walks rng^k in lexicographic order of
+    (v0, v1, ...), and the count is kept for quasi-equations only."""
+    vs = "".join(f"{v}, " for v in slots.values())
+    if isinstance(node, Term):
+        return f"def run({_TABLES}, {vs}):\n return {_expr(node, slots)}\n"
+    premises, conclusion = ((node.premises, node.conclusion)
+                            if isinstance(node, QuasiEquation) else ((), node))
+    lines = [f"def run(rng, {_TABLES}):", " evals = 0",
+             f" for ({vs}) in product(rng, repeat={len(slots)}):"]
+    if premises:
+        lines += ["  if " + " and ".join(f"({_test(p, slots)})"
+                                         for p in premises) + ":",
+                  "   evals += 1"]
+    lines += [f"   if not ({_test(conclusion, slots)}):",
+              f"    return ({vs}), evals",
+              " return None, evals"]
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _compiled(node) -> tuple[list[str], object]:
+    """(sorted variable names, compiled run) of a term or statement."""
+    names = variables(node)
+    scope = {"__builtins__": {}, "product": product}
+    exec(_source(node, {nm: f"v{i}" for i, nm in enumerate(names)}), scope)
+    return names, scope["run"]
 
 
 def evaluate(t: Term, A: FiniteIRL, assignment: dict[str, int]) -> int:
-    if isinstance(t, Var):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    if isinstance(t, Const):
-        return A.e if t.sym == "e" else A.f
-    if isinstance(t, Neg):
-        return A.neg[evaluate(t.arg, A, assignment)]
-    a = evaluate(t.left, A, assignment)
-    b = evaluate(t.right, A, assignment)
-    if isinstance(t, Fusion):
-        return A.fusion[a][b]
-    if isinstance(t, Meet):
-        return A.meet[a][b]
-    if isinstance(t, Join):
-        return A.join[a][b]
-    return A.residual(a, b)
-
-
-def _desugar(s: Statement) -> Equation:
-    # s <= t  becomes  s /\ t = s
-    if isinstance(s, Inequation):
-        return Equation(Meet(s.lhs, s.rhs), s.lhs)
-    assert isinstance(s, Equation)
-    return s
-
-
-def _holds(s: Equation, A: FiniteIRL, asg: dict[str, int]) -> bool:
-    return evaluate(s.lhs, A, asg) == evaluate(s.rhs, A, asg)
+    names, run = _compiled(t)
+    for nm in names:
+        if nm not in assignment:
+            raise UnboundVariable(nm)
+    return run(*_tables(A), *(assignment[nm] for nm in names))
 
 
 @dataclass
@@ -372,25 +410,21 @@ def satisfies(A: FiniteIRL, s: Statement, max_vars: int = 4) -> SatisfactionResu
     """Brute-force check over all |A|^k assignments, in lexicographic order
     of (sorted variable name, element index); the first counterexample wins.
     """
-    names = variables(s)
+    names, run = _compiled(s)
     if len(names) > max_vars:
         raise TooManyVariables(
             f"{len(names)} variables exceeds the cap of {max_vars}")
-    if isinstance(s, QuasiEquation):
-        prems = [_desugar(p) for p in s.premises]
-        concl = _desugar(s.conclusion)
-    else:
-        prems = []
-        concl = _desugar(s)
-    checked = evals = 0
-    for values in product(A.elements, repeat=len(names)):
-        asg = dict(zip(names, values))
-        checked += 1
-        if all(_holds(p, A, asg) for p in prems):
-            evals += 1
-            if not _holds(concl, A, asg):
-                return SatisfactionResult(False, asg, checked, evals)
-    return SatisfactionResult(True, None, checked, evals)
+    first, evals = run(A.elements, *_tables(A))
+    if first is None:
+        checked = A.size ** len(names)
+    else:  # first, read as a base-|A| numeral, is its place in the order
+        checked = 1 + sum(v * A.size ** i
+                          for i, v in enumerate(reversed(first)))
+    if not isinstance(s, QuasiEquation):
+        evals = checked
+    return SatisfactionResult(
+        first is None, None if first is None else dict(zip(names, first)),
+        checked, evals)
 
 
 # ---- the named law / axiom library ----------------------------------------
@@ -426,6 +460,20 @@ LAW_LIBRARY: dict[str, tuple[str, ...]] = {
     "law-13": ("x /\\ y <= x * y",),
     "law-14": ("x <= e & y <= e => x * y = x /\\ y",),
     "law-15": ("e <= x \\/ ~x",),
+    "de-morgan": ("~(x /\\ y) = ~x \\/ ~y",
+                  "~(x \\/ y) = ~x /\\ ~y"),
+    # [e <= x = x*x]  iff  [x * ~x = ~x]  iff  [x = x -> x]
+    "3-conditions": ("e <= x & x * x = x => x * ~x = ~x",
+                     "x * ~x = ~x => e <= x",
+                     "x * ~x = ~x => x * x = x",
+                     "x * ~x = ~x => x -> x = x",
+                     "x -> x = x => x * ~x = ~x"),
+    # square-increasing: [f*f = f]  iff  [f <= e]  iff  idempotent
+    "idempotence-triple": ("f * f = f => f <= e",
+                           "f <= e => f * f = f",
+                           "f * f = f => x * x = x"),
+    # square-increasing: f <= x implies x^3 = x^2, powers taken from e
+    "cube": ("f <= x => e * x * x * x = e * x * x",),
     "ax-x-le-e": ("x <= e",),
     "ax-e-eq-f": ("e = f",),
     "ax-e-le-f": ("e <= f",),

@@ -1,13 +1,15 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmm.algebra import (FiniteIRL, MalformedTable, NotAnIRL,
+from dmm.algebra import (FiniteIRL, LawReport, MalformedTable, NotAnIRL,
                          ValidationReport, Violation, _Collector,
                          check_derived_laws, is_distributive, predicates,
-                         validate_dmm, validate_irl)
+                         square_increasing_witness, validate_dmm,
+                         validate_irl)
 from dmm.constructions import make_named
 from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
 from dmm.relevant import FiniteRA
@@ -230,6 +232,7 @@ def test_predicates_c4(named):
 def test_predicates_s3_and_2(named):
     p3 = predicates(named["S3"])
     assert p3.odd and p3.idempotent and p3.semilinear
+    assert not p3.anti_idempotent  # top is not below f * f = e
     p2 = predicates(named["2"])
     assert p2.integral and p2.idempotent and not p2.odd
 
@@ -287,3 +290,131 @@ def test_validate_dmm_requires_irl():
     for _ in range(2):
         with pytest.raises(NotAnIRL):
             validate_dmm(A)
+
+
+# ---- the derived-law battery against its hand-coded oracle ------------------
+
+
+def fuse_power(A, a: int, k: int) -> int:
+    v = A.e
+    for _ in range(k):
+        v = A.fusion[v][a]
+    return v
+
+
+def oracle_derived_laws(A: FiniteIRL) -> LawReport:
+    """Reference: the derived-law battery as hand-coded loops, before
+    check_derived_laws ran the law library through satisfies."""
+    n = A.size
+    meet, join, fus, neg, e = A.meet, A.join, A.fusion, A.neg, A.e
+    res = A.residual_table
+    leq = A.leq
+    f = A.f
+    out: dict[str, tuple[int, ...] | None] = {}
+
+    def first(name, it):
+        out[name] = next(it, None)
+
+    rng = range(n)
+    first("law-4a x*(x->y) <= y",
+          ((x, y) for x in rng for y in rng if not leq(fus[x][res[x][y]], y)))
+    first("law-4b x <= (x->y)->y",
+          ((x, y) for x in rng for y in rng if not leq(x, res[res[x][y]][y])))
+    first("law-5 (x*y)->z = y->(x->z) = x->(y->z)",
+          ((x, y, z) for x in rng for y in rng for z in rng
+           if not res[fus[x][y]][z] == res[y][res[x][z]] == res[x][res[y][z]]))
+    first("law-6 (x->y)*(y->z) <= x->z",
+          ((x, y, z) for x in rng for y in rng for z in rng
+           if not leq(fus[res[x][y]][res[y][z]], res[x][z])))
+    first("law-7 x*(y|z) = x*y | x*z",
+          ((x, y, z) for x in rng for y in rng for z in rng
+           if fus[x][join[y][z]] != join[fus[x][y]][fus[x][z]]))
+    first("law-8 isotonicity",
+          ((x, y, z) for x in rng for y in rng for z in rng
+           if leq(x, y) and not (leq(fus[x][z], fus[y][z])
+                                 and leq(res[z][x], res[z][y])
+                                 and leq(res[y][z], res[x][z]))))
+    first("law-9 x<=y iff e<=x->y",
+          ((x, y) for x in rng for y in rng
+           if leq(x, y) != leq(e, res[x][y])))
+    first("law-10 x=y iff e<=x<->y",
+          ((x, y) for x in rng for y in rng
+           if (x == y) != leq(e, meet[res[x][y]][res[y][x]])))
+    first("law-11 e<=x->x and e->x=x",
+          ((x,) for x in rng if not (leq(e, res[x][x]) and res[e][x] == x)))
+    first("law-12 e<=x iff x->x<=x",
+          ((x,) for x in rng if leq(e, x) != leq(res[x][x], x)))
+
+    # De Morgan duality for the involution
+    first("de-morgan ~(x&y)=~x|~y",
+          ((x, y) for x in rng for y in rng
+           if neg[meet[x][y]] != join[neg[x]][neg[y]]
+           or neg[join[x][y]] != meet[neg[x]][neg[y]]))
+
+    # bounds behaviour (every finite lattice is bounded)
+    bot, top = A.bottom, A.top
+    first("bounds bot*x=bot, x->top=top, top^2=top, top->bot=bot",
+          ((x,) for x in rng
+           if not (fus[bot][x] == bot and res[x][top] == top
+                   and fus[top][top] == top and res[top][bot] == bot)))
+
+    first("3-conditions [e<=a=a^2] iff [a*~a=~a] iff [a=a->a]",
+          ((a,) for a in rng
+           if not ((leq(e, a) and fus[a][a] == a)
+                   == (fus[a][neg[a]] == neg[a])
+                   == (res[a][a] == a))))
+
+    if square_increasing_witness(A) is None:
+        first("law-13 x&y <= x*y",
+              ((x, y) for x in rng for y in rng
+               if not leq(meet[x][y], fus[x][y])))
+        first("law-14 x,y<=e implies x*y=x&y",
+              ((x, y) for x in rng for y in rng
+               if leq(x, e) and leq(y, e) and fus[x][y] != meet[x][y]))
+        first("law-15 e <= x|~x",
+              ((x,) for x in rng if not leq(e, join[x][neg[x]])))
+        first("cube f<=a implies a^3=a^2",
+              ((a,) for a in rng
+               if leq(f, a) and fuse_power(A, a, 3) != fuse_power(A, a, 2)))
+        f2 = fus[f][f]
+        idem_all = all(fus[a][a] == a for a in rng)
+        triple = (f2 == f) == leq(f, e) == idem_all
+        out["idempotence-triple [f^2=f] iff [f<=e] iff idempotent"] = (
+            None if triple else (f,))
+    return LawReport(out)
+
+
+def _law_names(results) -> set[str]:
+    """'law-4a x*(x->y) <= y' and 'law-4: x * (x -> y) <= y' name law-4."""
+    return {k.split()[0].rstrip(":ab") for k in results}
+
+
+def _corrupted(A, rng):
+    """A with one fusion or neg entry, or e, set to a random element; the
+    lattice tables are kept, so bottom and top exist."""
+    n = A.size
+    fus = [list(row) for row in A.fusion]
+    neg, e = list(A.neg), A.e
+    which = rng.randrange(3)
+    if which == 0:
+        fus[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    elif which == 1:
+        neg[rng.randrange(n)] = rng.randrange(n)
+    else:
+        e = rng.randrange(n)
+    return FiniteIRL.from_tables(n, A.meet, A.join, fus, neg, e)
+
+
+def test_derived_laws_match_hand_coded_oracle(dmm_upto, named):
+    rng = random.Random(13)
+    algebras = list(dmm_upto(6).algebras) + [
+        named[nm] for nm in ("D4", "S5", "C4ext_1")]
+    flagged = 0
+    for A in algebras:
+        for B in [A] + [_corrupted(A, rng) for _ in range(20)]:
+            new, old = check_derived_laws(B), oracle_derived_laws(B)
+            assert new.ok == old.ok, B.to_dict()
+            assert (_law_names(new.failures())
+                    == _law_names(old.failures())), B.to_dict()
+            flagged += not old.ok
+    assert flagged > len(algebras)  # most corruptions break some law

@@ -67,6 +67,36 @@ def test_satisfies_statement_file(capsys, tmp_path):
     assert len(json.loads(out)["results"]) == 2
 
 
+def test_satisfies_binary_statement_file_exits_2(capsys, tmp_path):
+    p = tmp_path / "laws.bin"
+    p.write_bytes(b"\xff\xfe\x00 x <= e\n")
+    code, out, err = run(capsys, "satisfies", "--algebra", "S3",
+                         "--statement", f"@{p}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not a text file" in err
+
+
+@pytest.mark.parametrize("statement", [
+    "(" * 2000 + "x" + ")" * 2000 + " <= x",
+    "~" * 3000 + "x <= x",
+    " -> ".join(["x"] * 3000) + " <= x",
+    " * ".join(["x"] * 3000) + " <= x",
+])
+def test_satisfies_deep_statement_exits_2(capsys, statement):
+    code, out, err = run(capsys, "satisfies", "--algebra", "S3",
+                         "--statement", statement)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested deeper" in err
+
+
+def test_satisfies_statement_at_nesting_bound(capsys):
+    from dmm.terms import MAX_DEPTH
+    code, out, _ = run(capsys, "satisfies", "--algebra", "S3",
+                       "--statement",
+                       "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " <= x")
+    assert code == 0 and json.loads(out)["ok"]
+
+
 def test_classify_text_format(capsys):
     code, out, _ = run(capsys, "classify", "--algebra", "S5",
                        "--format", "text")

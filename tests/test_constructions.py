@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from functools import cache
@@ -108,6 +110,23 @@ def test_rigorous_extension_shape(named):
     assert E.bottom == 0 and E.top == 5
     assert all(E.fusion[5][a] == 5 for a in E.elements if a != 0)
     assert all(E.fusion[0][a] == 0 for a in E.elements)
+
+
+# sha256 of the sorted-key JSON of to_dict(), frozen when the extension's
+# meet and join rows were built in a second pass over the new extrema.
+C4EXT_SHA256 = (
+    "eb9d3d6a1761d41d649e1760b8d8f90c967baab3f37b78e121e58a4ab63527d4",
+    "ec9673593da250a8bc3b2abd6698a205ce8a99caf1e0be6347a67189face6bc4",
+    "101dd330444da38ba5e6b73fbd23ac294192c06ae36d5080bb04ec174793704e",
+    "c1e132e3fccee330cdbee62b10f7d28c2ef4778dba64f3bb857edeb863827fa0",
+    "1e99756d53148f8aa91d5e69d7575b6910d0fceaa21fda4c027dd5fb007260ec",
+)
+
+
+def test_c4ext_tables_pinned():
+    for k, digest in enumerate(C4EXT_SHA256):
+        text = json.dumps(make_named(f"C4ext_{k}").to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k
 
 
 def test_c4ext_names(named):

@@ -1,0 +1,27 @@
+"""The library is standard-library only: every module of src/dmm imports
+nothing but dmm itself and the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dmm"
+
+
+def _imported_roots(path: Path) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_library_imports_only_the_standard_library():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        foreign = {root for root in _imported_roots(path)
+                   if root != "dmm" and root not in sys.stdlib_module_names}
+        assert not foreign, (path.name, foreign)

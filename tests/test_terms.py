@@ -1,12 +1,17 @@
+import io
+import tokenize
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmm.terms import (LAW_LIBRARY, Arrow, Const, Equation, Fusion,
+from dmm.terms import (LAW_LIBRARY, MAX_DEPTH, Arrow, Const, Equation, Fusion,
                        Inequation, Join, Meet, Neg, ParseError, QuasiEquation,
-                       TooManyVariables, UnboundVariable, Var, evaluate,
-                       law_statements, parse, parse_statement, satisfies,
-                       statements_from_text, to_text, variables)
+                       SatisfactionResult, TooManyVariables, UnboundVariable,
+                       Var, _source, evaluate, law_statements, parse,
+                       parse_statement, satisfies, statements_from_text,
+                       to_text, variables)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -61,6 +66,32 @@ def test_parse_error_has_position_and_expectations():
     assert "position 2" in str(ei.value)
     with pytest.raises(ParseError):
         parse_statement("x * y")  # bare term, not a statement
+
+
+def test_parse_error_names_end_of_input():
+    with pytest.raises(ParseError) as ei:
+        parse("x = x = x")
+    assert str(ei.value) == ("unexpected token '=' at position 6 "
+                             "(expected one of: end of input)")
+    with pytest.raises(ParseError) as ei:
+        parse("(x")
+    assert "unexpected token 'end of input'" in str(ei.value)
+
+
+def test_nesting_bound():
+    deep = {"parens": "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+            "neg": "~" * MAX_DEPTH + "x",
+            "arrow": " -> ".join(["x"] * (MAX_DEPTH + 1)),
+            "fusion": " * ".join(["x"] * (MAX_DEPTH + 1))}
+    for text in deep.values():
+        parse(text + " <= x")
+    for text in ("(" + deep["parens"] + ")", "~" + deep["neg"],
+                 "x -> " + deep["arrow"], "x * " + deep["fusion"],
+                 # chains inside chains: the tree height is what counts
+                 "((x" + " * x" * 40 + ")" + " * x" * 40 + ")"
+                 + " * x" * 40):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(text + " <= x")
 
 
 def test_premises_need_conclusion():
@@ -177,3 +208,113 @@ def test_random_statement_roundtrip(pair):
     for stmt in (Equation(s, t), Inequation(s, t),
                  QuasiEquation((Equation(s, s),), Equation(s, t))):
         assert parse(to_text(stmt)) == stmt
+
+
+# ---- the tree-walking interpreter, as the oracle of the compiled code -------
+
+
+def oracle_evaluate(t, A, assignment):
+    if isinstance(t, Var):
+        try:
+            return assignment[t.name]
+        except KeyError:
+            raise UnboundVariable(t.name) from None
+    if isinstance(t, Const):
+        return A.e if t.sym == "e" else A.f
+    if isinstance(t, Neg):
+        return A.neg[oracle_evaluate(t.arg, A, assignment)]
+    a = oracle_evaluate(t.left, A, assignment)
+    b = oracle_evaluate(t.right, A, assignment)
+    if isinstance(t, Fusion):
+        return A.fusion[a][b]
+    if isinstance(t, Meet):
+        return A.meet[a][b]
+    if isinstance(t, Join):
+        return A.join[a][b]
+    return A.residual(a, b)
+
+
+def _desugar(s):
+    # s <= t  becomes  s /\ t = s
+    if isinstance(s, Inequation):
+        return Equation(Meet(s.lhs, s.rhs), s.lhs)
+    assert isinstance(s, Equation)
+    return s
+
+
+def _holds(s, A, asg):
+    return oracle_evaluate(s.lhs, A, asg) == oracle_evaluate(s.rhs, A, asg)
+
+
+def oracle_satisfies(A, s):
+    names = variables(s)
+    if isinstance(s, QuasiEquation):
+        prems = [_desugar(p) for p in s.premises]
+        concl = _desugar(s.conclusion)
+    else:
+        prems = []
+        concl = _desugar(s)
+    checked = evals = 0
+    for values in product(A.elements, repeat=len(names)):
+        asg = dict(zip(names, values))
+        checked += 1
+        if all(_holds(p, A, asg) for p in prems):
+            evals += 1
+            if not _holds(concl, A, asg):
+                return SatisfactionResult(False, asg, checked, evals)
+    return SatisfactionResult(True, None, checked, evals)
+
+
+SMALL_NAMED = ("2", "S3", "C4", "D4", "S4", "S5")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_NAMED), terms, st.data())
+def test_evaluate_matches_interpreter(named, name, t, data):
+    A = named[name]
+    asg = {v: data.draw(st.sampled_from(A.elements)) for v in "xyz"}
+    assert evaluate(t, A, asg) == oracle_evaluate(t, A, asg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_NAMED), terms, terms, terms)
+def test_satisfies_matches_interpreter(named, name, s, t, u):
+    A = named[name]
+    for stmt in (Equation(s, t), Inequation(s, t),
+                 QuasiEquation((Inequation(u, s),), Equation(s, t)),
+                 QuasiEquation((Equation(s, u), Inequation(t, Const("e"))),
+                               Inequation(t, u))):
+        assert satisfies(A, stmt) == oracle_satisfies(A, stmt)
+
+
+def test_library_matches_interpreter(named):
+    for A in named.values():
+        for name in LAW_LIBRARY:
+            for s in law_statements(name):
+                if A.size <= 6 or len(variables(s)) < 3:
+                    assert satisfies(A, s) == oracle_satisfies(A, s), name
+
+
+def test_variable_names_cannot_capture_generated_names(named):
+    A = named["D4"]
+    for text in ("meet * neg <= rng -> run", "v1 \\/ v0 /\\ evals <= ~v1",
+                 "run <= e & neg = f => ~rng <= run * neg"):
+        s = parse(text)
+        assert satisfies(A, s) == oracle_satisfies(A, s), text
+    t = parse("meet * neg \\/ rng -> run /\\ v1 * v0 -> ~evals")
+    for values in product(A.elements, repeat=7):
+        asg = dict(zip(("meet", "neg", "rng", "run", "v0", "v1", "evals"),
+                       values))
+        assert evaluate(t, A, asg) == oracle_evaluate(t, A, asg)
+
+
+def test_generated_source_has_a_fixed_vocabulary():
+    s = parse("import * os <= exec -> x & globals = e => f <= ~breakpoint")
+    names = variables(s)
+    src = _source(s, {nm: f"v{i}" for i, nm in enumerate(names)})
+    words = {tok.string for tok in tokenize.generate_tokens(
+        io.StringIO(src).readline) if tok.type == tokenize.NAME}
+    assert words <= {"def", "run", "rng", "meet", "join", "fus", "res", "neg",
+                     "e", "f", "evals", "for", "in", "product", "repeat",
+                     "if", "and", "not", "return", "None",
+                     *(f"v{i}" for i in range(len(names)))}
