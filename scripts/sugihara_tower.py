@@ -8,7 +8,7 @@ Example:
 
 import argparse
 
-from dmm.constructions import homs, make_sugihara
+from dmm.constructions import MAX_NAMED_SIZE, homs, make_sugihara
 from dmm.filters import classify
 
 
@@ -16,6 +16,9 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max", type=int, default=8)
     args = ap.parse_args()
+    if args.max > MAX_NAMED_SIZE:
+        ap.error(f"--max {args.max} is above the limit of {MAX_NAMED_SIZE} "
+                 "elements")
 
     for n in range(1, args.max + 1):
         S = make_sugihara(n)

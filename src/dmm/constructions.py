@@ -186,15 +186,23 @@ def rigorous_extension(A: FiniteIRL) -> FiniteIRL:
                                  labels=labels)
 
 
-_NAMED_RE = re.compile(r"^(2|S(\d+)|S_(\d+)|C4|D4|C4ext_(\d+))$")
+# a numeral of ten or more digits is no name, so int() reads each at once
+_NAMED_RE = re.compile(r"^(2|S(\d{1,9})|S_(\d{1,9})|C4|D4|C4ext_(\d{1,9}))$")
+
+MAX_NAMED_SIZE = 64  # S64 builds and validates in about a second
 
 
 def make_named(name: str) -> FiniteIRL:
-    """Construct and validate one of the named algebras:
-    "2", "S3", "C4", "D4", "S_n"/"Sn" (n >= 1), "C4ext_k" (k >= 0)."""
+    """Construct and validate one of the named algebras: "2", "S3", "C4",
+    "D4", "S_n"/"Sn" (n >= 1), "C4ext_k" (k >= 0, 4 + 2k elements).  A name
+    of more than MAX_NAMED_SIZE elements raises UnknownName at once."""
     m = _NAMED_RE.match(name)
     if not m:
         raise UnknownName(name)
+    size = 4 + 2 * int(m[4]) if m[4] else int(m[2] or m[3] or 0)
+    if size > MAX_NAMED_SIZE:
+        raise UnknownName(f"{name} has {size} elements, above the limit of "
+                          f"{MAX_NAMED_SIZE}")
     if name == "2":
         A = make_two()
     elif name == "C4":
@@ -207,7 +215,7 @@ def make_named(name: str) -> FiniteIRL:
             A = rigorous_extension(A)
         A.name = name
     else:
-        A = make_sugihara(int(m.group(2) or m.group(3)))
+        A = make_sugihara(size)
     rep = validate_dmm(A)
     if not rep.ok:
         raise NotAnIRL(f"{name} failed validation: {rep.laws_violated()}")

@@ -2,10 +2,18 @@
 persistence, and the theorem harness run over a catalog.
 
 The fast path layers the search: naturally-labeled lattices (down-set
-construction), antitone involutions built as matchings, a choice of neutral
-element, then a constraint-propagating DFS over fusion tables.  Only one
-(involution, neutral element) pair per orbit of the lattice's automorphisms
-is searched.
+construction), antitone involutions, a choice of neutral element, then a
+constraint-propagating DFS over fusion tables.  Only one (involution,
+neutral element) pair per orbit of the lattice's automorphisms is searched.
+
+One search, _relabellings, serves the lattice layer: it walks the linear
+extensions of an order against a target down-set vector.  The
+least-labelling test asks it for no smaller vector.  Aut(L) is the
+relabellings of L onto its own vector b: one that gives b induces L's
+order, and an automorphism keeps a natural labelling natural and keeps b.
+The relabellings of the dual L^op onto b are the isomorphisms L^op -> L,
+that is the antitone bijections of L, and the involutions are read off
+them.  Both are exact on every natural labelling.
 
 The lattice layer yields one labelled lattice per isomorphism class: the
 first one the unpruned down-set search would yield, which is the
@@ -165,46 +173,46 @@ def _down_closed_subsets(below: list[int], i: int) -> list[int]:
     return out
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+@cache
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, in increasing order; the masks are subsets of
+    one lattice's elements, so the cache holds at most 2^n of them."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def _least_labelling(below: list[int]) -> bool:
-    """True iff no linear extension of the order on 0..m-1 (element x has
-    down-set bitmask below[x]) gives a lexicographically smaller down-set
-    vector than the identity labelling."""
-    return _none_smaller(below, [0] * len(below), 0, 0)
+def _relabellings(below: list[int], target: list[int]):
+    """Walk the linear extensions of the order on 0..m-1 in which element x
+    has down-set bitmask below[x], against the down-set vector target of a
+    natural labelling.  Position k takes an element whose strict down-set
+    is placed, and its down-set under the new positions is compared with
+    target[k]: a larger value closes the branch, a smaller one yields None
+    and closes the branch, and an equal one goes on to position k + 1.
 
-
-def _none_smaller(below, new, k, placed) -> bool:
-    """The search behind _least_labelling, at position k.  The relabelling
-    is built position by position: position k takes an element whose strict
-    down-set is placed (new maps the placed elements to their positions),
-    and its new down-set is compared with below[k].  A larger value closes
-    the branch, a smaller one answers False, and an equal one goes on to
-    position k + 1."""
+    Each complete extension is yielded as the tuple element -> position:
+    these are exactly the isomorphisms of below's order onto target's, as
+    only branches that cannot reach target's vector are closed."""
     m = len(below)
-    if k == m:
-        return True
-    target = below[k]
-    for x in _bits(((1 << m) - 1) & ~placed):
-        strict = below[x] & ~(1 << x)
-        if strict & ~placed:
-            continue
-        w = 1 << k
-        for y in _bits(strict):
-            w |= 1 << new[y]
-        if w > target:
-            continue
-        if w < target:
-            return False
-        new[x] = k
-        if not _none_smaller(below, new, k + 1, placed | (1 << x)):
-            return False
-    return True
+    new = [0] * m
+
+    def rec(k, placed):
+        if k == m:
+            yield tuple(new)
+            return
+        t = target[k]
+        for x in _bits(((1 << m) - 1) & ~placed):
+            strict = below[x] & ~(1 << x)
+            if strict & ~placed:
+                continue
+            w = 1 << k
+            for y in _bits(strict):
+                w |= 1 << new[y]
+            if w == t:
+                new[x] = k
+                yield from rec(k + 1, placed | (1 << x))
+            elif w < t:
+                yield None
+
+    return rec(0, 0)
 
 
 def _distributive_ideal(below: list[int], ji: int, i: int) -> bool:
@@ -217,7 +225,7 @@ def _distributive_ideal(below: list[int], ji: int, i: int) -> bool:
     below i were checked in smaller ideals, so only the pairs a, b < i with
     a v b = i are left: those with no common upper bound strictly below i.
     """
-    elems = list(_bits(below[i] & ~(1 << i)))
+    elems = _bits(below[i] & ~(1 << i))
     downs = [below[c] for c in elems]
     j_i = below[i] & ji
     for x, a in enumerate(elems):
@@ -257,8 +265,10 @@ def _lattices(n: int, distributive: bool = False):
       makes smaller cannot grow into a least labelling: relabelling that
       prefix (a down-set) and keeping the later labels gives a natural
       labelling of the same lattice that is smaller at an earlier position.
-      So the test in _least_labelling runs at every node, and at the leaf
-      it decides exactly.
+      So the test, that _relabellings(below, below) yields no None, runs
+      at every node, and at the leaf it decides exactly.  The same search
+      gives a kept lattice's automorphisms and antitone involutions, as
+      _automorphisms and _involutions say.
 
     Why the catalog does not change when only these lattices are searched:
     suppose a class of algebras first appears on a labelled lattice L_j
@@ -270,9 +280,6 @@ def _lattices(n: int, distributive: bool = False):
     first table of each class, which the catalog keeps, is the same.
     """
     full = (1 << n) - 1
-    if n == 1:
-        yield ((0,),), ((0,),)
-        return
     below: list[int] = [1]  # element 0 is the bottom
 
     def rec(ji):
@@ -290,7 +297,7 @@ def _lattices(n: int, distributive: bool = False):
             below.append(nb)
             nji = ji | (1 << i) if mask in known else ji
             if ((not distributive or _distributive_ideal(below, nji, i))
-                    and _least_labelling(below)):
+                    and None not in _relabellings(below, below)):
                 yield from rec(nji)
             below.pop()
 
@@ -298,21 +305,15 @@ def _lattices(n: int, distributive: bool = False):
 
 
 def _tables_from_below(below: list[int], n: int):
+    """meet and join of a naturally labelled lattice; a v b is the upper
+    bound with the least label, as it lies below the others."""
     idx = {b: k for k, b in enumerate(below)}
     meet = tuple(tuple(idx[below[a] & below[b]] for b in range(n))
                  for a in range(n))
-    join_rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            u = below[a] | below[b]
-            m = (1 << n) - 1
-            for k in range(n):
-                if below[k] & u == u:
-                    m &= below[k]
-            row.append(idx[m])
-        join_rows.append(tuple(row))
-    return meet, tuple(join_rows)
+    join = tuple(tuple(next(k for k, d in enumerate(below) if d & u == u)
+                       for u in (below[a] | below[b] for b in range(n)))
+                 for a in range(n))
+    return meet, join
 
 
 def _lattice_distributive(meet, join, n) -> bool:
@@ -322,74 +323,38 @@ def _lattice_distributive(meet, join, n) -> bool:
                for a in range(n) for b in range(n) for c in range(n))
 
 
+def _down_sets(meet, n) -> list[int]:
+    """The down-set vector of a lattice: bit c of entry a is c <= a."""
+    return [sum(1 << c for c in range(n) if meet[c][a] == c) for a in range(n)]
+
+
 def _automorphisms(meet, n):
-    """The order automorphisms of the lattice, which are its lattice
-    automorphisms, as tuples in lexicographic order (the identity first).
-
-    Backtracking: a takes a free image v that has the same number of
-    elements below and above it as a, and the pair is kept if a and v
-    compare alike with every element placed so far and its image.
-    """
-    rng = range(n)
-    L = [[meet[a][b] == a for b in rng] for a in rng]
-    shape = [(sum(L[b][a] for b in rng), sum(L[a])) for a in rng]
-    images = [[v for v in rng if shape[v] == shape[a]] for a in rng]
-    s = [-1] * n
-    used = [False] * n
-    out = []
-
-    def rec(a):
-        if a == n:
-            out.append(tuple(s))
-            return
-        for v in images[a]:
-            if used[v] or not all(L[b][a] == L[s[b]][v]
-                                  and L[a][b] == L[v][s[b]]
-                                  for b in range(a)):
-                continue
-            s[a], used[v] = v, True
-            rec(a + 1)
-            used[v] = False
-        s[a] = -1
-
-    rec(0)
-    return out
+    """The automorphisms of a naturally labelled lattice, as tuples in
+    lexicographic order (the identity first): its relabellings onto its own
+    down-set vector, which induce its own order."""
+    b = _down_sets(meet, n)
+    return sorted(filter(None, _relabellings(b, b)))
 
 
 # ---- layer 2: antitone involutions ------------------------------------------
 
 
 def _involutions(meet, n):
-    """Antitone involutions of the lattice, as tuples in lexicographic order.
+    """Antitone involutions of a naturally labelled lattice L, as tuples in
+    lexicographic order, the order itertools.permutations lists them in.
 
-    Built as matchings: the least unmatched position i takes a free partner
-    v >= i, tried in increasing order, and the new pair is kept if
-    a <= b iff ~b <= ~a holds between i and every element already placed.
-    That covers every pair: the condition for (v, u) is the one for
-    (~u, i) read through ~, and ~u is placed with u.  Branching happens only
-    at the least open position, so the output is exactly the involutive
-    antitone permutations in the order itertools.permutations lists them.
+    An antitone bijection of L is an isomorphism of the dual L^op onto L.
+    Labelled x -> n-1-x, L^op is naturally labelled with down-set vector up
+    (L's up-sets, reversed), so the relabellings lambda of up onto L's
+    vector give every antitone bijection nu(a) = lambda(n-1-a) exactly
+    once, on any natural labelling: |Aut(L)| of them when L is self-dual,
+    none otherwise.  The nu with nu.nu = id are kept.
     """
-    L = [[meet[a][b] == a for b in range(n)] for a in range(n)]
-    p = [-1] * n
-
-    def rec(i):
-        while i < n and p[i] >= 0:
-            i += 1
-        if i == n:
-            yield tuple(p)
-            return
-        Li = L[i]
-        for v in range(i, n):
-            if p[v] >= 0:
-                continue
-            p[i], p[v] = v, i
-            if all(p[u] < 0 or (Li[u] == L[p[u]][v] and L[u][i] == L[v][p[u]])
-                   for u in range(n)):
-                yield from rec(i + 1)
-            p[i] = p[v] = -1
-
-    yield from rec(0)
+    up = [sum(1 << (n - 1 - c) for c in range(n) if meet[a][c] == a)
+          for a in reversed(range(n))]
+    nus = (lam[::-1] for lam in filter(None, _relabellings(
+        up, _down_sets(meet, n))))
+    yield from sorted(nu for nu in nus if all(nu[nu[a]] == a for a in range(n)))
 
 
 # ---- layer 3: fusion tables by constraint-propagating DFS -------------------

@@ -34,6 +34,11 @@ class TooManyVariables(ValueError):
     pass
 
 
+class TermTooDeep(ValueError):
+    """A term built in code, not parsed, nests deeper than MAX_DEPTH levels;
+    evaluate and satisfies raise it before compiling the term."""
+
+
 # ---- AST -------------------------------------------------------------------
 
 
@@ -108,22 +113,26 @@ E = Const("e")
 F = Const("f")
 
 
+def _walk(node):
+    """Every statement and term inside node, each with its number of
+    operators above it, walked without recursion."""
+    todo = [(node, 0)]
+    while todo:
+        t, h = todo.pop()
+        yield t, h
+        if isinstance(t, Neg):
+            todo.append((t.arg, h + 1))
+        elif isinstance(t, (Equation, Inequation)):
+            todo += ((t.lhs, h), (t.rhs, h))
+        elif isinstance(t, QuasiEquation):
+            todo += ((u, h) for u in (*t.premises, t.conclusion))
+        elif not isinstance(t, (Var, Const)):
+            todo += ((t.left, h + 1), (t.right, h + 1))
+
+
 def variables(node) -> list[str]:
     """Variable names, sorted (this fixes the assignment iteration order)."""
-    seen, todo = set(), [node]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            seen.add(t.name)
-        elif isinstance(t, Neg):
-            todo.append(t.arg)
-        elif isinstance(t, (Equation, Inequation)):
-            todo += (t.lhs, t.rhs)
-        elif isinstance(t, QuasiEquation):
-            todo += (*t.premises, t.conclusion)
-        elif not isinstance(t, Const):
-            todo += (t.left, t.right)
-    return sorted(seen)
+    return sorted({t.name for t, _ in _walk(node) if isinstance(t, Var)})
 
 
 # ---- parsing ---------------------------------------------------------------
@@ -158,6 +167,7 @@ def _tokenize(text: str):
 # (printing, variables, hashing, the compiled code) then stays far inside the
 # interpreter's recursion and nesting limits.
 MAX_DEPTH = 100
+_TOO_DEEP = f"term nested deeper than {MAX_DEPTH} levels"
 
 _CHAINS = (("\\/", Join), ("/\\", Meet), ("*", Fusion))  # loosest first
 
@@ -180,8 +190,7 @@ class _Parser:
         return kind, val, pos
 
     def too_deep(self) -> ParseError:
-        return ParseError(f"term nested deeper than {MAX_DEPTH} levels",
-                          self.peek()[2])
+        return ParseError(_TOO_DEEP, self.peek()[2])
 
     def nested(self, parse) -> Term:
         """parse(), one level deeper."""
@@ -381,9 +390,21 @@ def _source(node, slots: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cache
 def _compiled(node) -> tuple[list[str], object]:
-    """(sorted variable names, compiled run) of a term or statement."""
+    """(sorted variable names, compiled run) of a term or statement.  A
+    term nested deeper than MAX_DEPTH, which only code can build, raises
+    TermTooDeep; far deeper, the cache's hash of it passes the recursion
+    limit first."""
+    try:
+        return _compile(node)
+    except RecursionError:
+        raise TermTooDeep(_TOO_DEEP) from None
+
+
+@cache
+def _compile(node) -> tuple[list[str], object]:
+    if max(h for _, h in _walk(node)) > MAX_DEPTH:
+        raise TermTooDeep(_TOO_DEEP)
     names = variables(node)
     scope = {"__builtins__": {}, "product": product}
     exec(_source(node, {nm: f"v{i}" for i, nm in enumerate(names)}), scope)

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmm.cli import build_parser, main
-from dmm.constructions import (NAMED_BASIC, direct_product, e_free_reduct,
-                               make_named)
+from dmm.constructions import (MAX_NAMED_SIZE, NAMED_BASIC, direct_product,
+                               e_free_reduct, make_named)
 from dmm.enumeration import Catalog
 from dmm.relevant import dfg_oracle
 
@@ -45,6 +46,22 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "satisfies", "--algebra", "2",
                        "--statement", "x * y")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("name", ["S99999999", "C4ext_99999999",
+                                  f"S{MAX_NAMED_SIZE + 1}", "C4ext_31"])
+def test_named_algebra_above_size_limit_exits_2_at_once(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--algebra", name)
+    assert code == 2 and out == "" and "error:" in err
+    assert f"limit of {MAX_NAMED_SIZE}" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_named_algebras_within_size_limit_build():
+    # C4ext_k has 4 + 2k elements, so C4ext_30 is at the limit
+    assert [make_named(nm).size for nm in ("S12", "C4ext_4", "C4ext_30")] \
+        == [12, 12, MAX_NAMED_SIZE]
 
 
 def test_satisfies_pass_and_fail(capsys):

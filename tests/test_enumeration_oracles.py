@@ -35,8 +35,9 @@ from itertools import permutations, product
 from dmm import enumeration
 from dmm.algebra import FiniteIRL, validate_dmm, validate_irl
 from dmm.constructions import canonical_form, homs
-from dmm.enumeration import (SearchSpec, _automorphisms, _fusion_tables,
-                             _involutions, _lattice_distributive, _lattices,
+from dmm.enumeration import (SearchSpec, _automorphisms, _down_sets,
+                             _fusion_tables, _involutions,
+                             _lattice_distributive, _lattices, _relabellings,
                              _tables_from_below, enumerate_algebras)
 from test_enumeration import GOLDEN_DMM_COUNTS, GOLDEN_IRL_COUNTS
 
@@ -351,6 +352,29 @@ def test_automorphisms_match_brute_force():
             for meet, _ in _lattices(n, distributive):
                 assert _automorphisms(meet, n) == \
                     sorted(oracle_automorphisms(meet, n)), meet
+
+
+def test_involutions_match_brute_force_on_every_class():
+    # _compare reaches only the distributive lattices at n = 6 and 7
+    for n in range(1, 8):
+        for meet, _ in _lattices(n):
+            assert list(_involutions(meet, n)) == \
+                list(oracle_involutions(meet, n)), meet
+
+
+def test_dual_search_counts_automorphisms_or_nothing():
+    # the relabellings of the dual L^op onto L are the isomorphisms
+    # L^op -> L: |Aut(L)| of them when L is self-dual, none otherwise
+    for n in range(1, 8):
+        for meet, join in _lattices(n):
+            r = range(n)
+            dual = tuple(tuple(n - 1 - join[n - 1 - a][n - 1 - b] for b in r)
+                         for a in r)
+            maps = list(filter(None, _relabellings(_down_sets(dual, n),
+                                                   _down_sets(meet, n))))
+            self_dual = lattice_isomorphic(dual, meet, n)
+            assert len(maps) == (len(_automorphisms(meet, n))
+                                 if self_dual else 0), meet
 
 
 def orbit(neg, e, auts):

@@ -19,3 +19,14 @@ def test_build_catalogs_checks_sizes_before_search(tmp_path, flags):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_sugihara_tower_checks_max_before_work():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sugihara_tower.py"),
+         "--max", "99999999"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+    assert proc.stdout == ""

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from dmm.terms import (LAW_LIBRARY, MAX_DEPTH, Arrow, Const, Equation, Fusion,
                        Inequation, Join, Meet, Neg, ParseError, QuasiEquation,
-                       SatisfactionResult, TooManyVariables, UnboundVariable,
+                       SatisfactionResult, TermTooDeep, TooManyVariables,
+                       UnboundVariable,
                        Var, _source, evaluate, law_statements, parse,
                        parse_statement, satisfies, statements_from_text,
                        to_text, variables)
@@ -92,6 +93,33 @@ def test_nesting_bound():
                  + " * x" * 40):
         with pytest.raises(ParseError, match="nested deeper"):
             parse(text + " <= x")
+
+
+def fusion_chain(depth):
+    """x * x * ... * x built in code, depth operators deep."""
+    t = x
+    for _ in range(depth):
+        t = Fusion(t, x)
+    return t
+
+
+# the parser bounds the depth of what it builds; code can build deeper, and
+# past about 200 levels the compiled source would not compile, and past
+# the recursion limit the tree would not hash
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 300, 5000])
+def test_satisfies_refuses_deep_code_built_terms(named, depth):
+    # square-increasing: x <= x * x <= x * x * x ...
+    assert satisfies(named["C4"],
+                     Inequation(x, fusion_chain(MAX_DEPTH))).holds
+    with pytest.raises(TermTooDeep, match="nested deeper"):
+        satisfies(named["C4"], Inequation(x, fusion_chain(depth)))
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 300, 5000])
+def test_evaluate_refuses_deep_code_built_terms(named, depth):
+    assert evaluate(fusion_chain(MAX_DEPTH), named["C4"], {"x": 1}) == 1
+    with pytest.raises(TermTooDeep, match="nested deeper"):
+        evaluate(fusion_chain(depth), named["C4"], {"x": 1})
 
 
 def test_premises_need_conclusion():
