@@ -17,16 +17,18 @@ them.  Both are exact on every natural labelling.
 
 The lattice layer yields one labelled lattice per isomorphism class: the
 first one the unpruned down-set search would yield, which is the
-lexicographically least down-set vector.  A prefix that another labelling
-of itself makes smaller is cut, since it cannot grow into a least
-labelling.  When the class is distributive the layer also cuts a branch as
-soon as the new element's principal ideal is not distributive, checked by
-Birkhoff's criterion (the join-irreducibles below a v b are those below a
-or b) on the pairs whose join is the new element.  Searching only the first
-lattice of each class keeps the catalog's bytes: the first table of every
-class of algebras lies on the first lattice of its lattice class, since an
-isomorphic lattice met earlier would carry the same class, and the search
-there would find it sooner.  _lattices gives the details.
+lexicographically least down-set vector.  For every lattice that search
+runs, and a prefix that another labelling of itself makes smaller is cut,
+since it cannot grow into a least labelling.  A distributive lattice is
+built instead by Birkhoff's representation, as the down-sets O(P) of its
+poset P of join-irreducibles: the posets with n down-sets are grown one
+maximal point at a time, one per isomorphism class by the same cut, each
+O(P) is labelled by its least vector, and the sorted least vectors are the
+search's output.  Searching only the first lattice of each class keeps the
+catalog's bytes: the first table of every class of algebras lies on the
+first lattice of its lattice class, since an isomorphic lattice met earlier
+would carry the same class, and the search there would find it sooner.
+_lattices gives the details.
 
 The DFS checks incrementally: after assigning a cell it checks only the
 constraint instances (monotonicity, square-increasingness, the involution
@@ -163,14 +165,12 @@ class Catalog:
 # ---- layer 1: naturally-labeled lattices, one per isomorphism class --------
 
 
-def _down_closed_subsets(below: list[int], i: int) -> list[int]:
-    """Bitmask subsets of {0..i-1} closed downward in the current order."""
-    out = []
-    for mask in range(1 << i):
-        if all(not (mask >> j) & 1 or (below[j] & mask) == below[j]
-               for j in range(i)):
-            out.append(mask)
-    return out
+def _with_point(downs: list[int], strict: int, i: int) -> list[int]:
+    """The down-sets, as bitmasks, of an order on 0..i-1 with down-sets
+    downs once element i is added as a maximal element with strict down-set
+    strict.  The new down-sets hold bit i, so ascending downs stay
+    ascending."""
+    return downs + [d | 1 << i for d in downs if d & strict == strict]
 
 
 @cache
@@ -215,60 +215,91 @@ def _relabellings(below: list[int], target: list[int]):
     return rec(0, 0)
 
 
-def _distributive_ideal(below: list[int], ji: int, i: int) -> bool:
-    """Whether the ideal down(i) is distributive, given that every down(j),
-    j < i, is.  ji is the bitmask of the join-irreducible elements.
+def _least_vector(below: list[int]) -> list[int]:
+    """The least down-set vector over the linear extensions of the order in
+    which element x has down-set bitmask below[x].  The extensions are
+    walked position by position, as in _relabellings; at each position only
+    the elements that give the least entry are kept, and only ties
+    branch."""
+    m = len(below)
+    vector, states = [], [((0,) * m, 0)]  # (element -> position, placed)
+    for k in range(m):
+        least, ties = None, []
+        for new, placed in states:
+            for x in _bits(((1 << m) - 1) & ~placed):
+                strict = below[x] & ~(1 << x)
+                if strict & ~placed:
+                    continue
+                w = 1 << k
+                for y in _bits(strict):
+                    w |= 1 << new[y]
+                if least is None or w < least:
+                    least, ties = w, []
+                if w == least:
+                    ties.append((new, placed, x))
+        vector.append(least)
+        states = [(new[:x] + (k,) + new[x + 1:], placed | 1 << x)
+                  for new, placed, x in ties]
+    return vector
 
-    Birkhoff: a finite lattice is distributive iff x -> J(x), the
-    join-irreducibles below x, sends joins to unions (it always sends meets
-    to intersections, and x is the join of J(x)).  Pairs whose join lies
-    below i were checked in smaller ideals, so only the pairs a, b < i with
-    a v b = i are left: those with no common upper bound strictly below i.
-    """
-    elems = _bits(below[i] & ~(1 << i))
-    downs = [below[c] for c in elems]
-    j_i = below[i] & ji
-    for x, a in enumerate(elems):
-        for b in elems[x + 1:]:
-            pair = (1 << a) | (1 << b)
-            if any(d & pair == pair for d in downs):
+
+def _posets(n: int):
+    """Yield O(P), the down-sets of P as ascending bitmasks, for each poset
+    P with n down-sets, one P per isomorphism class.
+
+    P grows one maximal point at a time: point i's strict down-set is a
+    down-set of the points before it, tried in ascending order, so P's
+    down-set vector is a natural labelling.  A prefix that another
+    labelling of itself makes smaller is cut, as in _lattices, which keeps
+    the least labelling of each class.  Adding a point adds the down-set of
+    all points and removes none, so a branch is cut once it has more than
+    n down-sets."""
+    below: list[int] = []
+
+    def rec(downs):
+        i = len(below)
+        if len(downs) == n:
+            yield downs
+            return
+        for mask in downs:
+            grown = _with_point(downs, mask, i)
+            if len(grown) > n:
                 continue
-            if (below[a] | below[b]) & ji != j_i:
-                return False
-    return True
+            below.append(mask | 1 << i)
+            if None not in _relabellings(below, below):
+                yield from rec(grown)
+            below.pop()
+
+    yield from rec([0])
 
 
 def _lattices(n: int, distributive: bool = False):
     """Yield (meet, join) tables of the lattices on 0..n-1, one per
-    isomorphism class (only the distributive ones if asked), each with a
-    natural labelling: a linear extension with 0 = bottom and n-1 = top.
+    isomorphism class (only the distributive ones if asked), each with its
+    least natural labelling: a linear extension with 0 = bottom and
+    n-1 = top whose down-set vector (below[0], ..., below[n-1]) of bitmasks
+    is lexicographically least.  They come in ascending order of that
+    vector.
 
-    Elements are added one at a time; element i's strict down-set is a
-    down-closed subset of the existing order, and pairwise meets must stay
-    principal at every step (top arrives last, so joins then exist for
-    free).  The labelling is recorded as the down-set vector
-    (below[0], ..., below[n-1]) of bitmasks, and subsets are tried in
-    increasing order, so without pruning every natural labelling of every
-    lattice would come out in lexicographic order of that vector.
-
-    Two prunes cut that search, each exact:
-
-    - Distributivity.  Every prefix 0..i is a down-set of the final
-      lattice, so down(i) is already final when i is added.  A lattice is
-      distributive iff each principal ideal is (down(top) is the lattice),
-      so a branch is cut as soon as the new down(i) is not; see
-      _distributive_ideal.  Join-irreducibility is final on arrival too:
-      i is join-irreducible iff its strict down-set is some down(j).
-    - First of its class.  Only the lexicographically least labelling of
-      each lattice is kept, which is the first one the unpruned search
-      would yield.  A prefix that some other linear extension of itself
+    - Every lattice.  Elements are added one at a time; element i's strict
+      down-set is a down-set of the existing order, tried in ascending
+      order, and pairwise meets must stay principal at every step (top
+      arrives last, so joins then exist for free).  Without pruning every
+      natural labelling of every lattice would come out in ascending order
+      of its vector.  A prefix that some other linear extension of itself
       makes smaller cannot grow into a least labelling: relabelling that
       prefix (a down-set) and keeping the later labels gives a natural
       labelling of the same lattice that is smaller at an earlier position.
-      So the test, that _relabellings(below, below) yields no None, runs
-      at every node, and at the leaf it decides exactly.  The same search
+      So the test, that _relabellings(below, below) yields no None, runs at
+      every node, and at the leaf it decides exactly.  The same search
       gives a kept lattice's automorphisms and antitone involutions, as
       _automorphisms and _involutions say.
+    - Distributive.  By Birkhoff's representation a finite distributive
+      lattice is O(P), the down-sets of its poset P of join-irreducibles
+      ordered by inclusion, and P is unique up to isomorphism.  So the
+      classes are O(P) for the posets P with n down-sets, one per class
+      (_posets).  Each O(P) gets its least vector (_least_vector), and the
+      sorted least vectors are the vectors the search above would keep.
 
     Why the catalog does not change when only these lattices are searched:
     suppose a class of algebras first appears on a labelled lattice L_j
@@ -279,29 +310,37 @@ def _lattices(n: int, distributive: bool = False):
     of its lattice class, the kept lattices come in the old order, and the
     first table of each class, which the catalog keeps, is the same.
     """
+    if distributive:
+        # O(P) in ascending mask order is a natural labelling, since a
+        # down-set inside another has the smaller mask
+        vectors = sorted(
+            _least_vector([sum(1 << j for j, d in enumerate(downs)
+                               if d & D == d) for D in downs])
+            for downs in _posets(n))
+        for below in vectors:
+            yield _tables_from_below(below, n)
+        return
     full = (1 << n) - 1
     below: list[int] = [1]  # element 0 is the bottom
 
-    def rec(ji):
+    def rec(downs):
         i = len(below)
         if i == n:
             yield _tables_from_below(below, n)
             return
         known = set(below)
-        for mask in _down_closed_subsets(below, i):
+        for mask in downs:
             nb = mask | (1 << i)
             if i == n - 1 and nb != full:
                 continue
             if not all((nb & below[j]) in known for j in range(i)):
                 continue
             below.append(nb)
-            nji = ji | (1 << i) if mask in known else ji
-            if ((not distributive or _distributive_ideal(below, nji, i))
-                    and None not in _relabellings(below, below)):
-                yield from rec(nji)
+            if None not in _relabellings(below, below):
+                yield from rec(_with_point(downs, mask, i))
             below.pop()
 
-    yield from rec(0)
+    yield from rec([0, 1])
 
 
 def _tables_from_below(below: list[int], n: int):

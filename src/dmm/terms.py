@@ -390,25 +390,27 @@ def _source(node, slots: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# id(node) -> (node, sorted variable names, compiled run).  Looking a node
+# up by identity skips hashing the whole frozen tree on every call, and
+# holding the node keeps its id from being reused.  Library callers pass
+# long-lived nodes (law_statements returns the same objects on every call).
+_COMPILED: dict[int, tuple] = {}
+
+
 def _compiled(node) -> tuple[list[str], object]:
     """(sorted variable names, compiled run) of a term or statement.  A
     term nested deeper than MAX_DEPTH, which only code can build, raises
-    TermTooDeep; far deeper, the cache's hash of it passes the recursion
-    limit first."""
-    try:
-        return _compile(node)
-    except RecursionError:
-        raise TermTooDeep(_TOO_DEEP) from None
-
-
-@cache
-def _compile(node) -> tuple[list[str], object]:
-    if max(h for _, h in _walk(node)) > MAX_DEPTH:
-        raise TermTooDeep(_TOO_DEEP)
-    names = variables(node)
-    scope = {"__builtins__": {}, "product": product}
-    exec(_source(node, {nm: f"v{i}" for i, nm in enumerate(names)}), scope)
-    return names, scope["run"]
+    TermTooDeep."""
+    hit = _COMPILED.get(id(node))
+    if hit is None:
+        if max(h for _, h in _walk(node)) > MAX_DEPTH:
+            raise TermTooDeep(_TOO_DEEP)
+        names = variables(node)
+        scope = {"__builtins__": {}, "product": product}
+        exec(_source(node, {nm: f"v{i}" for i, nm in enumerate(names)}),
+             scope)
+        hit = _COMPILED[id(node)] = (node, names, scope["run"])
+    return hit[1], hit[2]
 
 
 def evaluate(t: Term, A: FiniteIRL, assignment: dict[str, int]) -> int:

@@ -67,6 +67,10 @@ CATALOG_SHA256 = {
         "5c479ba1381a04a16b4767aed347481d4a6efb5f344624d4874b3bdc6ab3c6f3",
     ("irl", 7):
         "f7c06eb5cbd0d4343d4cd2133628c936eab51c4b9ea55f899b76ed8515829ada",
+    # recorded before distributive lattices were built from their posets of
+    # join-irreducibles
+    ("dmm", 10):
+        "3461639aa83dd907d69179875ae4dec22740597ac0f635aa829f694026cdc781",
 }
 
 

@@ -3,8 +3,8 @@ involution and fusion layers, compared against the pruned and incremental
 forms in dmm.enumeration.
 
 The lattice oracle yields every natural labelling of every lattice, where
-the library keeps the first labelling of each isomorphism class and prunes
-non-distributive branches on request.  The involution oracle filters every
+the library keeps the first labelling of each isomorphism class and, on
+request, builds only the distributive ones from posets.  The involution oracle filters every
 permutation of the elements.  The fusion oracle runs the same depth-first
 search over the same cells as the library, but after each assignment it
 rechecks every constraint over every decided cell, residual existence on
@@ -339,11 +339,20 @@ def test_lattices_are_first_of_each_class():
 
 
 def test_lattice_counts_match_oeis():
-    # A006966 (lattices) and A006982 (distributive lattices), n = 1..8
+    # A006966 (lattices), n = 1..8, and A006982 (distributive lattices),
+    # n = 1..12
     assert [sum(1 for _ in _lattices(n)) for n in range(1, 9)] == \
         [1, 1, 1, 2, 5, 15, 53, 222]
-    assert [sum(1 for _ in _lattices(n, True)) for n in range(1, 9)] == \
-        [1, 1, 1, 2, 3, 5, 8, 15]
+    assert [sum(1 for _ in _lattices(n, True)) for n in range(1, 13)] == \
+        [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151]
+
+
+def test_distributive_lattices_are_the_distributive_subsequence():
+    # the O(P) construction yields the distributive lattices of the generic
+    # search, with the same labellings and in the same order
+    for n in range(1, 9):
+        assert list(_lattices(n, True)) == \
+            [L for L in _lattices(n) if _lattice_distributive(*L, n)], n
 
 
 def test_automorphisms_match_brute_force():

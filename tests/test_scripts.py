@@ -30,3 +30,22 @@ def test_sugihara_tower_checks_max_before_work():
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_sugihara_tower_surjections_to_24():
+    # S_2m maps onto S_2m-1 in exactly one way, identifying m-1 and m; the
+    # tower finds it from the quotients, without listing every homomorphism
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sugihara_tower.py"),
+         "--max", "24"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln.strip() for ln in proc.stdout.splitlines()
+             if ln.startswith("    ")]
+    want = []
+    for m in range(2, 13):
+        h = (*range(m), *range(m - 1, 2 * m - 1))
+        want += [f"maps onto S{2 * m - 1}: 1 surjection(s)",
+                 f"surjection {h}, identifies [({m - 1}, {m})]"]
+    assert lines == want
