@@ -198,6 +198,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = SearchSpec.for_class(args.klass, args.size)
+    # a missing directory fails before the search, not after it
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(f"{args.out}: no such directory")
     cat = enumerate_algebras(spec, unsafe=args.unsafe_size)
     if args.out:
         cat.save(args.out)

@@ -81,16 +81,27 @@ def _from_order(values, leq_pairs, fusion, neg, e, name, labels=None):
                 raise NotAnIRL(f"not a lattice at ({a}, {b})")
             meet[idx[a]][idx[b]] = idx[m[0]]
             join[idx[a]][idx[b]] = idx[j[0]]
-    fus = [[idx[fusion(a, b)] for b in values] for a in values]
-    ng = [idx[neg(a)] for a in values]
-    return FiniteIRL.from_tables(n, meet, join, fus, ng, idx[e], name=name,
-                                 labels=labels or [str(v) for v in values])
+    return _assemble(values, meet, join, fusion, neg, e, name, labels)
 
 
 def _chain(values, fusion, neg, e, name, labels=None):
-    pairs = {(a, b) for a in values for b in values
-             if values.index(a) <= values.index(b)}
-    return _from_order(values, pairs, fusion, neg, e, name, labels)
+    """Assemble an algebra on the chain values, listed from the bottom up:
+    meet and join are min and max of positions."""
+    rng = range(len(values))
+    return _assemble(values, [[min(i, j) for j in rng] for i in rng],
+                     [[max(i, j) for j in rng] for i in rng],
+                     fusion, neg, e, name, labels)
+
+
+def _assemble(values, meet, join, fusion, neg, e, name, labels):
+    """The algebra with the given lattice tables over the positions of
+    values, and fusion, neg and e over the values themselves."""
+    idx = {v: i for i, v in enumerate(values)}
+    fus = [[idx[fusion(a, b)] for b in values] for a in values]
+    ng = [idx[neg(a)] for a in values]
+    return FiniteIRL.from_tables(len(values), meet, join, fus, ng, idx[e],
+                                 name=name,
+                                 labels=labels or [str(v) for v in values])
 
 
 def make_sugihara(n: int) -> FiniteIRL:

@@ -30,16 +30,21 @@ first lattice of its lattice class, since an isomorphic lattice met earlier
 would carry the same class, and the search there would find it sooner.
 _lattices gives the details.
 
-The DFS checks incrementally: after assigning a cell it checks only the
-constraint instances (monotonicity, square-increasingness, the involution
-law, associativity) that mention that cell.  This is exact, not a
-relaxation.  The prefilled e and bottom rows satisfy every constraint on
-their own, and every node above passed the check of all its decided cells,
-so a constraint that does not mention the new cell was already checked and
-holds.  The search therefore keeps and prunes exactly the nodes a full
-recheck after every assignment would; _fusion_tables gives the details, and
-tests/test_enumeration_oracles.py compares every layer against an unpruned
-or full-recheck oracle.
+The DFS runs over per-cell domains and checks incrementally: a value of a
+cell is checked only against the constraint instances (monotonicity,
+square-increasingness, the involution law, associativity) that mention that
+cell.  The instances that read the new cell only as its value are checked
+once per cell, as a bitmask of the allowed values, the way finite-model
+searchers such as SEM and Mace4 keep cell domains; a value outside the
+domain fails one of them.  Only the associativity instances that read the
+value somewhere else in the table are checked value by value.  This is
+exact, not a relaxation.  The prefilled e and bottom rows satisfy every
+constraint on their own, and every node above passed the check of all its
+decided cells, so a constraint that does not mention the new cell was
+already checked and holds.  The search therefore keeps and prunes exactly
+the nodes a full recheck after every assignment would; _fusion_tables gives
+the details, and tests/test_enumeration_oracles.py compares every layer
+against an unpruned or full-recheck oracle.
 
 Isomorphism is decided on each lattice by its automorphism group Aut(L),
 computed once per lattice.  The kept lattices are pairwise non-isomorphic,
@@ -405,8 +410,8 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
 
     The e row is fixed by neutrality and the bottom row by absorption (both
     forced in any residuated lattice).  Cells (a, b), a <= b, are then filled
-    in a fixed order, and each value v is screened by the constraint
-    instances that mention the new cell (a, b) = (b, a):
+    in a fixed order, and a value v of the new cell (a, b) = (b, a) must
+    pass the constraint instances that mention that cell:
 
     - monotonicity against the decided cells in down(a) x down(b) and
       up(a) x up(b);
@@ -418,6 +423,38 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     - associativity (x*y)*z = x*(y*z) on the decided triples whose x*y or
       (x*y)*z is the new cell.  By commutativity the triple (z, y, x) is the
       same equation with y*z and x*(y*z) in those places.
+
+    These instances are checked in two parts.  The domain of the cell, a
+    bitmask computed once on entering it, holds the values that pass every
+    instance that reads the new cell only as v:
+
+    - all the monotonicity, square-increasingness and involution-law
+      instances (the involution instance that also reads the new cell as
+      ~z*y holds for every v);
+    - the associativity instances whose (x*y)*z is the new cell and whose
+      x*y, y*z and x*(y*z) are other cells: v = x*(y*z).  Their x*y is a or
+      b, so they are read off where[a] and where[b], the cells assigned by
+      the search indexed by value; where is updated when a cell is assigned
+      and when the assignment is undone.
+
+    The per-value check, run on the values in the domain only, covers the
+    associativity instances that read v somewhere else:
+
+    - v*z = x*(y*z) on the triples whose x*y is the new cell, where
+      x*(y*z) is the new cell itself when y*z = y.  These include the
+      mirror images of the triples whose y*z and (x*y)*z are the new cell;
+    - for v in {a, b} and o the other argument, (v*o)*o = v*(o*o), whose
+      v*o and (v*o)*o are both the new cell: v*(o*o) = v.
+
+    A value outside the domain fails an instance that reads the new cell
+    only as v, and the per-value check covers every instance that reads it
+    elsewhere, so a value passes both parts exactly when it passes every
+    instance that mentions the cell.  Each value outside the domain counts
+    as one prune, as does each value that fails the per-value check.
+    Instances over prefilled cells that hold for every v are not visited:
+    the bottom row in down(a) x down(b), u*y with u = bot in the involution
+    law, z in {e, bot} in v*z = x*(y*z), and an e-row x*y, whose triples read
+    the new cell as y*z or as x*(y*z).
 
     The result is exactly that of rechecking every constraint over every
     decided cell after each assignment:
@@ -442,6 +479,8 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     L = [[meet[a][b] == a for b in rng] for a in rng]
     down = [[c for c in rng if L[c][a]] for a in rng]
     up = [[c for c in rng if L[a][c]] for a in rng]
+    below = [sum(1 << c for c in down[a]) for a in rng]
+    above = [sum(1 << c for c in up[a]) for a in rng]
     bot = next(a for a in rng if len(up[a]) == n)
     if e == bot and n > 1:
         # e neutral and bottom absorbing collapse the algebra; no tables
@@ -452,54 +491,61 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
         fus[bot][x] = fus[x][bot] = bot
     cells = [(a, b) for a in rng for b in range(a, n)
              if fus[a][b] < 0]
+    lower = [[c for c in down[a] if c != bot] for a in rng]
+    dual = [(u, below[neg[u]]) for u in rng if u != bot]
+    inner = [z for z in rng if z != e and z != bot]
+    where = [[] for _ in rng]
 
-    def ok_after(a, b, v):
-        Lv = L[v]
-        for c in down[a]:
+    def domain(a, b, pairs):
+        dom = (1 << n) - 1
+        for c in lower[a]:
             rowc = fus[c]
-            for d in down[b]:
+            for d in lower[b]:
                 w = rowc[d]
-                if w >= 0 and not L[w][v]:
-                    return False
+                if w >= 0:
+                    dom &= above[w]
         for c in up[a]:
             rowc = fus[c]
             for d in up[b]:
                 w = rowc[d]
-                if w >= 0 and not Lv[w]:
-                    return False
-        if square_increasing and a == b and not L[a][v]:
-            return False
-        rowv = fus[v]
-        for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
-            rowx, rowy, nx = fus[x], fus[y], neg[x]
-            # involution law at (x, y, ~u): v <= ~u iff u*y <= ~x
-            for u in rng:
+                if w >= 0:
+                    dom &= below[w]
+        if square_increasing and a == b:
+            dom &= above[a]
+        # involution law at (x, y, ~u): v <= ~u iff u*y <= ~x
+        for x, y in pairs:
+            rowy, nx = fus[y], neg[x]
+            for u, m in dual:
                 q = rowy[u]
-                if q >= 0 and Lv[neg[u]] != L[q][nx]:
-                    return False
-            # associativity at (x, y, z): v*z = x*(y*z)
-            for z in rng:
-                q = rowy[z]
                 if q >= 0:
-                    l, r = rowv[z], rowx[q]
-                    if l >= 0 and r >= 0 and l != r:
-                        return False
-        # associativity at (x, y, z) with (x*y)*z new: x*(y*z) = v
-        for x in rng:
-            rowx = fus[x]
-            for y in rng:
-                p = rowx[y]
-                if p == a:
-                    z = b
-                elif p == b:
-                    z = a
-                else:
-                    continue
-                q = fus[y][z]
+                    dom &= m if L[q][nx] else ~m
+        # associativity at (x, y, z) with (x*y)*z new: v = x*(y*z)
+        for p, z in pairs:
+            rowz = fus[z]
+            for x, y in where[p]:
+                q = rowz[y]
                 if q >= 0:
-                    r = rowx[q]
-                    if r >= 0 and r != v:
-                        return False
+                    r = fus[x][q]
+                    if r >= 0:
+                        dom &= 1 << r
+        return dom
+
+    def fits(a, b, v, known, fixed):
+        # the instances that read v somewhere other than the new cell
+        rowv = fus[v]
+        for z, r in known:
+            q = rowv[z]
+            if q >= 0 and q != r:
+                return False
+        for z in fixed:
+            q = rowv[z]
+            if q >= 0 and q != v:
+                return False
+        if a != b and (v == a or v == b):
+            # associativity at (v, o, o): v*(o*o) = v
+            q = fus[a + b - v][a + b - v]
+            if q >= 0 and rowv[q] >= 0 and rowv[q] != v:
+                return False
         return True
 
     def rec(k):
@@ -507,13 +553,29 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
             yield tuple(tuple(row) for row in fus)
             return
         a, b = cells[k]
-        for v in rng:
+        pairs = ((a, b),) if a == b else ((a, b), (b, a))
+        dom = domain(a, b, pairs)
+        if stats is not None:
+            stats["pruned"] += n - dom.bit_count()
+        # associativity at (x, y, z) with x*y new: v*z = x*(y*z), listed as
+        # (z, x*(y*z)) when x*(y*z) is decided and as z when y*z = y
+        known, fixed = [], []
+        for x, y in pairs:
+            rowx, rowy = fus[x], fus[y]
+            for z in inner:
+                q = rowy[z]
+                if q == y:
+                    fixed.append(z)
+                elif q >= 0 and rowx[q] >= 0:
+                    known.append((z, rowx[q]))
+        for v in _bits(dom):
             fus[a][b] = fus[b][a] = v
-            if ok_after(a, b, v):
+            if fits(a, b, v, known, fixed):
+                where[v].extend(pairs)
                 yield from rec(k + 1)
-            else:
-                if stats is not None:
-                    stats["pruned"] += 1
+                del where[v][-len(pairs):]
+            elif stats is not None:
+                stats["pruned"] += 1
         fus[a][b] = fus[b][a] = -1
 
     yield from rec(0)

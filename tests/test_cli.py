@@ -142,6 +142,18 @@ def test_enumerate_to_file(capsys, tmp_path):
     assert len(Catalog.load(p).algebras) == 4
 
 
+def test_enumerate_to_missing_directory_exits_2_before_search(
+        capsys, monkeypatch, tmp_path):
+    def no_search(*a, **kw):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("dmm.cli.enumerate_algebras", no_search)
+    p = tmp_path / "missing" / "cat.json"
+    code, out, err = run(capsys, "enumerate", "--size", "8", "--out", str(p))
+    assert code == 2 and out == "" and "no such directory" in err
+    assert not p.parent.exists()
+
+
 def test_homs_and_iso(capsys):
     code, out, _ = run(capsys, "homs", "--algebra", "S4", "--algebra2", "S3")
     assert code == 0

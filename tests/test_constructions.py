@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmm import constructions
 from dmm.algebra import validate_dmm
 from dmm.constructions import (NAMED_BASIC, UnknownName, canonical_form,
                                direct_product, e_free_reduct, homs,
@@ -94,6 +95,26 @@ def test_sugihara_even_odd_carriers():
     S7 = make_named("S_7")
     assert S7.e == 3 and S7.f == 3       # odd: e = 0 = f
 
+
+
+def oracle_chain(values, fusion, neg, e, name, labels=None):
+    """A chain assembled by the general order construction, which finds
+    each meet and join by listing common bounds."""
+    pairs = {(a, b) for a in values for b in values
+             if values.index(a) <= values.index(b)}
+    return constructions._from_order(values, pairs, fusion, neg, e, name,
+                                     labels)
+
+
+def test_chain_tables_match_order_construction(monkeypatch):
+    names = [f"S{n}" for n in range(1, 17)] + ["C4", "2"]
+
+    def tables(A):
+        return A.meet, A.join, A.fusion, A.neg, A.e, A.name, A.labels
+
+    fast = [tables(make_named(nm)) for nm in names]
+    monkeypatch.setattr(constructions, "_chain", oracle_chain)
+    assert fast == [tables(make_named(nm)) for nm in names]
 
 def test_sugihara_fusion_rule(named):
     S5 = named["S5"]                     # -2,-1,0,1,2

@@ -121,6 +121,9 @@ def test_search_counters_pinned(monkeypatch):
     assert _search_counters(monkeypatch, "dmm", 6) == (4, 22, 19, 949)
     assert _search_counters(monkeypatch, "dmm", 7) == (3, 12, 15, 1369)
     assert _search_counters(monkeypatch, "irl", 5) == (6, 17, 22, 459)
+    # the enumerate benchmark workload's largest sizes
+    assert _search_counters(monkeypatch, "dmm", 8) == (12, 62, 103, 14573)
+    assert _search_counters(monkeypatch, "irl", 6) == (19, 56, 110, 4729)
 
 
 @pytest.mark.parametrize("klass, n, validator", [

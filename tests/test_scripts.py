@@ -49,3 +49,18 @@ def test_sugihara_tower_surjections_to_24():
         want += [f"maps onto S{2 * m - 1}: 1 surjection(s)",
                  f"surjection {h}, identifies [({m - 1}, {m})]"]
     assert lines == want
+
+
+def test_fusion_digest_pins_dmm8():
+    # the tables and prune total of the fusion DFS over the triples the
+    # enumerator searches at dmm-8; the same script compares versions of the
+    # DFS at sizes above the ceiling
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fusion_digest.py"),
+         "--size", "8"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "dmm-8: 62 triples, 103 tables, 14573 pruned, sha256 28e83128f17c26c4"
+        "452bb2391dc052533bae4d5159f1a513f3468aa912995b03, dfs ")
