@@ -3,7 +3,7 @@
 enumerator searches at one size, and print the number of tables, the prune
 total, a SHA-256 digest of the tables and the DFS time.  Two versions of
 the DFS agree at a size when they print the same digest and prune total.
-It needs no canonical form, so it runs above the enumerator's ceiling.
+It runs only the search layers and checks no size ceiling.
 
 Example:
     python3 scripts/fusion_digest.py --class dmm --size 11
