@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Run the exhaustive law checks on the catalogs and a fixed corpus, and
+print one SHA-256 digest over their answers: every validate_irl and
+validate_dmm report, the validate_ra report of each e-free reduct, and
+every satisfies result for the LAW_LIBRARY statements.  Two versions of the
+checks agree when they print the same digest; the time is the checks' own.
+
+The inputs are the dmm catalogs of sizes 1..--dmm, the irl catalogs of sizes
+1..--irl, and, unless --no-corpus, S8, S10, S12, C4ext_2..4 and the products
+2^3, 2^4, S3^2, S3^3, C4x2, C4xS3, C4xC4, C4xD4 and D4xD4.
+
+Example:
+    python3 scripts/law_digest.py --dmm 8 --irl 6
+"""
+
+import argparse
+import hashlib
+import time
+from functools import reduce
+
+from dmm.algebra import NotAnIRL, validate_dmm, validate_irl
+from dmm.constructions import direct_product, e_free_reduct, make_named
+from dmm.enumeration import DEFAULT_MAX_SIZE, SearchSpec, enumerate_algebras
+from dmm.relevant import validate_ra
+from dmm.terms import LAW_LIBRARY, law_statements, satisfies
+
+CORPUS = (("S8",), ("S10",), ("S12",), ("C4ext_2",), ("C4ext_3",),
+          ("C4ext_4",), ("2", "2", "2"), ("2", "2", "2", "2"), ("S3", "S3"),
+          ("S3", "S3", "S3"), ("C4", "2"), ("C4", "S3"), ("C4", "C4"),
+          ("C4", "D4"), ("D4", "D4"))
+
+
+def answers(A):
+    """The lines the digest covers for one algebra."""
+    yield repr(validate_irl(A))
+    try:
+        yield repr(validate_dmm(A))
+    except NotAnIRL as exc:
+        yield f"NotAnIRL: {exc}"
+    yield repr(validate_ra(e_free_reduct(A)))
+    for law in LAW_LIBRARY:
+        for s in law_statements(law):
+            yield f"{law}: {satisfies(A, s)!r}"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--dmm", type=int, default=8,
+                    help="largest dmm catalog size (0 for none)")
+    ap.add_argument("--irl", type=int, default=6,
+                    help="largest irl catalog size (0 for none)")
+    ap.add_argument("--no-corpus", action="store_true")
+    args = ap.parse_args()
+    for flag in ("dmm", "irl"):
+        if not 0 <= getattr(args, flag) <= DEFAULT_MAX_SIZE:
+            ap.error(f"--{flag} must be between 0 and {DEFAULT_MAX_SIZE}")
+    algebras = [(f"{klass}{n}-{i}", A)
+                for klass in ("dmm", "irl")
+                for n in range(1, getattr(args, klass) + 1)
+                for i, A in enumerate(enumerate_algebras(
+                    SearchSpec.for_class(klass, n)).algebras)]
+    if not args.no_corpus:
+        algebras += [("x".join(f), reduce(direct_product, map(make_named, f)))
+                     for f in CORPUS]
+    digest = hashlib.sha256()
+    results = 0
+    t0 = time.perf_counter()
+    for name, A in algebras:
+        for line in answers(A):
+            digest.update(f"{name}\t{line}\n".encode())
+            results += 1
+    print(f"{len(algebras)} algebras, {results} results, "
+          f"sha256 {digest.hexdigest()}, "
+          f"checks {time.perf_counter() - t0:.2f}s")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from operator import itemgetter
 
 MAX_WITNESSES_PER_LAW = 32
 
@@ -332,22 +332,35 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
             col.add("e-neutral", (a,))
     if not col.violations:
         # Sanity: with the axioms in place, a -> b must be max{c : a*c <= b}.
-        for a, b in product(rng, rng):
-            r = A.residual(a, b)
-            sols = [c for c in rng if meet[fus[a][c]][b] == fus[a][c]]
-            if r not in sols or any(meet[c][r] != c for c in sols):
-                col.add("residual-is-max", (a, b))
+        # sols[b] is the bitmask of {c : a*c <= b}, built from the up-sets
+        # of the a*c; it must hold r = a -> b and lie in the down-set of r.
+        up = [[b for b in rng if meet[x][b] == x] for x in rng]
+        down = [sum(1 << c for c in rng if meet[c][r] == c) for r in rng]
+        for a in rng:
+            sols = [0] * A.size
+            for c, ac in enumerate(fus[a]):
+                for b in up[ac]:
+                    sols[b] |= 1 << c
+            for b, r in enumerate(A.residual_table[a]):
+                if not sols[b] >> r & 1 or sols[b] & ~down[r]:
+                    col.add("residual-is-max", (a, b))
     return col.report()
 
 
 def is_distributive(A: Tables) -> tuple[int, int, int] | None:
-    """First witness of a distributivity failure, or None."""
-    meet, join = A.meet, A.join
-    for a in range(A.size):
-        for b in range(A.size):
-            for c in range(A.size):
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    return (a, b, c)
+    """First witness of a distributivity failure, or None.  Row b of
+    a /\\ (b \\/ c) and of (a /\\ b) \\/ (a /\\ c) are compared whole, and c
+    is walked only in a row that differs."""
+    meet, join, rng = A.meet, A.join, range(A.size)
+    by_join = [itemgetter(*row) for row in join]  # by_join[b](r)[c] = r[b\/c]
+    for a in rng:
+        ma = meet[a]
+        by_ma = itemgetter(*ma)                   # by_ma(r)[c] = r[a/\c]
+        for b in rng:
+            if by_join[b](ma) != by_ma(join[ma[b]]):
+                for c in rng:
+                    if ma[join[b][c]] != join[ma[b]][ma[c]]:
+                        return (a, b, c)
     return None
 
 

@@ -118,20 +118,20 @@ def omega(A: FiniteIRL, G: DeductiveFilter) -> Congruence:
 
 
 def is_congruence(A: FiniteIRL, theta: Congruence) -> bool:
-    n = A.size
+    """Whether related elements have related negations and related rows of
+    meet, join and fusion.  Each element's rows, mapped to block ids, are
+    compared with those of the least member of its block, which by
+    transitivity compares every related pair."""
     blk = theta.blocks
-    if len(blk) != n:
+    if len(blk) != A.size:
         return False
-    for a in range(n):
-        for b in range(n):
-            if blk[a] != blk[b]:
-                continue
-            if blk[A.neg[a]] != blk[A.neg[b]]:
-                return False
-            for c in range(n):
-                for op in (A.meet, A.join, A.fusion):
-                    if blk[op[a][c]] != blk[op[b][c]]:
-                        return False
+    ids = blk.__getitem__
+    first: dict[int, tuple] = {}
+    for a in A.elements:
+        rows = (ids(A.neg[a]), *(tuple(map(ids, op[a]))
+                                 for op in (A.meet, A.join, A.fusion)))
+        if first.setdefault(blk[a], rows) != rows:
+            return False
     return True
 
 

@@ -71,12 +71,17 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
     meet, fus, neg = A.meet, A.fusion, A.neg
     col = _Collector()
     u = [neg[fus[b][neg[b]]] for b in rng]      # u[b] = ~(b*~b)
+    # a <= a*w depends on (a, w) only, for w in W = {u[b] /\ u[c]}; (b, c)
+    # is walked only for an a that fails on some w
+    W = {meet[x][y] for x in u for y in u}
     for a in _check_shared(A, col):
+        ma, fa = meet[a], fus[a]
+        fails = {w for w in W if ma[fa[w]] != a}
         for b in rng:
             if (meet[a][b] == a) != (meet[neg[b]][neg[a]] == neg[b]):
                 col.add("neg-antitone", (a, b))
-            for c in rng:
-                if meet[a][fus[a][meet[u[b]][u[c]]]] != a:
+            for c in (rng if fails else ()):
+                if meet[u[b]][u[c]] in fails:
                     col.add("identity-bound a <= a*(~(b*~b)/\\~(c*~c))",
                             (a, b, c))
     return _dmm_tail(A, col)

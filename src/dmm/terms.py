@@ -338,55 +338,112 @@ def _term_text(t: Term) -> str:
 #
 # A term or statement is compiled once into one Python function over the
 # tables.  Its source is built from a fixed vocabulary only: the table names
-# below, e and f, and v0, v1, ... for the sorted variables.  No character of
-# the term enters it, so user statements cannot inject code.
+# below, e and f, v0, v1, ... for the sorted variables, and the temporaries
+# t<k> (a value) and r<k> (a table row).  No character of the term enters
+# it, so user statements cannot inject code.
+#
+# A statement becomes one nested loop per variable, v0 outermost, so rng^k
+# is walked in lexicographic order.  Each subterm, and each row op[x] read
+# with a later variable, is computed once in the loop of its last variable,
+# and shared by every use with the same source text.  A premise is tested
+# in the loop of its last variable and `continue`s that loop when it fails,
+# which skips every assignment below it; a variable-free premise that fails
+# returns before any loop.  The conclusion is tested in the innermost loop,
+# so the first failing assignment and the count of conclusion evaluations
+# are those of a walk over every assignment.
 
 _TABLES = "meet, join, fus, res, neg, e, f"
 _BINARY = {Fusion: "fus", Meet: "meet", Join: "join", Arrow: "res"}
-_CONSTANTS = {"e": "e", "f": "f"}
+# CPython compiles at most 20 nested blocks, so a statement with more
+# variables walks the last ones with one product loop.
+_LOOPS = 20
 
 
 def _tables(A: FiniteIRL) -> tuple:
     return (A.meet, A.join, A.fusion, A.residual_table, A.neg, A.e, A.f)
 
 
-def _expr(t: Term, slots: dict[str, str]) -> str:
-    if isinstance(t, Var):
-        return slots[t.name]
-    if isinstance(t, Const):
-        return _CONSTANTS[t.sym]
-    if isinstance(t, Neg):
-        return f"neg[{_expr(t.arg, slots)}]"
-    return (f"{_BINARY[type(t)]}[{_expr(t.left, slots)}]"
-            f"[{_expr(t.right, slots)}]")
+class _Code:
+    """The assignments of a compiled run, one list per loop level (0 is
+    before the loops); a value is (source text, level it is known at)."""
 
+    def __init__(self, levels: int, where: dict[str, tuple[str, int]]):
+        self.where = where  # variable name -> (slot, level)
+        self.lines: list[list[str]] = [[] for _ in range(levels + 1)]
+        self.memo: dict[str, tuple[str, int]] = {}
 
-def _test(s: Statement, slots: dict[str, str]) -> str:
-    lhs, rhs = _expr(s.lhs, slots), _expr(s.rhs, slots)
-    if isinstance(s, Inequation):  # s <= t  iff  s /\ t = s
-        return f"meet[{lhs}][{rhs}] == {lhs}"
-    return f"{lhs} == {rhs}"
+    def let(self, expr: str, level: int, kind: str = "t") -> tuple[str, int]:
+        """A temporary holding expr, assigned at level once."""
+        hit = self.memo.get(expr)
+        if hit is None:
+            name = f"{kind}{len(self.memo)}"
+            self.lines[level].append(f"{name} = {expr}")
+            hit = self.memo[expr] = (name, level)
+        return hit
+
+    def apply(self, op: str, left, right) -> tuple[str, int]:
+        (a, la), (b, lb) = left, right
+        if la < lb:  # the row op[a] is known in an outer loop
+            return self.let(f"{self.let(f'{op}[{a}]', la, 'r')[0]}[{b}]", lb)
+        return self.let(f"{op}[{a}][{b}]", la)
+
+    def value(self, t: Term) -> tuple[str, int]:
+        if isinstance(t, Var):
+            return self.where[t.name]
+        if isinstance(t, Const):
+            return t.sym, 0
+        if isinstance(t, Neg):
+            a, level = self.value(t.arg)
+            return self.let(f"neg[{a}]", level)
+        return self.apply(_BINARY[type(t)], self.value(t.left),
+                          self.value(t.right))
+
+    def test(self, s: Statement) -> tuple[str, int]:
+        """The condition s and the level it is known at."""
+        lhs, rhs = self.value(s.lhs), self.value(s.rhs)
+        level = max(lhs[1], rhs[1])
+        if isinstance(s, Inequation):  # s <= t  iff  s /\ t = s
+            rhs = self.apply("meet", lhs, rhs)
+        return f"{lhs[0]} == {rhs[0]}", level
 
 
 def _source(node, slots: dict[str, str]) -> str:
     """A term becomes run(tables, v0, v1, ...) -> its value.  A statement
     becomes run(rng, tables) -> (first failing assignment or None, number of
-    conclusion evaluations); the loop walks rng^k in lexicographic order of
-    (v0, v1, ...), and the count is kept for quasi-equations only."""
+    conclusion evaluations), with one loop per variable (see above); the
+    count is kept for quasi-equations only."""
     vs = "".join(f"{v}, " for v in slots.values())
     if isinstance(node, Term):
-        return f"def run({_TABLES}, {vs}):\n return {_expr(node, slots)}\n"
+        code = _Code(0, {nm: (v, 0) for nm, v in slots.items()})
+        out = code.value(node)[0]
+        return "\n".join([f"def run({_TABLES}, {vs}):",
+                          *(f" {ln}" for ln in code.lines[0]),
+                          f" return {out}"]) + "\n"
     premises, conclusion = ((node.premises, node.conclusion)
                             if isinstance(node, QuasiEquation) else ((), node))
-    lines = [f"def run(rng, {_TABLES}):", " evals = 0",
-             f" for ({vs}) in product(rng, repeat={len(slots)}):"]
-    if premises:
-        lines += ["  if " + " and ".join(f"({_test(p, slots)})"
-                                         for p in premises) + ":",
-                  "   evals += 1"]
-    lines += [f"   if not ({_test(conclusion, slots)}):",
-              f"    return ({vs}), evals",
-              " return None, evals"]
+    vars_ = list(slots.values())
+    loops = [[v] for v in vars_[:_LOOPS - 1]]
+    if vars_[_LOOPS - 1:]:
+        loops.append(vars_[_LOOPS - 1:])
+    code = _Code(len(loops), {nm: (v, 1 + min(i, _LOOPS - 1))
+                              for i, (nm, v) in enumerate(slots.items())})
+    for p in premises:
+        cond, level = code.test(p)
+        code.lines[level] += [f"if not ({cond}):",
+                              " continue" if level else " return None, 0"]
+    cond, _ = code.test(conclusion)
+    code.lines[-1] += (["evals += 1"] if premises else []) + [
+        f"if not ({cond}):", f" return ({vs}), evals"]
+    lines = [f"def run(rng, {_TABLES}):", " evals = 0"]
+    for depth, loop in enumerate(loops):
+        pad = " " * (depth + 1)
+        lines += [pad + ln for ln in code.lines[depth]]
+        lines.append(pad + (f"for {loop[0]} in rng:" if len(loop) == 1 else
+                            f"for ({', '.join(loop)},) in "
+                            f"product(rng, repeat={len(loop)}):"))
+    pad = " " * (len(loops) + 1)
+    lines += [pad + ln for ln in code.lines[-1]]
+    lines.append(" return None, evals")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from dmm.constructions import make_named
 from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
@@ -31,3 +32,26 @@ def dmm_upto(dmm_catalogs):
                 for A in dmm_catalogs[n].algebras]
         return Catalog(SearchSpec(k), algs, True)
     return upto
+
+
+_SMALL = [*(make_named(nm) for nm in ("2", "S3", "C4", "D4", "S4", "S5")),
+          *(A for n in range(1, 5) for klass in ("dmm", "irl")
+            for A in enumerate_algebras(SearchSpec.for_class(klass, n))
+            .algebras)]
+
+
+@st.composite
+def corrupted_tables(draw):
+    """The table object of a small IRL with one entry of meet, join,
+    fusion, neg or e set to any element."""
+    d = draw(st.sampled_from(_SMALL)).to_dict()
+    n = d["size"]
+    k = draw(st.sampled_from(["meet", "join", "fusion", "neg", "e"]))
+    v = draw(st.integers(0, n - 1))
+    if k == "e":
+        d["e"] = v
+    elif k == "neg":
+        d["neg"][draw(st.integers(0, n - 1))] = v
+    else:
+        d[k][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = v
+    return d

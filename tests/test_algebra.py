@@ -1,9 +1,9 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dmm.algebra import (FiniteIRL, LawReport, MalformedTable, NotAnIRL,
                          ValidationReport, Violation, _Collector,
@@ -11,8 +11,9 @@ from dmm.algebra import (FiniteIRL, LawReport, MalformedTable, NotAnIRL,
                          square_increasing_witness, validate_dmm,
                          validate_irl)
 from dmm.constructions import make_named
-from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
+from dmm.enumeration import Catalog, SearchSpec
 from dmm.relevant import FiniteRA
+from conftest import corrupted_tables
 
 
 def chain_meet(n):
@@ -150,29 +151,6 @@ def oracle_check_irl(A: FiniteIRL) -> ValidationReport:
     return col.report()
 
 
-_SMALL = [*(make_named(nm) for nm in ("2", "S3", "C4", "D4", "S4", "S5")),
-          *(A for n in range(1, 5) for klass in ("dmm", "irl")
-            for A in enumerate_algebras(SearchSpec.for_class(klass, n))
-            .algebras)]
-
-
-@st.composite
-def corrupted_tables(draw):
-    """The table object of a small IRL with one entry of meet, join,
-    fusion, neg or e set to any element."""
-    d = draw(st.sampled_from(_SMALL)).to_dict()
-    n = d["size"]
-    k = draw(st.sampled_from(["meet", "join", "fusion", "neg", "e"]))
-    v = draw(st.integers(0, n - 1))
-    if k == "e":
-        d["e"] = v
-    elif k == "neg":
-        d["neg"][draw(st.integers(0, n - 1))] = v
-    else:
-        d[k][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = v
-    return d
-
-
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(d=corrupted_tables())
 def test_validate_irl_matches_oracle(d):
@@ -251,6 +229,20 @@ def test_derived_laws_skip_sq_laws_on_mv_chain():
     rep = check_derived_laws(lukasiewicz4())
     assert rep.ok
     assert not any(k.startswith("law-13") for k in rep.results)
+
+
+def oracle_distributivity_witness(A):
+    for a, b, c in product(A.elements, repeat=3):
+        if A.meet[a][A.join[b][c]] != A.join[A.meet[a][b]][A.meet[a][c]]:
+            return (a, b, c)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=corrupted_tables())
+def test_distributivity_witness_matches_triple_loop(d):
+    A = FiniteIRL.from_dict(d)
+    assert is_distributive(A) == oracle_distributivity_witness(A)
 
 
 def test_distributivity_witness():

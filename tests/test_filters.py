@@ -1,10 +1,12 @@
 import pytest
 
 from dmm.constructions import direct_product, is_isomorphic, make_named
+from dmm.enumeration import SearchSpec, enumerate_algebras
 from dmm.filters import (Congruence, DeductiveFilter, NotACongruence,
                          NotAFilter, classify, congruence_lattice,
                          deductive_filters, dfg, filter_of,
-                         is_deductive_filter, omega, quotient)
+                         is_congruence, is_deductive_filter, omega,
+                         quotient)
 
 
 def members(filters):
@@ -123,6 +125,53 @@ def test_classify_trivial():
     T = make_named("S1")
     c = classify(T)
     assert c.trivial and c.fsi and not c.si and not c.simple
+
+
+def oracle_is_congruence(A, blocks):
+    """The pairwise test: related elements have related negations and
+    related rows of meet, join and fusion."""
+    n = A.size
+    for a in range(n):
+        for b in range(n):
+            if blocks[a] != blocks[b]:
+                continue
+            if blocks[A.neg[a]] != blocks[A.neg[b]]:
+                return False
+            for c in range(n):
+                for op in (A.meet, A.join, A.fusion):
+                    if blocks[op[a][c]] != blocks[op[b][c]]:
+                        return False
+    return True
+
+
+def _partitions(n):
+    """Every partition of range(n), as block ids numbered by least member."""
+    out = [()]
+    for _ in range(n):
+        out = [(*p, i) for p in out for i in range(max(p, default=-1) + 2)]
+    return out
+
+
+def test_is_congruence_matches_pairwise_oracle(dmm_catalogs):
+    seen = []
+    small = [*(A for n in range(1, 6) for A in dmm_catalogs[n].algebras),
+             *(A for n in range(1, 5) for A in enumerate_algebras(
+                 SearchSpec.for_class("irl", n)).algebras)]
+    for A in small:
+        for blocks in _partitions(A.size):
+            seen.append(is_congruence(A, Congruence(blocks, A)))
+            assert seen[-1] == oracle_is_congruence(A, blocks), (A, blocks)
+    # the quotient blocks of dmm-8, and each with one element moved to the
+    # block of 0
+    for A in enumerate_algebras(SearchSpec(8)).algebras:
+        for G in deductive_filters(A):
+            kernel = omega(A, G).blocks
+            for a in (None, *A.elements):
+                blocks = tuple(kernel[0] if x == a else kernel[x]
+                               for x in A.elements)
+                seen.append(is_congruence(A, Congruence(blocks, A)))
+                assert seen[-1] == oracle_is_congruence(A, blocks)
+    assert True in seen and False in seen
 
 
 def test_congruence_lattice_sizes(named):

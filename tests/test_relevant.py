@@ -12,7 +12,7 @@ from dmm.relevant import (FiniteRA, TrivialAlgebra, contains_two_reduct,
                           dfg_oracle, dfg_ra, dfg_ra_set, meet_property_check,
                           ra_classify, ra_deductive_filters,
                           reconstruct_neutral, validate_ra)
-from test_algebra import corrupted_tables
+from conftest import corrupted_tables
 
 
 @pytest.fixture(scope="module")

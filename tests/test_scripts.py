@@ -64,3 +64,23 @@ def test_fusion_digest_pins_dmm8():
     assert proc.stdout.startswith(
         "dmm-8: 62 triples, 103 tables, 14573 pruned, sha256 28e83128f17c26c4"
         "452bb2391dc052533bae4d5159f1a513f3468aa912995b03, dfs ")
+
+
+def test_law_digest_pins_dmm6_irl4():
+    # every validation report, RA report of the reduct and LAW_LIBRARY
+    # satisfies result on the dmm catalogs n <= 6 and irl n <= 4; the same
+    # script compares versions of the checks on the larger catalogs and the
+    # corpus
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "scripts" / "law_digest.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--dmm", "6", "--irl", "4", "--no-corpus"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "41 algebras, 2091 results, sha256 496e04c9eb653ba758d563e830f5a1ff"
+        "1a1077d5db78c98e256634f2764613e1, checks ")
+    proc = subprocess.run([sys.executable, script, "--dmm", "9"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr

@@ -1,4 +1,5 @@
 import io
+import re
 import tokenize
 from itertools import product
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corrupted_tables
+from dmm.algebra import FiniteIRL
 from dmm.terms import (LAW_LIBRARY, MAX_DEPTH, Arrow, Const, Equation, Fusion,
                        Inequation, Join, Meet, Neg, ParseError, QuasiEquation,
                        SatisfactionResult, TermTooDeep, TooManyVariables,
@@ -323,6 +326,35 @@ def test_library_matches_interpreter(named):
                     assert satisfies(A, s) == oracle_satisfies(A, s), name
 
 
+# a variable-free premise, no variable at all, a premise on the last
+# variable only
+EDGE_STATEMENTS = ("f * f = f => x * x = x", "f * f = f => f <= e",
+                   "z <= e => x * y <= y * x")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=corrupted_tables())
+def test_satisfies_matches_interpreter_on_corrupted_tables(d):
+    A = FiniteIRL.from_dict(d)
+    for s in (*(s for law in LAW_LIBRARY for s in law_statements(law)),
+              *map(parse_statement, EDGE_STATEMENTS)):
+        assert satisfies(A, s) == oracle_satisfies(A, s), to_text(s)
+
+
+def test_satisfies_past_the_nested_loop_limit(named):
+    # 21 variables: the compiled run walks the last two with one product
+    # loop; in 2, e is the top and the first failure is the second
+    # assignment
+    A = named["2"]
+    names = [f"a{i:02}" for i in range(1, 22)]
+    bound = " \\/ ".join(names[:-1])
+    for text in (f"a21 <= {bound}", f"a21 = e => a21 <= {bound}"):
+        s = parse(text)
+        r = satisfies(A, s, max_vars=21)
+        assert r == oracle_satisfies(A, s)
+        assert r.counterexample == {**dict.fromkeys(names, 0), "a21": 1}
+
+
 def test_variable_names_cannot_capture_generated_names(named):
     A = named["D4"]
     for text in ("meet * neg <= rng -> run", "v1 \\/ v0 /\\ evals <= ~v1",
@@ -342,7 +374,11 @@ def test_generated_source_has_a_fixed_vocabulary():
     src = _source(s, {nm: f"v{i}" for i, nm in enumerate(names)})
     words = {tok.string for tok in tokenize.generate_tokens(
         io.StringIO(src).readline) if tok.type == tokenize.NAME}
-    assert words <= {"def", "run", "rng", "meet", "join", "fus", "res", "neg",
-                     "e", "f", "evals", "for", "in", "product", "repeat",
-                     "if", "and", "not", "return", "None",
-                     *(f"v{i}" for i in range(len(names)))}
+    # the compiler's own temporaries: t<k> for a value, r<k> for a row
+    temporaries = {w for w in words if re.fullmatch(r"[tr][0-9]+", w)}
+    assert words - temporaries <= {
+        "def", "run", "rng", "meet", "join", "fus", "res", "neg",
+        "e", "f", "evals", "for", "in", "product", "repeat",
+        "if", "and", "not", "return", "None", "continue",
+        *(f"v{i}" for i in range(len(names)))}
+    assert not words & {"import", "os", "exec", "globals", "breakpoint"}
