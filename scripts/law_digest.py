@@ -2,8 +2,17 @@
 """Run the exhaustive law checks on the catalogs and a fixed corpus, and
 print one SHA-256 digest over their answers: every validate_irl and
 validate_dmm report, the validate_ra report of each e-free reduct, and
-every satisfies result for the LAW_LIBRARY statements.  Two versions of the
-checks agree when they print the same digest; the time is the checks' own.
+every satisfies result for the LAW_LIBRARY statements.  A second line
+digests the same three reports on CORRUPTIONS seeded corruptions of each
+input, which are mostly not IRLs, so it covers the violations and
+witnesses the validators report.  Two versions of the checks agree when
+they print the same digests; the times are the checks' own.
+
+Each corruption makes one or two edits that keep the tables symmetric: an
+entry of meet, join or fusion is set at (a, b) and (b, a) together, two
+values of neg are swapped, or e is moved.  The edits are drawn from a
+random.Random seeded with the input's name, so they do not depend on the
+other inputs.
 
 The inputs are the dmm catalogs of sizes 1..--dmm, the irl catalogs of sizes
 1..--irl, and, unless --no-corpus, S8, S10, S12, C4ext_2..4 and the products
@@ -15,10 +24,11 @@ Example:
 
 import argparse
 import hashlib
+import random
 import time
 from functools import reduce
 
-from dmm.algebra import NotAnIRL, validate_dmm, validate_irl
+from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm, validate_irl
 from dmm.constructions import direct_product, e_free_reduct, make_named
 from dmm.enumeration import DEFAULT_MAX_SIZE, SearchSpec, enumerate_algebras
 from dmm.relevant import validate_ra
@@ -28,16 +38,41 @@ CORPUS = (("S8",), ("S10",), ("S12",), ("C4ext_2",), ("C4ext_3",),
           ("C4ext_4",), ("2", "2", "2"), ("2", "2", "2", "2"), ("S3", "S3"),
           ("S3", "S3", "S3"), ("C4", "2"), ("C4", "S3"), ("C4", "C4"),
           ("C4", "D4"), ("D4", "D4"))
+CORRUPTIONS = 4
 
 
-def answers(A):
-    """The lines the digest covers for one algebra."""
+def reports(A):
+    """The validate_irl, validate_dmm and validate_ra report lines."""
     yield repr(validate_irl(A))
     try:
         yield repr(validate_dmm(A))
     except NotAnIRL as exc:
         yield f"NotAnIRL: {exc}"
     yield repr(validate_ra(e_free_reduct(A)))
+
+
+def corruptions(name, A):
+    """CORRUPTIONS symmetric corruptions of A, seeded by name."""
+    rnd = random.Random(name)
+    n = A.size
+    for _ in range(CORRUPTIONS):
+        d = A.to_dict()
+        for _ in range(rnd.randint(1, 2)):
+            k = rnd.choice(("meet", "join", "fusion", "neg", "e"))
+            if k == "e":
+                d["e"] = rnd.randrange(n)
+            elif k == "neg":
+                i, j = rnd.randrange(n), rnd.randrange(n)
+                d["neg"][i], d["neg"][j] = d["neg"][j], d["neg"][i]
+            else:
+                a, b, v = rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)
+                d[k][a][b] = d[k][b][a] = v
+        yield FiniteIRL.from_dict(d)
+
+
+def answers(A):
+    """The lines the digest covers for one algebra."""
+    yield from reports(A)
     for law in LAW_LIBRARY:
         for s in law_statements(law):
             yield f"{law}: {satisfies(A, s)!r}"
@@ -70,6 +105,18 @@ def main() -> None:
             digest.update(f"{name}\t{line}\n".encode())
             results += 1
     print(f"{len(algebras)} algebras, {results} results, "
+          f"sha256 {digest.hexdigest()}, "
+          f"checks {time.perf_counter() - t0:.2f}s")
+    bad = [(f"{name}~{i}", B) for name, A in algebras
+           for i, B in enumerate(corruptions(name, A))]
+    digest = hashlib.sha256()
+    results = 0
+    t0 = time.perf_counter()
+    for name, B in bad:
+        for line in reports(B):
+            digest.update(f"{name}\t{line}\n".encode())
+            results += 1
+    print(f"{len(bad)} corruptions, {results} reports, "
           f"sha256 {digest.hexdigest()}, "
           f"checks {time.perf_counter() - t0:.2f}s")
 

@@ -4,6 +4,19 @@ An algebra lives on the carrier 0..n-1.  The lattice order is *derived* from
 the meet table (a <= b iff meet(a, b) == a); it is never stored separately.
 The residual a -> b := ~(a * ~b) is computed on demand and memoized, and so
 are the validate_irl and validate_dmm reports.
+
+Validation tests whole tables before it walks elements.  Almost every
+algebra checked is valid, so the laws an IRL shares with a relevant
+algebra are first decided by one exact test on byte strings (each table's
+rows as bytes; see _shared_laws_hold), with O(n) Python steps and the
+O(n^3) work in bytes.translate and bytes.join.  Idempotence and order
+agreement need no test there, as commutativity and absorption imply them.
+The element walk runs only when that test fails, or when there are more
+than 256 elements (a byte holds 256 values); it is the only code that
+collects witnesses, so a report keeps its violations and their order.
+The residual-is-max check has a test of the same kind: a*c <= b iff
+c <= a -> b for all triples makes a -> b the largest c with a*c <= b,
+and its walk runs only if that test fails.
 """
 
 from __future__ import annotations
@@ -11,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 MAX_WITNESSES_PER_LAW = 32
@@ -99,19 +113,23 @@ class Tables:
     neg: tuple[int, ...]
 
     def check_well_formed(self) -> None:
-        n = self.size
+        n, tabs, neg = self.size, (self.meet, self.join, self.fusion), self.neg
+        # shapes and ranges in a few C-level passes; the walk below runs
+        # only to name the first defect
+        if (n >= 1 and len(neg) == n and all(len(t) == n for t in tabs)
+                and set(map(len, chain(*tabs))) == {n}
+                and not set(neg).union(*chain(*tabs)).difference(range(n))):
+            return
         if n < 1:
             raise MalformedTable(f"size must be >= 1, got {n}")
-        for nm, tab in (("meet", self.meet), ("join", self.join),
-                        ("fusion", self.fusion)):
+        for nm, tab in zip(("meet", "join", "fusion"), tabs):
             if len(tab) != n or any(len(row) != n for row in tab):
                 raise MalformedTable(f"{nm} table is not {n}x{n}")
             for row in tab:
                 for v in row:
                     if not 0 <= v < n:
                         raise MalformedTable(f"{nm} entry {v} out of range")
-        if len(self.neg) != n or any(not 0 <= v < n for v in self.neg):
-            raise MalformedTable("neg table malformed")
+        raise MalformedTable("neg table malformed")
 
     @property
     def elements(self) -> range:
@@ -269,12 +287,92 @@ def validate_irl(A: FiniteIRL) -> ValidationReport:
     return A._irl_report
 
 
+# _ONEHOT[w] maps w to 1 and every other byte to 0, so r.translate(_ONEHOT[w])
+# marks the entries of r equal to w.
+_ONEHOT = [bytes(w) + b"\1" + bytes(255 - w) for w in range(256)]
+
+
+def _byte_rows(tab, pad: bytes) -> tuple[list[bytes], bytes, list[bytes]]:
+    """A table's rows as bytes, the rows joined, and each row padded to a
+    256-byte translate table.  A padding byte is never read, as every
+    entry is below the size."""
+    rows = list(map(bytes, tab))
+    return rows, b"".join(rows), [r + pad for r in rows]
+
+
+def _shared_laws_hold(A: Tables) -> bool:
+    """Whether _check_shared finds no violation, decided on byte strings in
+    O(n) Python steps, for well-formed tables; False above 256 elements,
+    as a byte holds 256 values.
+
+    Each stage may assume the ones before it.  Commutativity compares a
+    table with its transpose, and absorption translates each join row by
+    the meet row and back.  Idempotence and order agreement follow from
+    these two, so they need no stage: with b = a /\\ a, a \\/ b = a, so
+    a /\\ a = a /\\ (a \\/ b) = a, and dually; a /\\ b = a gives
+    b \\/ a = b \\/ (b /\\ a) = b, and a \\/ b = b gives
+    a /\\ b = a /\\ (a \\/ b) = a.  So the order may be read off either
+    table.  Associativity compares the rows gathered by the flat table,
+    (a.b).c, with the flat table translated by each row, a.(b.c).
+    Involution-fusion compares the up-set marks of every x*y with the
+    down-set marks of ~x over the table y*~z, which is ~z*y by
+    commutativity."""
+    n = A.size
+    if n > 256:
+        return False
+    idem, pad = bytes(range(n)), bytes(256 - n)
+    neg = bytes(A.neg)
+    if neg.translate(neg + pad) != idem:
+        return False
+    tabs = [_byte_rows(tab, pad) for tab in (A.meet, A.join, A.fusion)]
+    for _, flat, _ in tabs:
+        if b"".join([flat[c::n] for c in range(n)]) != flat:
+            return False
+    (mrows, _, mpads), (jrows, _, jpads), (_, fflat, fpads) = tabs
+    each_a = b"".join([bytes((a,)) * n for a in range(n)])  # (a, b) is a
+    if (b"".join(map(bytes.translate, jrows, mpads)) != each_a
+            or b"".join(map(bytes.translate, mrows, jpads)) != each_a):
+        return False
+    for rows, flat, pads in tabs:
+        if (b"".join(map(rows.__getitem__, flat))
+                != b"".join(map(flat.translate, pads))):
+            return False
+    up = list(map(bytes.translate, mrows, _ONEHOT))     # up[w][z]: w <= z
+    down = list(map(bytes.translate, jpads, _ONEHOT))   # down[u][v]: v <= u
+    y_negz = b"".join(map(neg.translate, fpads))
+    return (b"".join(map(up.__getitem__, fflat))
+            == b"".join(map(y_negz.translate, map(down.__getitem__, neg))))
+
+
+def _residuated(A: Tables) -> bool:
+    """Whether a*c <= b iff c <= a -> b for every (a, b, c), on byte strings,
+    for tables that pass every IRL law (so the order may be read off join);
+    False above 256 elements.  It implies residual-is-max: a -> b is then
+    the largest such c."""
+    n = A.size
+    if n > 256:
+        return False
+    pad = bytes(256 - n)
+    neg = bytes(A.neg)
+    frows, fflat, _ = _byte_rows(A.fusion, pad)
+    down = list(map(bytes.translate, map(bytes, A.join), _ONEHOT))
+    # entry (b, a) is ~(~b*a) = a -> b
+    res_t = b"".join(map(frows.__getitem__, neg)).translate(neg + pad)
+    return (b"".join([fflat.translate(d + pad) for d in down])
+            == b"".join(map(down.__getitem__, res_t)))
+
+
 def _check_shared(A: Tables, col: _Collector):
     """The laws an IRL and a relevant algebra share, on well-formed tables:
     lattice laws, neg of period 2, commutative and associative fusion, and
     involution-fusion.  A generator: it yields each a between a's one- and
-    two-variable laws, where a caller adds its own law for a."""
+    two-variable laws, where a caller adds its own law for a.  The element
+    walk runs only when the byte-string test finds a violation, or above
+    256 elements; it is the code that collects witnesses."""
     rng = range(A.size)
+    if _shared_laws_hold(A):
+        yield from rng
+        return
     meet, join, fus, neg = A.meet, A.join, A.fusion, A.neg
     for a in rng:
         if meet[a][a] != a:
@@ -330,7 +428,7 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
     for a in _check_shared(A, col):
         if fus[e][a] != a or fus[a][e] != a:
             col.add("e-neutral", (a,))
-    if not col.violations:
+    if not col.violations and not _residuated(A):
         # Sanity: with the axioms in place, a -> b must be max{c : a*c <= b}.
         # sols[b] is the bitmask of {c : a*c <= b}, built from the up-sets
         # of the a*c; it must hold r = a -> b and lie in the down-set of r.

@@ -1,14 +1,13 @@
-"""Structure analysis of a single algebra: the splitting property, generated
-subalgebra bounds, the lollipop decomposition, the fusion pattern above f,
-the odd Sugihara quotient, and the four-chain embedding when e < f.
+"""Structure analysis of a single algebra: the splitting property, the
+lollipop decomposition, the fusion pattern above f and the odd Sugihara
+quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dmm.algebra import (FiniteIRL, NotAnIRL, square_increasing_witness,
-                         validate_dmm)
+from dmm.algebra import FiniteIRL, validate_dmm
 from dmm.filters import classify, dfg, quotient
 
 
@@ -98,45 +97,6 @@ def splitting_check(A: FiniteIRL) -> SplittingResult:
         if not (A.leq(A.e, a) or A.leq(a, A.f)):
             return SplittingResult(False, a)
     return SplittingResult(True)
-
-
-# ---- bounds of a generated subalgebra ---------------------------------------
-
-
-@dataclass
-class BoundsCertificate:
-    generators: tuple[int, ...]
-    c: int
-    b: int            # = c * c
-    lower: int        # = neg(b)
-    upper: int        # = b
-    generated: tuple[int, ...]
-
-    def to_dict(self):
-        return {"check": "bounds-of-generated",
-                "generators": list(self.generators), "c": self.c,
-                "b": self.b, "lower": self.lower, "upper": self.upper,
-                "generated": list(self.generated)}
-
-
-def bounds_of_generated(A: FiniteIRL, X) -> BoundsCertificate:
-    """c = e | f | (a1|~a1) | ... ; b = c^2; then ~b <= x <= b on Sg(X)."""
-    from dmm.constructions import sg
-    w = square_increasing_witness(A)
-    if w is not None:
-        raise NotAnIRL(f"not square-increasing at {w}")
-    c = A.join[A.e][A.f]
-    for a in X:
-        c = A.join[c][A.join[a][A.neg[a]]]
-    b = A.fusion[c][c]
-    lower = A.neg[b]
-    _, incl = sg(A, X)
-    for x in incl:
-        if not (A.leq(lower, x) and A.leq(x, b)):
-            raise AssertionError(
-                f"bound certificate fails at {x}: not {lower} <= {x} <= {b}")
-    return BoundsCertificate(tuple(sorted(X)), c, b, lower, b,
-                             tuple(sorted(incl)))
 
 
 # ---- lollipop ---------------------------------------------------------------
@@ -320,26 +280,3 @@ def odd_sugihara_quotient(A: FiniteIRL) -> tuple[FiniteIRL, OddQuotientReport]:
             if len(cls) != 1:
                 viol.append(f"non-singleton outer class {cls}")
     return Q, OddQuotientReport(not viol, Q.size, ecls, viol)
-
-
-# ---- embedding of the four-element chain when e < f -------------------------
-
-
-def embed_c4_if_e_below_f(A: FiniteIRL):
-    """When e < f, the set {~(f^2), e, f, f^2} is a subalgebra isomorphic to
-    the four-element chain; returns that embedding, else None."""
-    from dmm.constructions import Homomorphism, make_named
-    rep = validate_dmm(A)
-    if not rep.ok:
-        raise NotDMM("; ".join(rep.laws_violated()))
-    if not A.lt(A.e, A.f):
-        return None
-    f2 = A.fusion[A.f][A.f]
-    image = (A.neg[f2], A.e, A.f, f2)
-    if len(set(image)) != 4:
-        return None
-    C4 = make_named("C4")
-    h = Homomorphism(C4, A, tuple(image))
-    if not (h.is_valid() and h.injective):
-        raise AssertionError("candidate four-chain embedding is not one")
-    return h

@@ -55,3 +55,29 @@ def corrupted_tables(draw):
     else:
         d[k][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = v
     return d
+
+
+def symmetric_corruption(d: dict, rnd) -> dict:
+    """d after one or two edits that keep meet, join and fusion symmetric:
+    an entry set at (a, b) and (b, a) together, two values of neg swapped,
+    or e moved.  Such tables pass the commutativity laws, so a check gets
+    past them to the later laws.  rnd is a random.Random."""
+    n = d["size"]
+    for _ in range(rnd.randint(1, 2)):
+        k = rnd.choice(["meet", "join", "fusion", "neg", "e"])
+        if k == "e":
+            d["e"] = rnd.randrange(n)
+        elif k == "neg":
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            d["neg"][i], d["neg"][j] = d["neg"][j], d["neg"][i]
+        else:
+            a, b, v = rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)
+            d[k][a][b] = d[k][b][a] = v
+    return d
+
+
+@st.composite
+def symmetric_corrupted_tables(draw):
+    """The table object of a small IRL after symmetric_corruption."""
+    d = draw(st.sampled_from(_SMALL)).to_dict()
+    return symmetric_corruption(d, draw(st.randoms(use_true_random=False)))

@@ -4,16 +4,19 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmm import algebra
 from dmm.algebra import (FiniteIRL, LawReport, MalformedTable, NotAnIRL,
-                         ValidationReport, Violation, _Collector,
-                         check_derived_laws, is_distributive, predicates,
-                         square_increasing_witness, validate_dmm,
+                         ValidationReport, Violation, _check_shared,
+                         _Collector, check_derived_laws, is_distributive,
+                         predicates, square_increasing_witness, validate_dmm,
                          validate_irl)
-from dmm.constructions import make_named
-from dmm.enumeration import Catalog, SearchSpec
-from dmm.relevant import FiniteRA
-from conftest import corrupted_tables
+from dmm.constructions import e_free_reduct, make_named
+from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
+from dmm.relevant import FiniteRA, validate_ra
+from conftest import (corrupted_tables, symmetric_corrupted_tables,
+                      symmetric_corruption)
 
 
 def chain_meet(n):
@@ -65,6 +68,23 @@ def test_from_dict_accepts_only_int_entries(bad, where):
     cat["algebras"] = [d]
     with pytest.raises(MalformedTable):
         Catalog.from_json(json.dumps(cat))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (dict(meet=[[0, 0], [0, 7]], neg=[1]), "meet entry 7 out of range"),
+    (dict(join=[[0, 1]], fusion=[[0, -1], [0, 1]]), "join table is not 2x2"),
+    (dict(fusion=[[0, 0], [-1, 2]]), "fusion entry -1 out of range"),
+    (dict(neg=[1, 2]), "neg table malformed"),
+    (dict(neg=[1, 0, 0]), "neg table malformed"),
+    (dict(size=0), "size must be >= 1, got 0"),
+])
+def test_malformed_table_names_the_first_defect(edit, message):
+    # the range and shape checks run in a few set operations; the message
+    # still names the first defect in the order meet, join, fusion, neg
+    d = {**make_named("2").to_dict(), **edit}
+    with pytest.raises(MalformedTable) as exc:
+        FiniteIRL.from_dict(d)
+    assert str(exc.value) == message
 
 
 def test_from_dict_rejects_bad_shapes():
@@ -156,6 +176,108 @@ def oracle_check_irl(A: FiniteIRL) -> ValidationReport:
 def test_validate_irl_matches_oracle(d):
     A = FiniteIRL.from_dict(d)
     assert validate_irl(A) == oracle_check_irl(A)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(d=symmetric_corrupted_tables())
+def test_validate_irl_matches_oracle_on_symmetric_corruptions(d):
+    A = FiniteIRL.from_dict(d)
+    assert validate_irl(A) == oracle_check_irl(A)
+
+
+def three_reports(d):
+    """validate_irl, validate_dmm (or its NotAnIRL) and validate_ra of the
+    e-free reduct, on fresh instances, as the reports are memoized."""
+    A = FiniteIRL.from_dict(d)
+    try:
+        dmm = validate_dmm(A)
+    except NotAnIRL as exc:
+        dmm = f"NotAnIRL: {exc}"
+    return validate_irl(A), dmm, validate_ra(e_free_reduct(A))
+
+
+def assert_byte_tests_exact(d) -> set[str]:
+    """The byte-string tests change no report: the reports are the same
+    when both tests are forced to fail, so that the element walks alone
+    decide.  And the shared-law test is exact: it holds just when the walk
+    finds no violation.  Returns the laws the walk finds violated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_shared_laws_hold", lambda A: False)
+        mp.setattr(algebra, "_residuated", lambda A: False)
+        walked = three_reports(d)
+        col = _Collector()
+        for _ in _check_shared(FiniteIRL.from_dict(d), col):
+            pass
+    assert three_reports(d) == walked
+    A = FiniteIRL.from_dict(d)
+    assert algebra._shared_laws_hold(A) == (not col.violations)
+    return {v.law for v in col.violations}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(d=st.one_of(symmetric_corrupted_tables(), corrupted_tables()))
+def test_byte_tests_match_walk(d):
+    assert_byte_tests_exact(d)
+
+
+def two_chain_with(**tables):
+    d = make_named("2").to_dict()     # 0 < 1 = e, fusion = meet
+    return {**d, **tables}
+
+
+SQUARE = {"size": 4, "e": 1, "neg": [3, 1, 2, 0],      # 0 < 1, 2 < 3
+          "meet": [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]],
+          "join": [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]}
+
+
+# M3 (0 < 1, 2, 3 < 4) with 1 \/ 1 = 4; fusion and neg from an IRL on M3
+M3_BAD_JOIN = {
+    "size": 5, "e": 1, "neg": [4, 1, 3, 2, 0],
+    "meet": [[0, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 2, 0, 2],
+             [0, 0, 0, 3, 3], [0, 1, 2, 3, 4]],
+    "join": [[0, 1, 2, 3, 4], [1, 4, 4, 4, 4], [2, 4, 2, 4, 4],
+             [3, 4, 4, 3, 4], [4, 4, 4, 4, 4]],
+    "fusion": [[0, 0, 0, 0, 0], [0, 4, 2, 3, 4], [0, 2, 2, 0, 2],
+               [0, 3, 0, 3, 3], [0, 4, 2, 3, 4]]}
+
+
+@pytest.mark.parametrize("laws,d", [
+    ({"involution-period-2"},
+     two_chain_with(neg=[1, 1], fusion=[[0, 0], [0, 0]])),
+    ({"fusion-commutative"}, two_chain_with(fusion=[[0, 0], [1, 1]])),
+    ({"involution-fusion"}, two_chain_with(neg=[0, 1])),
+    ({"join-commutative", "order-agreement"},
+     two_chain_with(join=[[0, 0], [1, 1]], fusion=[[0, 0], [0, 0]])),
+    ({"absorption-meet-join", "meet-idempotent", "order-agreement"},
+     two_chain_with(meet=[[0, 0], [0, 0]], fusion=[[0, 0], [0, 0]])),
+    ({"absorption-join-meet", "join-idempotent", "order-agreement"},
+     M3_BAD_JOIN),
+    ({"join-commutative"}, {**SQUARE, "neg": [3, 2, 1, 0],
+                            "join": [[0, 1, 2, 3], [1, 1, 1, 3],
+                                     [2, 2, 2, 3], [3, 3, 3, 3]],
+                            "fusion": [[0, 0, 0, 0], [0, 1, 2, 3],
+                                       [0, 2, 3, 3], [0, 3, 3, 3]]}),
+    ({"fusion-associative"}, {**SQUARE, "fusion": [[0, 0, 0, 0], [0, 3, 2, 3],
+                                                   [0, 2, 1, 3],
+                                                   [0, 3, 3, 3]]}),
+])
+def test_byte_test_catches_each_stage(laws, d):
+    # most corruptions break several laws, so that one stage of the byte
+    # test stands in for another; in each of these the laws that fail are
+    # seen by one stage only
+    assert assert_byte_tests_exact(d) == laws
+
+
+@pytest.mark.parametrize("klass,top", [("dmm", 6), ("irl", 5)])
+def test_byte_tests_match_walk_on_catalogs(klass, top):
+    # every entry, from n = 1 up, and four seeded symmetric corruptions of
+    # each
+    rnd = random.Random(top)
+    for n in range(1, top + 1):
+        for A in enumerate_algebras(SearchSpec.for_class(klass, n)).algebras:
+            assert_byte_tests_exact(A.to_dict())
+            for _ in range(4):
+                assert_byte_tests_exact(symmetric_corruption(A.to_dict(), rnd))
 
 
 def test_bad_two_chain_fails_involution_fusion_law():

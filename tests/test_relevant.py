@@ -12,7 +12,7 @@ from dmm.relevant import (FiniteRA, TrivialAlgebra, contains_two_reduct,
                           dfg_oracle, dfg_ra, dfg_ra_set, meet_property_check,
                           ra_classify, ra_deductive_filters,
                           reconstruct_neutral, validate_ra)
-from conftest import corrupted_tables
+from conftest import corrupted_tables, symmetric_corrupted_tables
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,19 @@ def test_validate_ra_matches_oracle(d):
         assert laws <= set().union(*ORACLE_LAWS.values())
         for law, names in ORACLE_LAWS.items():
             assert (law in old.laws_violated()) == bool(names & laws), law
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(d=symmetric_corrupted_tables())
+def test_validate_ra_matches_oracle_on_symmetric_corruptions(d):
+    # fusion stays commutative, so every law is compared
+    R = FiniteRA.from_dict(d)
+    new, old = validate_ra(R), oracle_validate_ra(R)
+    assert new.ok == old.ok
+    laws = set(new.laws_violated())
+    assert laws <= set().union(*ORACLE_LAWS.values())
+    for law, names in ORACLE_LAWS.items():
+        assert (law in old.laws_violated()) == bool(names & laws), law
 
 
 def test_dfg_ra_examples(reducts):

@@ -68,9 +68,10 @@ def test_fusion_digest_pins_dmm8():
 
 def test_law_digest_pins_dmm6_irl4():
     # every validation report, RA report of the reduct and LAW_LIBRARY
-    # satisfies result on the dmm catalogs n <= 6 and irl n <= 4; the same
-    # script compares versions of the checks on the larger catalogs and the
-    # corpus
+    # satisfies result on the dmm catalogs n <= 6 and irl n <= 4, then the
+    # three reports on seeded symmetric corruptions of each entry, which
+    # carry the walks' witnesses; the same script compares versions of the
+    # checks on the larger catalogs and the corpus
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     script = str(ROOT / "scripts" / "law_digest.py")
     proc = subprocess.run(
@@ -80,6 +81,9 @@ def test_law_digest_pins_dmm6_irl4():
     assert proc.stdout.startswith(
         "41 algebras, 2091 results, sha256 496e04c9eb653ba758d563e830f5a1ff"
         "1a1077d5db78c98e256634f2764613e1, checks ")
+    assert proc.stdout.splitlines()[1].startswith(
+        "164 corruptions, 492 reports, sha256 d8ef1cb2ef00d11416c0e866d1a16783"
+        "738a3efecdf194e1a65ae7cc3e1e1306, checks ")
     proc = subprocess.run([sys.executable, script, "--dmm", "9"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""

@@ -1,12 +1,66 @@
+from dataclasses import dataclass
+
 import pytest
 
-from dmm.algebra import square_increasing_witness, validate_dmm, validate_irl
-from dmm.constructions import direct_product, is_isomorphic, make_named
+from dmm.algebra import (FiniteIRL, NotAnIRL, square_increasing_witness,
+                         validate_dmm, validate_irl)
+from dmm.constructions import (Homomorphism, direct_product, is_isomorphic,
+                               make_named, sg)
 from dmm.enumeration import SearchSpec, enumerate_algebras
-from dmm.structure import (BoundsCertificate, NotApplicable, NotDMM, NotFSI,
-                           bounds_of_generated, embed_c4_if_e_below_f,
+from dmm.structure import (NotApplicable, NotDMM, NotFSI,
                            fusion_pattern_check, hasse_text, lollipop,
                            odd_sugihara_quotient, splitting_check)
+
+
+# Two lemmas of the paper's proofs, checked on examples; no library code
+# calls them.
+
+
+@dataclass
+class BoundsCertificate:
+    generators: tuple[int, ...]
+    c: int
+    b: int            # = c * c
+    lower: int        # = neg(b)
+    upper: int        # = b
+    generated: tuple[int, ...]
+
+
+def bounds_of_generated(A: FiniteIRL, X) -> BoundsCertificate:
+    """c = e | f | (a1|~a1) | ... ; b = c^2; then ~b <= x <= b on Sg(X)."""
+    w = square_increasing_witness(A)
+    if w is not None:
+        raise NotAnIRL(f"not square-increasing at {w}")
+    c = A.join[A.e][A.f]
+    for a in X:
+        c = A.join[c][A.join[a][A.neg[a]]]
+    b = A.fusion[c][c]
+    lower = A.neg[b]
+    _, incl = sg(A, X)
+    for x in incl:
+        if not (A.leq(lower, x) and A.leq(x, b)):
+            raise AssertionError(
+                f"bound certificate fails at {x}: not {lower} <= {x} <= {b}")
+    return BoundsCertificate(tuple(sorted(X)), c, b, lower, b,
+                             tuple(sorted(incl)))
+
+
+def embed_c4_if_e_below_f(A: FiniteIRL):
+    """When e < f, the set {~(f^2), e, f, f^2} is a subalgebra isomorphic to
+    the four-element chain; returns that embedding, else None."""
+    rep = validate_dmm(A)
+    if not rep.ok:
+        raise NotDMM("; ".join(rep.laws_violated()))
+    if not A.lt(A.e, A.f):
+        return None
+    f2 = A.fusion[A.f][A.f]
+    image = (A.neg[f2], A.e, A.f, f2)
+    if len(set(image)) != 4:
+        return None
+    h = Homomorphism(make_named("C4"), A, tuple(image))
+    if not (h.is_valid() and h.injective):
+        raise AssertionError("candidate four-chain embedding is not one")
+    return h
 
 
 @pytest.fixture(scope="module")
