@@ -4,8 +4,8 @@ homomorphisms, isomorphism, HS membership, reducts.
 Isomorphism and HS membership are one embedding search, _embeds, which
 stops at the first injective homomorphism: A = B up to isomorphism iff
 |A| = |B| and A embeds in B, and X is in HS(A) = SH(A) (congruence
-extension) iff X embeds in some A/F.  canonical_form is the catalog's sort
-key only.
+extension) iff X embeds in some A/F.  canonical_form is the enumerator's
+dedup key (dmm.enumeration's lattice layer) computed from any labelling.
 
 The named C4/D4 tables are *derived* from the stated rules (e-neutrality,
 absorbing bottom, rigorous compactness, f*f = f^2) and then validated,
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm, validate_irl
 from dmm.filters import deductive_filters, quotient
@@ -361,67 +360,27 @@ def _embeds(X: FiniteIRL, Q: FiniteIRL) -> bool:
 # ---- canonical forms and isomorphism ---------------------------------------
 
 
-def _refine_colors(A: FiniteIRL) -> list[int]:
-    n = A.size
-    below = [sum(1 for b in range(n) if A.leq(b, a)) for a in range(n)]
-    above = [sum(1 for b in range(n) if A.leq(a, b)) for a in range(n)]
-    colors = [(a == A.e, below[a], above[a], A.fusion[a][a] == a)
-              for a in range(n)]
-    colors = _rank(colors)
-    while True:
-        sig = []
-        for a in range(n):
-            row = sorted((colors[b], colors[A.meet[a][b]],
-                          colors[A.join[a][b]], colors[A.fusion[a][b]])
-                         for b in range(n))
-            sig.append((colors[a], colors[A.neg[a]], tuple(row)))
-        new = _rank(sig)
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _rank(keys) -> list[int]:
-    order = {k: i for i, k in enumerate(sorted(set(keys), key=repr))}
-    return [order[k] for k in keys]
-
-
-def _encode(A: FiniteIRL, perm) -> bytes:
-    n = A.size
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    out = [perm[A.e]]
-    for t in (A.meet, A.join, A.fusion):
-        for i in range(n):
-            row = t[inv[i]]
-            out.extend(perm[row[inv[j]]] for j in range(n))
-    out.extend(perm[A.neg[inv[i]]] for i in range(n))
-    return bytes(out)
-
-
 def canonical_form(A: FiniteIRL) -> CanonicalForm:
-    """Isomorphism-invariant encoding: the minimum table encoding over all
-    relabelings respecting the stable (iso-invariant) color partition.  The
-    catalog's sort key only: it does not return on S12 or 2^4."""
+    """Isomorphism-invariant encoding, the enumerator's dedup key read off
+    any labelling: n, the least down-set vector v of A's lattice (entries as
+    fixed-width big-endian integers) and the least encoding of (e, fusion,
+    neg) over the |Aut(L)| relabellings of A onto v.  An isomorphism of
+    IRLs is one of their lattices, so isomorphic algebras have the same v
+    and the same relabelled tables, and equal forms share one relabelled
+    algebra.  Sorting a catalog by the form gives the catalog's order: v
+    orders the lattices as their index does, and the encoding is
+    _least_encoding's."""
+    from dmm.enumeration import (_down_sets, _least_encoding, _least_vector,
+                                 _relabellings)
     n = A.size
-    colors = _refine_colors(A)
-    classes: dict[int, list[int]] = {}
-    for a, c in enumerate(colors):
-        classes.setdefault(c, []).append(a)
-    blocks = [classes[c] for c in sorted(classes)]
-    best: bytes | None = None
-    for choice in product(*(permutations(block) for block in blocks)):
-        perm = [0] * n
-        new = 0
-        for block in choice:
-            for a in block:
-                perm[a] = new
-                new += 1
-        enc = _encode(A, perm)
-        if best is None or enc < best:
-            best = enc
-    return CanonicalForm(bytes([n]) + best)
+    b = _down_sets(A.meet, n)
+    v = _least_vector(b)
+    pairs = [(s, sorted(range(n), key=s.__getitem__))
+             for s in filter(None, _relabellings(b, v))]
+    width = (n + 7) // 8
+    return CanonicalForm(bytes([n])
+                         + b"".join(x.to_bytes(width, "big") for x in v)
+                         + _least_encoding(A.fusion, A.neg, A.e, pairs))
 
 
 def is_isomorphic(A: FiniteIRL, B: FiniteIRL) -> bool:

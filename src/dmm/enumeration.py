@@ -63,7 +63,9 @@ the index of its lattice together with its least encoding over Aut(L).
 The encoding holds e, the fusion table and neg but not meet and join,
 which every sigma fixes, so without the lattice index two tables on
 different lattices could share a key.  The catalog is sorted by this key,
-which is exact for isomorphism, so no other canonical form is computed.
+which is exact for isomorphism.  dmm.constructions.canonical_form computes
+the same key from any labelling of an algebra, with the lattice's least
+down-set vector in place of its index, so sorting by it gives this order.
 
 Only the first table of each class is validated, and an invalid one still
 raises AssertionError.  A later table of the class is isomorphic to a
@@ -617,8 +619,8 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
     keys mean isomorphic tables, and the index keeps tables on different
     lattices apart.  The module docstring gives the orbit argument.  A
     change to the order of _lattices or to _least_encoding reorders the
-    catalog and renames its entries, so the pinned digests in
-    tests/test_enumeration.py must be recorded again."""
+    catalog, renames its entries and changes canonical_form, so the pinned
+    digests in tests/test_enumeration.py must be recorded again."""
     n = spec.size
     if n < 1:
         raise SizeTooSmall(f"size {n} below 1")

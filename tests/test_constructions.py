@@ -18,6 +18,7 @@ from dmm.constructions import (NAMED_BASIC, UnknownName, canonical_form,
                                sg, subuniverse, zero_generated)
 from dmm.enumeration import SearchSpec, enumerate_algebras
 from dmm.filters import deductive_filters, quotient
+from test_enumeration_oracles import oracle_canonical_form
 
 
 # ---- oracles -----------------------------------------------------------------
@@ -28,10 +29,11 @@ def oracle_hs_contains(A, X):
 
     Subalgebras are searched through generating sets of size <= |X|: a copy
     of X, if present, is generated by at most |X| elements.  Each one is
-    closed, built and compared by canonical form, so the oracle shares no
-    search with the library's embedding search through homs.
+    closed, built and compared by the color-refinement canonical form, so
+    the oracle shares no search with the library's embedding search through
+    homs.
     """
-    cx = canonical_form(X)
+    cx = oracle_canonical_form(X)
     for G in deductive_filters(A):
         Q, _ = quotient(A, G)
         if Q.size < X.size:
@@ -44,7 +46,7 @@ def oracle_hs_contains(A, X):
                     continue
                 seen.add(u)
                 S, _ = sg(Q, gen)
-                if canonical_form(S) == cx:
+                if oracle_canonical_form(S) == cx:
                     return True
     return False
 
@@ -234,8 +236,9 @@ def test_pairwise_non_isomorphic_basics(named):
             assert not is_isomorphic(A, B)
 
 
-# Algebras on which canonical_form does not return, each with a
-# non-isomorphic algebra of the same size (given by its factors).
+# Algebras on which canonical_form did not return while it refined colors
+# (oracle_canonical_form still does not), each with a non-isomorphic
+# algebra of the same size (given by its factors).
 HARD = {"S12": (("S12",), ("C4", "S3")),
         "C4ext_4": (("C4ext_4",), ("S12",)),
         "C4xS3": (("C4", "S3"), ("C4ext_4",)),
@@ -245,7 +248,7 @@ HARD = {"S12": (("S12",), ("C4", "S3")),
 
 
 @pytest.mark.parametrize("name", list(HARD))
-def test_is_isomorphic_returns_where_canonical_form_hangs(name):
+def test_isomorphism_returns_on_former_hangs(name):
     factors, partner = HARD[name]
     A = _product(*factors)
     perm = list(range(A.size))
@@ -253,9 +256,14 @@ def test_is_isomorphic_returns_where_canonical_form_hangs(name):
     start = time.perf_counter()
     assert is_isomorphic(A, A.relabel(perm))
     assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    cf = canonical_form(A)
+    assert time.perf_counter() - start < 1.0
+    assert canonical_form(A.relabel(perm)) == cf
     B = _product(*partner)
     assert B.size == A.size
     assert not is_isomorphic(A, B) and not is_isomorphic(B, A)
+    assert canonical_form(B) != cf
 
 
 def test_is_isomorphic_matches_canonical_form(dmm_catalogs):
@@ -289,6 +297,7 @@ def _relabelled_product(draw):
 def test_is_isomorphic_under_random_relabelling(case):
     A, perm = case
     assert is_isomorphic(A, A.relabel(perm))
+    assert canonical_form(A.relabel(perm)) == canonical_form(A)
 
 
 def test_hs_contains(named):

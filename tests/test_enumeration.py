@@ -27,12 +27,13 @@ def test_golden_counts_small(dmm_catalogs):
         assert len(cat.algebras) == GOLDEN_DMM_COUNTS[n], n
 
 
-# sha256 of the catalog re-sorted by canonical_form and renamed
-# {klass}{n}-{i} (_canonically_sorted): the bytes `dmm enumerate` wrote
-# while it sorted its output by canonical form, recorded before the lattice
-# layer kept one lattice per isomorphism class.  They show that sorting by
-# the dedup key changed only the order of the entries.  The JSON holds
-# tool_version, so a version bump changes every digest.
+# sha256 of the catalog re-sorted by the color-refinement canonical form
+# (oracle_canonical_form) and renamed {klass}{n}-{i} (_canonically_sorted):
+# the bytes `dmm enumerate` wrote while it sorted its output by that form,
+# recorded before the lattice layer kept one lattice per isomorphism class.
+# They show that sorting by the dedup key changed only the order of the
+# entries.  The JSON holds tool_version, so a version bump changes every
+# digest.
 CATALOG_SHA256 = {
     ("dmm", 1):
         "490254bc19da1ffa2a538b6dcfdffc845b33d9783e3d0f4444b089ed05522a84",
@@ -115,8 +116,9 @@ ENUMERATED_SHA256 = {
         "0662cbcd3ad1e4386de03bbdcb0a0a791da6dc8b51f09958655821bb0bf2098a",
     # the orbit-counting certificate (orbit_certificate in
     # test_enumeration_oracles.py, run once with unsafe=True) agrees with
-    # its 637 classes.  canonical_form does not return on most of its
-    # entries, so it has no CATALOG_SHA256 digest.
+    # its 637 classes.  oracle_canonical_form does not return on most of
+    # its entries, so it has no CATALOG_SHA256 digest; the library
+    # canonical_form still checks its order (test_catalog_bytes_pinned).
     ("dmm", 11):
         "4f4bca5e61b098d87325f9f35f32233d1adeba6dc553b4a9156fe0b59bf1ec9c",
 }
@@ -127,9 +129,12 @@ def _sha256(text: str) -> str:
 
 
 def _canonically_sorted(cat: Catalog) -> Catalog:
-    """cat's entries sorted by canonical form and renamed by position, the
-    order enumerate_algebras gave before it sorted by its dedup key."""
-    algs = sorted(cat.algebras, key=lambda A: canonical_form(A).data)
+    """cat's entries sorted by the color-refinement canonical form and
+    renamed by position, the order enumerate_algebras gave before it sorted
+    by its dedup key."""
+    # imported here: test_enumeration_oracles imports this module
+    from test_enumeration_oracles import oracle_canonical_form
+    algs = sorted(cat.algebras, key=oracle_canonical_form)
     for i, A in enumerate(algs):
         A.name = f"{cat.spec.klass}{cat.spec.size}-{i}"
     return Catalog(cat.spec, algs, cat.complete)
@@ -138,6 +143,10 @@ def _canonically_sorted(cat: Catalog) -> Catalog:
 def test_catalog_bytes_pinned():
     for klass, n in dict.fromkeys([*ENUMERATED_SHA256, *CATALOG_SHA256]):
         cat = enumerate_algebras(SearchSpec.for_class(klass, n), unsafe=True)
+        # canonical_form is the dedup key: distinct per class, in catalog
+        # order
+        forms = [canonical_form(A).data for A in cat.algebras]
+        assert forms == sorted(set(forms)), (klass, n)
         if (klass, n) in ENUMERATED_SHA256:
             assert _sha256(cat.to_json()) == ENUMERATED_SHA256[klass, n], \
                 (klass, n)

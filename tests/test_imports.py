@@ -1,7 +1,10 @@
 """The library is standard-library only: every module of src/dmm imports
-nothing but dmm itself and the standard library."""
+nothing but dmm itself and the standard library, and its function-local
+imports close no cycle."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +28,14 @@ def test_library_imports_only_the_standard_library():
         foreign = {root for root in _imported_roots(path)
                    if root != "dmm" and root not in sys.stdlib_module_names}
         assert not foreign, (path.name, foreign)
+
+
+def test_canonical_form_imports_in_a_fresh_process():
+    # conftest.py imports dmm.enumeration first, which would hide a cycle
+    # in canonical_form's function-local import of dmm.enumeration
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = ("from dmm.constructions import canonical_form, make_named; "
+            "canonical_form(make_named('S5'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
