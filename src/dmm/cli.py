@@ -342,8 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("construct", _cmd_construct, alg, emit, help="build a named algebra")
     add("enumerate", _cmd_enumerate, ("size",), ("class", "out", "unsafe-size"),
         ("irl", "dmm"), help="catalog all algebras of a size")
-    add("homs", _cmd_homs, alg + ("algebra2",), emit,
-        help="all homomorphisms between two algebras")
+    homs_help = ("all homomorphisms between two algebras; the cost grows "
+                 "with the number of maps returned (2^5 -> 2^5 has 3,125, "
+                 "about 1 s; 2^6 -> 2^6 has 46,656, about 40 s)")
+    add("homs", _cmd_homs, alg + ("algebra2",), emit, help=homs_help,
+        description=homs_help)
     add("iso", _cmd_iso, alg + ("algebra2",), emit, help="isomorphism test")
     add("quotient", _cmd_quotient, alg, emit + ("generators",),
         help="quotient by a generated filter")

@@ -2,7 +2,8 @@
 homomorphisms, isomorphism, HS membership, reducts.
 
 Isomorphism and HS membership are one embedding search, _embeds, which
-stops at the first injective homomorphism: A = B up to isomorphism iff
+walks injective partial maps only and stops at the first homomorphism
+found: A = B up to isomorphism iff
 |A| = |B| and A embeds in B, and X is in HS(A) = SH(A) (congruence
 extension) iff X embeds in some A/F.  canonical_form is the enumerator's
 dedup key (dmm.enumeration's lattice layer) computed from any labelling.
@@ -303,47 +304,70 @@ def zero_generated(A: FiniteIRL) -> tuple[FiniteIRL, list[int]]:
     return sg(A, ())
 
 
-def _maps(A: FiniteIRL, B: FiniteIRL):
+def _maps(A: FiniteIRL, B: FiniteIRL, injective: bool = False):
     """Element maps of the homomorphisms A -> B, by backtracking with
-    closure propagation."""
-    def propagate(h: dict[int, int]) -> dict[int, int] | None:
-        h = dict(h)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(h):
-                v = B.neg[h[a]]
-                c = A.neg[a]
-                if h.get(c, v) != v:
-                    return None
-                if c not in h:
-                    h[c] = v
-                    changed = True
-                for b in list(h):
-                    for ta, tb in ((A.meet, B.meet), (A.join, B.join),
-                                   (A.fusion, B.fusion)):
-                        c = ta[a][b]
-                        v = tb[h[a]][h[b]]
-                        if h.get(c, v) != v:
-                            return None
-                        if c not in h:
-                            h[c] = v
-                            changed = True
-        return h
+    closure propagation.  The map is a list h with -1 for unmapped
+    elements, and order lists the mapped elements in the order they were
+    mapped.  Closing order[i] reads its negation and its meet, join and
+    fusion, in both argument orders, with each of order[:i + 1], and maps
+    or checks every image so found; so each pair of mapped elements is read
+    once per node.  A branch undoes its own mappings off the end of order.
 
-    def search(h: dict[int, int]):
-        h2 = propagate(h)
-        if h2 is None:
+    With injective, a value already taken is refused, both when a value is
+    forced and when the search branches, so only the embeddings are walked.
+    It is private because only _embeds wants a yes/no answer over those:
+    homs lists every homomorphism, injective or not."""
+    h = [-1] * A.size
+    taken = [False] * B.size
+    order: list[int] = []
+    ops = ((A.meet, B.meet), (A.join, B.join), (A.fusion, B.fusion))
+
+    def put(c: int, w: int) -> bool:
+        if h[c] >= 0:
+            return h[c] == w
+        if injective and taken[w]:
+            return False
+        h[c] = w
+        taken[w] = True
+        order.append(c)
+        return True
+
+    def close(i: int) -> bool:
+        while i < len(order):
+            a = order[i]
+            v = h[a]
+            if not put(A.neg[a], B.neg[v]):
+                return False
+            for b in order[:i + 1]:
+                w = h[b]
+                for ta, tb in ops:
+                    c, x = ta[a][b], tb[v][w]
+                    if h[c] != x and not put(c, x):
+                        return False
+                    c, x = ta[b][a], tb[w][v]
+                    if h[c] != x and not put(c, x):
+                        return False
+            i += 1
+        return True
+
+    def undo(mark: int) -> None:
+        while len(order) > mark:
+            c = order.pop()
+            taken[h[c]] = False
+            h[c] = -1
+
+    def search():
+        if -1 not in h:
+            yield tuple(h)
             return
-        free = [a for a in A.elements if a not in h2]
-        if not free:
-            yield tuple(h2[a] for a in A.elements)
-            return
+        a, mark = h.index(-1), len(order)
         for v in B.elements:
-            h2[free[0]] = v
-            yield from search(h2)
+            if put(a, v) and close(mark):
+                yield from search()
+            undo(mark)
 
-    return search({A.e: B.e})
+    if put(A.e, B.e) and close(0):
+        yield from search()
 
 
 def homs(A: FiniteIRL, B: FiniteIRL) -> list[Homomorphism]:
@@ -352,9 +376,10 @@ def homs(A: FiniteIRL, B: FiniteIRL) -> list[Homomorphism]:
 
 
 def _embeds(X: FiniteIRL, Q: FiniteIRL) -> bool:
-    """True iff X is isomorphic to a subalgebra of Q: the search stops at
-    the first injective homomorphism X -> Q."""
-    return any(len(set(m)) == X.size for m in _maps(X, Q))
+    """True iff X is isomorphic to a subalgebra of Q: the first map of the
+    injective search, which refuses a value already taken and so never
+    walks the non-injective homomorphisms X -> Q."""
+    return any(True for _ in _maps(X, Q, injective=True))
 
 
 # ---- canonical forms and isomorphism ---------------------------------------

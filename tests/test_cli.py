@@ -182,6 +182,27 @@ def test_iso_on_relabelled_files(capsys, tmp_path):
     assert code == 1 and json.loads(out) == {"isomorphic": False}
 
 
+def test_iso_on_former_near_hang_file(capsys, tmp_path):
+    # is_isomorphic(2^6, 2^6) walked every endomorphism before the embedding
+    # search refused taken values, about three minutes
+    def write(name, A):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(A.to_dict()))
+        return str(p)
+
+    def power(name, k):
+        A = make_named(name)
+        for _ in range(k - 1):
+            A = direct_product(A, make_named(name))
+        return A
+
+    a, d = write("two6", power("2", 6)), write("d4_3", power("D4", 3))
+    start = time.perf_counter()
+    assert run(capsys, "iso", "--algebra", a, "--algebra2", a)[0] == 0
+    assert run(capsys, "iso", "--algebra", a, "--algebra2", d)[0] == 1
+    assert time.perf_counter() - start < 5.0
+
+
 def test_quotient_and_dfg(capsys):
     code, out, _ = run(capsys, "quotient", "--algebra", "S5",
                        "--generators", "1")

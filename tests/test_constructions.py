@@ -3,14 +3,14 @@ import json
 import random
 import time
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmm import constructions
-from dmm.algebra import validate_dmm
+from dmm.algebra import FiniteIRL, validate_dmm
 from dmm.constructions import (NAMED_BASIC, UnknownName, canonical_form,
                                direct_product, e_free_reduct, homs,
                                hs_contains, is_isomorphic, is_named,
@@ -211,6 +211,55 @@ def test_homs_closed_under_automorphism_composition(named):
                 assert tuple(a.mapping[h[i]] for i in A.elements) in hs
 
 
+HOM_TARGETS = ("2", "S3", "C4", "D4", "S4", "S5", "C4ext_1")
+
+# sha256 over homs(X, A) then homs(A, X), for every dmm n <= 6 and irl n <= 5
+# entry A and each X of HOM_TARGETS; frozen before the embedding search got
+# its own prune
+HOMS_SHA256 = \
+    "6f8efe0c720904fedb3d3e45fd833308a136fdef5bef3fa717df3b023c98abf4"
+
+
+@pytest.fixture(scope="module")
+def hom_pairs(named, dmm_catalogs):
+    algebras = [A for n in range(1, 7) for A in dmm_catalogs[n].algebras]
+    algebras += [A for n in range(1, 6) for A in enumerate_algebras(
+        SearchSpec.for_class("irl", n)).algebras]
+    return [pair for A in algebras for X in map(named.get, HOM_TARGETS)
+            for pair in ((X, A), (A, X))]
+
+
+def test_homs_pinned(hom_pairs):
+    digest = hashlib.sha256()
+    for X, A in hom_pairs:
+        digest.update(f"{[h.mapping for h in homs(X, A)]}\n".encode())
+    assert digest.hexdigest() == HOMS_SHA256
+
+
+def test_homs_match_brute_force_on_noncommutative_tables(named):
+    # fusion tables with one entry changed on one side of the diagonal: the
+    # search must read each pair in both argument orders
+    small = [named[nm] for nm in NAMED_BASIC]
+    tables = list(small)
+    for A in small:
+        d = A.to_dict()
+        for v in A.elements:
+            d["fusion"][A.e][A.f] = v
+            tables.append(FiniteIRL.from_dict(d))
+    for X in tables:
+        for A in tables:
+            want = [m for m in product(A.elements, repeat=X.size)
+                    if constructions.Homomorphism(X, A, m).is_valid()]
+            assert [h.mapping for h in homs(X, A)] == want
+
+
+def test_embedding_search_matches_homs(hom_pairs):
+    # the injective search finds an embedding iff the full search lists one
+    for X, A in hom_pairs:
+        assert constructions._embeds(X, A) == any(
+            h.injective for h in homs(X, A)), (X.name, A.name)
+
+
 def test_canonical_form_invariant_under_relabeling(named):
     rng = random.Random(20260823)
     for nm in NAMED_BASIC:
@@ -264,6 +313,35 @@ def test_isomorphism_returns_on_former_hangs(name):
     assert B.size == A.size
     assert not is_isomorphic(A, B) and not is_isomorphic(B, A)
     assert canonical_form(B) != cf
+
+
+# Algebras on which is_isomorphic(A, A) walked every endomorphism before the
+# embedding search refused taken values (2^6: 168 s); canonical_form still
+# takes seconds on them, so they are not in HARD.
+NEAR_HANGS = {"2^6": ("2",) * 6, "D4^3": ("D4",) * 3, "S3^3": ("S3",) * 3,
+              "C4xD4xS3": ("C4", "D4", "S3")}
+
+
+@pytest.mark.parametrize("name", list(NEAR_HANGS))
+def test_embedding_search_returns_on_former_near_hangs(name, named):
+    A = _product(*NEAR_HANGS[name])
+    perm = list(range(A.size))
+    random.Random(20261019 + A.size).shuffle(perm)
+    start = time.perf_counter()
+    assert is_isomorphic(A, A.relabel(perm))
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    # C4 is a quotient of C4xD4xS3; 2^k has fusion = meet, D4^k has e and
+    # f incomparable and S3^k has e = f, none of which C4 has
+    assert hs_contains(A, named["C4"]) == (name == "C4xD4xS3")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_two_to_the_six_is_not_d4_cubed():
+    A, B = _product(*NEAR_HANGS["2^6"]), _product(*NEAR_HANGS["D4^3"])
+    start = time.perf_counter()
+    assert not is_isomorphic(A, B) and not is_isomorphic(B, A)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_isomorphic_matches_canonical_form(dmm_catalogs):

@@ -1,14 +1,16 @@
-"""Brute-force oracles for deductive filters, congruences and the
-simple/SI/FSI flags, compared against the principal-filter forms in
+"""Brute-force oracles for deductive filters, congruences, quotients and
+the simple/SI/FSI flags, compared against the principal-filter forms in
 dmm.filters and dmm.relevant.
 
 The oracles enumerate every subset that could be a filter, build each
-filter's congruence by union-find, and classify from the congruence lattice:
-a monolith for SI, no two non-identity congruences meeting in the identity
-for FSI, exactly two congruences for simple.  They share no code with the
-library routes they check.
+filter's congruence by union-find or by a search for residuals in the
+filter, check the quotient order law pair by pair, and classify from the
+congruence lattice: a monolith for SI, no two non-identity congruences
+meeting in the identity for FSI, exactly two congruences for simple.  They
+share no code with the library routes they check.
 """
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -16,7 +18,8 @@ import pytest
 from dmm.algebra import square_increasing_witness
 from dmm.constructions import direct_product, e_free_reduct, make_named
 from dmm.enumeration import SearchSpec, enumerate_algebras
-from dmm.filters import classify, deductive_filters, dfg
+from dmm.filters import (DeductiveFilter, NotAFilter, classify,
+                         deductive_filters, dfg, omega, quotient)
 from dmm.relevant import ra_classify, ra_deductive_filters
 
 
@@ -50,6 +53,12 @@ def _subset_filters(A, base, fusion_closed):
                 found.append(mem)
     found.sort(key=lambda m: (len(m), sorted(m)))
     return found
+
+
+def is_deductive_filter(A, members):
+    """Whether members is an up-set containing e closed under meet and
+    fusion."""
+    return _is_filter(A, members, {A.e}, True)
 
 
 def oracle_filters(A):
@@ -96,6 +105,30 @@ def oracle_congruence(A, F):
     return tuple(rank[first[raw[a]]] for a in range(n))
 
 
+def _kernel(A, members):
+    """Blocks of {(a, b) : a->b and b->a in members}, numbered by least
+    member.  members must be a deductive filter, which makes the relation
+    an equivalence."""
+    blocks = []
+    ids = {}
+    for a in range(A.size):
+        least = next(b for b in range(a + 1)
+                     if A.residual(a, b) in members
+                     and A.residual(b, a) in members)
+        blocks.append(ids.setdefault(least, len(ids)))
+    return tuple(blocks)
+
+
+def order_law_failure(A, members, Q, proj):
+    """The first pair (a, b) at which the law of quotient orders, a->b in
+    members iff a/F <= b/F in Q, fails; None if it holds."""
+    for a in A.elements:
+        for b in A.elements:
+            if (A.residual(a, b) in members) != Q.leq(proj[a], proj[b]):
+                return a, b
+    return None
+
+
 def _finer(c1, c2, n):
     return all(c2[a] == c2[b] for a in range(n) for b in range(a + 1, n)
                if c1[a] == c1[b])
@@ -138,11 +171,21 @@ def dmm_inputs(named, dmm_catalogs):
     return out
 
 
+def _catalog(klass, top):
+    return [A for n in range(1, top + 1)
+            for A in enumerate_algebras(SearchSpec.for_class(klass, n)).algebras]
+
+
 @pytest.fixture(scope="module")
 def irl_inputs():
     """Every IRL with n <= 5."""
-    return [A for n in range(1, 6)
-            for A in enumerate_algebras(SearchSpec.for_class("irl", n)).algebras]
+    return _catalog("irl", 5)
+
+
+@pytest.fixture(scope="module")
+def pinned_entries():
+    """Every entry of the pinned catalogs dmm n <= 8 and irl n <= 6."""
+    return _catalog("dmm", 8) + _catalog("irl", 6)
 
 
 def _label(A):
@@ -156,6 +199,52 @@ def test_deductive_filters_match_subset_oracle(dmm_inputs, irl_inputs):
     for A in dmm_inputs + irl_inputs:
         got = [F.members for F in deductive_filters(A)]
         assert got == oracle_filters(A), _label(A)
+
+
+def test_omega_matches_kernel_oracle(pinned_entries):
+    # each entry also reversed, so that index order is not a linear
+    # extension of the lattice order
+    for A in pinned_entries + [A.relabel(A.elements[::-1])
+                               for A in pinned_entries]:
+        for G in deductive_filters(A):
+            blocks = omega(A, G).blocks
+            assert blocks == _kernel(A, G.members), (_label(A), G.members)
+            Q, proj = quotient(A, G)
+            assert proj == list(blocks)
+            assert order_law_failure(A, G.members, Q, proj) is None, \
+                (_label(A), G.members)
+
+
+def test_omega_rejects_exactly_the_non_filters():
+    # every subset of every dmm n <= 7 and irl n <= 6 entry
+    seen = []
+    for A in _catalog("dmm", 7) + _catalog("irl", 6):
+        for bits in range(1 << A.size):
+            mem = frozenset(a for a in A.elements if bits >> a & 1)
+            try:
+                omega(A, DeductiveFilter(mem, A))
+                seen.append(True)
+            except NotAFilter:
+                seen.append(False)
+            assert seen[-1] == is_deductive_filter(A, mem), (_label(A), mem)
+    assert len(seen) == 10484 and True in seen
+
+
+# sha256 over the projection and the tables of A/F for every deductive
+# filter F of every dmm n <= 8 entry A, frozen while quotients were built
+# by a search for residuals in F
+QUOTIENTS_SHA256 = \
+    "9375fe1277f862535438e12c7d90b1fce0291942c39fde808df84432ddf6279c"
+
+
+def test_quotients_pinned():
+    digest = hashlib.sha256()
+    for A in _catalog("dmm", 8):
+        for G in deductive_filters(A):
+            Q, proj = quotient(A, G)
+            line = (proj, Q.meet, Q.join, Q.fusion, Q.neg, Q.e)
+            digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == QUOTIENTS_SHA256
 
 
 def test_dfg_matches_closure_oracle(dmm_inputs, irl_inputs):

@@ -88,3 +88,23 @@ def test_law_digest_pins_dmm6_irl4():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+def test_hs_digest_pins_dmm6_irl5():
+    # every quotient, homs list against the basic algebras, is_isomorphic
+    # and hs_contains answer on the dmm catalogs n <= 6 and irl n <= 5,
+    # frozen before the embedding search got its own prune; the same script
+    # compares versions of the searches on the larger catalogs and the corpus
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "scripts" / "hs_digest.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--dmm", "6", "--irl", "5", "--no-corpus"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "62 algebras, 1014 results, sha256 b771809da08c1e2b5a69363e8a40a675"
+        "51bea18e446fd5ac0123687eb21ec17b, searches ")
+    proc = subprocess.run([sys.executable, script, "--irl", "9"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
