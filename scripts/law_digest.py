@@ -12,7 +12,9 @@ Each corruption makes one or two edits that keep the tables symmetric: an
 entry of meet, join or fusion is set at (a, b) and (b, a) together, two
 values of neg are swapped, or e is moved.  The edits are drawn from a
 random.Random seeded with the input's name, so they do not depend on the
-other inputs.
+other inputs.  A corruption that edits neither meet nor join keeps the
+input's own meet and join objects, as the enumerator's tables on one
+lattice do.
 
 The inputs are the dmm catalogs of sizes 1..--dmm, the irl catalogs of sizes
 1..--irl, and, unless --no-corpus, S8, S10, S12, C4ext_2..4 and the products
@@ -26,6 +28,7 @@ import argparse
 import hashlib
 import random
 import time
+from dataclasses import replace
 from functools import reduce
 
 from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm, validate_irl
@@ -52,13 +55,17 @@ def reports(A):
 
 
 def corruptions(name, A):
-    """CORRUPTIONS symmetric corruptions of A, seeded by name."""
+    """CORRUPTIONS symmetric corruptions of A, seeded by name.  One that
+    leaves meet and join alone is built on A's own meet and join objects,
+    so its checks reuse the lattice stage of A's."""
     rnd = random.Random(name)
     n = A.size
     for _ in range(CORRUPTIONS):
         d = A.to_dict()
+        edited = set()
         for _ in range(rnd.randint(1, 2)):
             k = rnd.choice(("meet", "join", "fusion", "neg", "e"))
+            edited.add(k)
             if k == "e":
                 d["e"] = rnd.randrange(n)
             elif k == "neg":
@@ -67,7 +74,10 @@ def corruptions(name, A):
             else:
                 a, b, v = rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)
                 d[k][a][b] = d[k][b][a] = v
-        yield FiniteIRL.from_dict(d)
+        B = FiniteIRL.from_dict(d)
+        if not edited & {"meet", "join"}:
+            B = replace(B, meet=A.meet, join=A.join)
+        yield B
 
 
 def answers(A):

@@ -16,7 +16,17 @@ than 256 elements (a byte holds 256 values); it is the only code that
 collects witnesses, so a report keeps its violations and their order.
 The residual-is-max check has a test of the same kind: a*c <= b iff
 c <= a -> b for all triples makes a -> b the largest c with a*c <= b,
-and its walk runs only if that test fails.
+and its walk runs only if that test fails.  So does distributivity.
+
+The tests come in two stages.  The lattice stage (_Lattice) reads meet
+and join alone: their shapes and ranges, their lattice laws, the byte
+marks of the order that the fusion laws read, and distributivity.  The
+other stage reads fusion, neg and e.  The enumerator validates every
+class of one lattice on the same meet and join tuples, so the last
+lattice stage made is kept, keyed by the identity of those two objects
+(_lattice_of).  Only tuples of tuples are kept, as they cannot change,
+and at most one lattice is kept.  Every law is still decided for every
+algebra: a kept stage holds the verdicts on its meet and join.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 MAX_WITNESSES_PER_LAW = 32
@@ -69,14 +79,16 @@ def _ints(row, what: str) -> tuple[int, ...]:
 
 def _checked_tables(size, meet, join, fusion, neg) -> tuple:
     """The five shared fields as tuples, after the type checks; the shape and
-    range checks are check_well_formed's."""
+    range checks are check_well_formed's.  A table that is a tuple of tuples
+    is kept as the same object, so tables shared stay shared."""
     if type(size) is not int:
         raise MalformedTable("size must be an integer")
     tabs = []
     for nm, rows in (("meet", meet), ("join", join), ("fusion", fusion)):
         if not isinstance(rows, _SEQ):
             raise MalformedTable(f"{nm} must be a list of rows")
-        tabs.append(tuple(_ints(row, f"{nm} row") for row in rows))
+        tab = tuple(_ints(row, f"{nm} row") for row in rows)
+        tabs.append(rows if _frozen(rows) else tab)
     return (size, *tabs, _ints(neg, "neg"))
 
 
@@ -103,7 +115,9 @@ class Tables:
     (residual table, extrema, and in subclasses the validation reports and
     t) is memoized on the instance on first use, so it goes away with the
     instance.  The law library is parsed and compiled once per process
-    instead (dmm.terms), as it depends on no algebra.
+    instead (dmm.terms), as it depends on no algebra, and the lattice stage
+    of validation is kept for the last meet and join tuples validated
+    (_lattice_of), which any number of instances may share.
     """
 
     size: int
@@ -113,16 +127,19 @@ class Tables:
     neg: tuple[int, ...]
 
     def check_well_formed(self) -> None:
-        n, tabs, neg = self.size, (self.meet, self.join, self.fusion), self.neg
-        # shapes and ranges in a few C-level passes; the walk below runs
-        # only to name the first defect
-        if (n >= 1 and len(neg) == n and all(len(t) == n for t in tabs)
-                and set(map(len, chain(*tabs))) == {n}
-                and not set(neg).union(*chain(*tabs)).difference(range(n))):
+        n, fus, neg = self.size, self.fusion, self.neg
+        # shapes and ranges in a few C-level passes, meet and join's once
+        # per lattice (_lattice_of); the walk below runs only to name the
+        # first defect
+        if (n >= 1 and len(neg) == n and len(fus) == n
+                and set(map(len, fus)) == {n}
+                and not set(neg).union(*fus).difference(range(n))
+                and _lattice_of(self).well_formed):
             return
         if n < 1:
             raise MalformedTable(f"size must be >= 1, got {n}")
-        for nm, tab in zip(("meet", "join", "fusion"), tabs):
+        for nm, tab in zip(("meet", "join", "fusion"),
+                           (self.meet, self.join, fus)):
             if len(tab) != n or any(len(row) != n for row in tab):
                 raise MalformedTable(f"{nm} table is not {n}x{n}")
             for row in tab:
@@ -300,66 +317,161 @@ def _byte_rows(tab, pad: bytes) -> tuple[list[bytes], bytes, list[bytes]]:
     return rows, b"".join(rows), [r + pad for r in rows]
 
 
+def _frozen(tab) -> bool:
+    """Whether tab is a tuple of tuples, which cannot change."""
+    return type(tab) is tuple and all(type(row) is tuple for row in tab)
+
+
+class _Lattice:
+    """The lattice stage of validation: what the checks read of meet and
+    join alone, for one pair of size n, each part computed on first use.
+    Every part but well_formed assumes n <= 256 and well-formed tables."""
+
+    def __init__(self, n: int, meet, join):
+        # holding meet and join keeps their ids theirs while this is kept
+        self.n, self.meet, self.join = n, meet, join
+        self.pad = bytes(max(256 - n, 0))
+
+    @cached_property
+    def well_formed(self) -> bool:
+        """meet and join are n x n with entries in range."""
+        n, meet, join = self.n, self.meet, self.join
+        return (len(meet) == n == len(join)
+                and set(map(len, chain(meet, join))) == {n}
+                and not set().union(*meet, *join).difference(range(n)))
+
+    @cached_property
+    def meet_rows(self) -> tuple[list[bytes], bytes, list[bytes]]:
+        return _byte_rows(self.meet, self.pad)
+
+    @cached_property
+    def join_rows(self) -> tuple[list[bytes], bytes, list[bytes]]:
+        return _byte_rows(self.join, self.pad)
+
+    @cached_property
+    def laws_hold(self) -> bool:
+        """Whether meet and join are commutative, absorb each other and are
+        associative; see _shared_laws_hold."""
+        n = self.n
+        tabs = (self.meet_rows, self.join_rows)
+        for _, flat, _ in tabs:
+            if b"".join([flat[c::n] for c in range(n)]) != flat:
+                return False
+        (mrows, _, mpads), (jrows, _, jpads) = tabs
+        each_a = b"".join([bytes((a,)) * n for a in range(n)])  # (a, b) is a
+        if (b"".join(map(bytes.translate, jrows, mpads)) != each_a
+                or b"".join(map(bytes.translate, mrows, jpads)) != each_a):
+            return False
+        return all(b"".join(map(rows.__getitem__, flat))
+                   == b"".join(map(flat.translate, pads))
+                   for rows, flat, pads in tabs)
+
+    @cached_property
+    def up(self) -> list[bytes]:
+        """up[w][z] is 1 iff meet[w][z] = w, that is w <= z."""
+        return list(map(bytes.translate, self.meet_rows[0], _ONEHOT))
+
+    @cached_property
+    def down(self) -> list[bytes]:
+        """down[u][v] is 1 iff join[u][v] = u, that is v <= u."""
+        return list(map(bytes.translate, self.join_rows[0], _ONEHOT))
+
+    @cached_property
+    def down_pads(self) -> list[bytes]:
+        """The down rows padded to 256-byte translate tables."""
+        return [d + self.pad for d in self.down]
+
+    @cached_property
+    def distributive(self) -> bool:
+        """Whether a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c) for every
+        (a, b, c), in O(n) Python steps: the flat join table translated by
+        each meet row, against each meet row a, once per b, translated by
+        the join row of a /\\ b."""
+        n = self.n
+        mrows, mflat, mpads = self.meet_rows
+        _, jflat, jpads = self.join_rows
+        lhs = b"".join([jflat.translate(p) for p in mpads])
+        each_ab = chain.from_iterable(repeat(r, n) for r in mrows)
+        return lhs == b"".join(map(bytes.translate, each_ab,
+                                   map(jpads.__getitem__, mflat)))
+
+
+_last_lattice: _Lattice | None = None
+
+
+def _lattice_of(A: Tables) -> _Lattice:
+    """The lattice stage of A's meet and join.  The last one made is kept
+    and reused while A holds the very same meet and join objects, and
+    only when both are tuples of tuples, which cannot change; the
+    enumerator validates every class of one lattice on the same objects.
+    At most one lattice is kept."""
+    global _last_lattice
+    n, meet, join = A.size, A.meet, A.join
+    lat = _last_lattice
+    if (lat is not None and lat.meet is meet and lat.join is join
+            and lat.n == n):
+        return lat
+    lat = _Lattice(n, meet, join)
+    if _frozen(meet) and _frozen(join):
+        _last_lattice = lat
+    return lat
+
+
 def _shared_laws_hold(A: Tables) -> bool:
     """Whether _check_shared finds no violation, decided on byte strings in
     O(n) Python steps, for well-formed tables; False above 256 elements,
     as a byte holds 256 values.
 
-    Each stage may assume the ones before it.  Commutativity compares a
-    table with its transpose, and absorption translates each join row by
-    the meet row and back.  Idempotence and order agreement follow from
-    these two, so they need no stage: with b = a /\\ a, a \\/ b = a, so
-    a /\\ a = a /\\ (a \\/ b) = a, and dually; a /\\ b = a gives
-    b \\/ a = b \\/ (b /\\ a) = b, and a \\/ b = b gives
+    The lattice stage (_Lattice.laws_hold) reads meet and join only, and
+    is decided once per lattice kept by _lattice_of.  Commutativity
+    compares a table with its transpose, and absorption translates each
+    join row by the meet row and back.  Idempotence and order agreement
+    follow from these two, so they need no stage: with b = a /\\ a,
+    a \\/ b = a, so a /\\ a = a /\\ (a \\/ b) = a, and dually;
+    a /\\ b = a gives b \\/ a = b \\/ (b /\\ a) = b, and a \\/ b = b gives
     a /\\ b = a /\\ (a \\/ b) = a.  So the order may be read off either
     table.  Associativity compares the rows gathered by the flat table,
-    (a.b).c, with the flat table translated by each row, a.(b.c).
-    Involution-fusion compares the up-set marks of every x*y with the
-    down-set marks of ~x over the table y*~z, which is ~z*y by
-    commutativity."""
+    (a.b).c, with the flat table translated by each row, a.(b.c).  The
+    other stage reads fusion and neg: neg of period 2, fusion commutative
+    and associative as above, and involution-fusion, which compares the
+    up-set marks of every x*y with the down-set marks of ~x over the table
+    y*~z, which is ~z*y by commutativity."""
     n = A.size
     if n > 256:
         return False
-    idem, pad = bytes(range(n)), bytes(256 - n)
+    lat = _lattice_of(A)
+    if not lat.laws_hold:
+        return False
+    pad = lat.pad
     neg = bytes(A.neg)
-    if neg.translate(neg + pad) != idem:
+    if neg.translate(neg + pad) != bytes(range(n)):
         return False
-    tabs = [_byte_rows(tab, pad) for tab in (A.meet, A.join, A.fusion)]
-    for _, flat, _ in tabs:
-        if b"".join([flat[c::n] for c in range(n)]) != flat:
-            return False
-    (mrows, _, mpads), (jrows, _, jpads), (_, fflat, fpads) = tabs
-    each_a = b"".join([bytes((a,)) * n for a in range(n)])  # (a, b) is a
-    if (b"".join(map(bytes.translate, jrows, mpads)) != each_a
-            or b"".join(map(bytes.translate, mrows, jpads)) != each_a):
+    frows, fflat, fpads = _byte_rows(A.fusion, pad)
+    if (b"".join([fflat[c::n] for c in range(n)]) != fflat
+            or (b"".join(map(frows.__getitem__, fflat))
+                != b"".join(map(fflat.translate, fpads)))):
         return False
-    for rows, flat, pads in tabs:
-        if (b"".join(map(rows.__getitem__, flat))
-                != b"".join(map(flat.translate, pads))):
-            return False
-    up = list(map(bytes.translate, mrows, _ONEHOT))     # up[w][z]: w <= z
-    down = list(map(bytes.translate, jpads, _ONEHOT))   # down[u][v]: v <= u
     y_negz = b"".join(map(neg.translate, fpads))
-    return (b"".join(map(up.__getitem__, fflat))
-            == b"".join(map(y_negz.translate, map(down.__getitem__, neg))))
+    return (b"".join(map(lat.up.__getitem__, fflat))
+            == b"".join(map(y_negz.translate,
+                            map(lat.down_pads.__getitem__, neg))))
 
 
 def _residuated(A: Tables) -> bool:
     """Whether a*c <= b iff c <= a -> b for every (a, b, c), on byte strings,
     for tables that pass every IRL law (so the order may be read off join);
     False above 256 elements.  It implies residual-is-max: a -> b is then
-    the largest such c."""
+    the largest such c.  The down-set marks come from the lattice stage."""
     n = A.size
     if n > 256:
         return False
-    pad = bytes(256 - n)
+    lat = _lattice_of(A)
     neg = bytes(A.neg)
-    frows, fflat, _ = _byte_rows(A.fusion, pad)
-    down = list(map(bytes.translate, map(bytes, A.join), _ONEHOT))
+    frows, fflat, _ = _byte_rows(A.fusion, lat.pad)
     # entry (b, a) is ~(~b*a) = a -> b
-    res_t = b"".join(map(frows.__getitem__, neg)).translate(neg + pad)
-    return (b"".join([fflat.translate(d + pad) for d in down])
-            == b"".join(map(down.__getitem__, res_t)))
+    res_t = b"".join(map(frows.__getitem__, neg)).translate(neg + lat.pad)
+    return (b"".join([fflat.translate(d) for d in lat.down_pads])
+            == b"".join(map(lat.down.__getitem__, res_t)))
 
 
 def _check_shared(A: Tables, col: _Collector):
@@ -446,9 +558,14 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
 
 
 def is_distributive(A: Tables) -> tuple[int, int, int] | None:
-    """First witness of a distributivity failure, or None.  Row b of
-    a /\\ (b \\/ c) and of (a /\\ b) \\/ (a /\\ c) are compared whole, and c
-    is walked only in a row that differs."""
+    """First witness of a distributivity failure, or None, for well-formed
+    tables.  The lattice stage decides it on byte strings, once per
+    lattice kept by _lattice_of.  Only when that test fails, or above 256
+    elements, are the elements walked: row b of a /\\ (b \\/ c) and of
+    (a /\\ b) \\/ (a /\\ c) are compared whole, and c is walked only in a
+    row that differs."""
+    if A.size <= 256 and _lattice_of(A).distributive:
+        return None
     meet, join, rng = A.meet, A.join, range(A.size)
     by_join = [itemgetter(*row) for row in join]  # by_join[b](r)[c] = r[b\/c]
     for a in rng:

@@ -68,8 +68,13 @@ the same key from any labelling of an algebra, with the lattice's least
 down-set vector in place of its index, so sorting by it gives this order.
 
 Only the first table of each class is validated, and an invalid one still
-raises AssertionError.  A later table of the class is isomorphic to a
-validated one, so it is valid too.
+raises AssertionError, naming the laws it breaks (a table that is not an
+IRL too, under the dmm class).  A later table of the class is isomorphic
+to a validated one, so it is valid too.  All tables on one lattice share
+its meet and join tuples, and dmm.algebra keeps the lattice stage of the
+last lattice validated, so the lattice laws, the order marks and
+distributivity are computed once per lattice, while the laws that read
+fusion, neg and e are decided for every kept class.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from dmm import __version__
-from dmm.algebra import (FiniteIRL, check_derived_laws, is_rigorously_compact,
-                         validate_dmm, validate_irl)
+from dmm.algebra import (FiniteIRL, NotAnIRL, check_derived_laws,
+                         is_rigorously_compact, validate_dmm, validate_irl)
 from dmm.constructions import (NAMED_BASIC, e_free_reduct, embeds_in_some,
                                is_isomorphic, make_named, zero_generated)
 # perfbench's test_wrappers_restore_every_namespace reads this binding
@@ -639,8 +644,13 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
                     if key in seen:
                         continue
                     A = FiniteIRL(n, meet, join, fus, tuple(neg), e)
-                    rep = (validate_dmm(A) if spec.klass == "dmm"
-                           else validate_irl(A))
+                    try:
+                        rep = (validate_dmm(A) if spec.klass == "dmm"
+                               else validate_irl(A))
+                    except NotAnIRL as exc:
+                        raise AssertionError(
+                            f"search produced an invalid algebra: {exc}"
+                        ) from exc
                     if not rep.ok:
                         raise AssertionError(
                             "search produced an invalid algebra: "

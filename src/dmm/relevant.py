@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from dmm.algebra import (Tables, ValidationReport, _check_shared, _dmm_tail,
-                         _checked_tables, _Collector, _read_dict)
+                         _checked_tables, _Collector, _lattice_of, _read_dict)
 from dmm.filters import DeductiveFilter, _order_flags, _up_sets
 
 
@@ -61,15 +61,32 @@ class FiniteRA(Tables):
             d, ("size", "meet", "join", "fusion", "neg")))
 
 
+def _neg_antitone(A: FiniteRA) -> bool:
+    """Whether a <= b iff ~b <= ~a for every (a, b), on byte strings for
+    well-formed tables: the lattice stage's up-set marks at (a, b) against
+    those at (~b, ~a), read from the columns of the marks; False above 256
+    elements."""
+    n = A.size
+    if n > 256:
+        return False
+    lat = _lattice_of(A)
+    up, neg = b"".join(lat.up), bytes(A.neg)
+    cols = [up[c::n] + lat.pad for c in range(n)]   # cols[c][x]: x <= c
+    return up == b"".join(map(neg.translate, map(cols.__getitem__, neg)))
+
+
 def validate_ra(A: FiniteRA) -> ValidationReport:
     """Check every defining condition of a relevant algebra, reporting
     witnesses: the laws shared with IRLs and with DMMs, then neg antitone
     and a <= a*(~(b*~b) /\\ ~(c*~c)).  With commutative fusion the RA law
-    a*b <= c iff a*~c <= ~b is involution-fusion at (b, a, c)."""
+    a*b <= c iff a*~c <= ~b is involution-fusion at (b, a, c).  Neg
+    antitone is decided on byte strings first (_neg_antitone), and its
+    pairs are walked only when that test fails."""
     A.check_well_formed()
     rng = A.elements
     meet, fus, neg = A.meet, A.fusion, A.neg
     col = _Collector()
+    antitone = _neg_antitone(A)
     u = [neg[fus[b][neg[b]]] for b in rng]      # u[b] = ~(b*~b)
     # a <= a*w depends on (a, w) only, for w in W = {u[b] /\ u[c]}; (b, c)
     # is walked only for an a that fails on some w
@@ -77,21 +94,17 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
     for a in _check_shared(A, col):
         ma, fa = meet[a], fus[a]
         fails = {w for w in W if ma[fa[w]] != a}
+        if antitone and not fails:
+            continue
         for b in rng:
-            if (meet[a][b] == a) != (meet[neg[b]][neg[a]] == neg[b]):
+            if not antitone and ((meet[a][b] == a)
+                                 != (meet[neg[b]][neg[a]] == neg[b])):
                 col.add("neg-antitone", (a, b))
             for c in (rng if fails else ()):
                 if meet[u[b]][u[c]] in fails:
                     col.add("identity-bound a <= a*(~(b*~b)/\\~(c*~c))",
                             (a, b, c))
     return _dmm_tail(A, col)
-
-
-def ra_deductive_filters(A: FiniteRA) -> list[DeductiveFilter]:
-    """All deductive filters: [m) for each m <= t, sorted by (size, sorted
-    membership)."""
-    return [DeductiveFilter(F, A)
-            for F in _up_sets(A, [m for m in A.elements if A.leq(m, A.t)])]
 
 
 def dfg_ra(A: FiniteRA, a: int) -> DeductiveFilter:

@@ -13,10 +13,11 @@ from dmm.algebra import (FiniteIRL, LawReport, MalformedTable, NotAnIRL,
                          predicates, square_increasing_witness, validate_dmm,
                          validate_irl)
 from dmm.constructions import e_free_reduct, make_named
-from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
+from dmm.enumeration import Catalog, SearchSpec, _lattices, enumerate_algebras
 from dmm.relevant import FiniteRA, validate_ra
 from conftest import (corrupted_tables, symmetric_corrupted_tables,
                       symmetric_corruption)
+from test_enumeration import M3, N5
 
 
 def chain_meet(n):
@@ -378,6 +379,156 @@ def test_distributivity_witness():
         join[0][a] = join[a][0] = a
     A = FiniteIRL.from_tables(n, meet, join, meet, list(range(n)), 4)
     assert is_distributive(A) is not None
+
+
+def lattice_corruptions(meet, join, rnd, k):
+    """k copies of (meet, join) as lists, each with one or two entries of
+    meet or join set to any element, at (a, b) alone or at (b, a) too."""
+    n = len(meet)
+    for _ in range(k):
+        tabs = {"meet": [list(r) for r in meet],
+                "join": [list(r) for r in join]}
+        for _ in range(rnd.randint(1, 2)):
+            t = tabs[rnd.choice(["meet", "join"])]
+            a, b, v = rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)
+            t[a][b] = v
+            if rnd.random() < 0.5:
+                t[b][a] = v
+        yield tabs["meet"], tabs["join"]
+
+
+def test_distributive_bytes_match_walk():
+    # the byte test of the lattice stage against the triple loop, and the
+    # witness is_distributive walks to when that test fails: every lattice
+    # the lattice layer yields up to 8 elements (M3 and N5 among them), M3
+    # and N5 as written, and three seeded corruptions of meet and join of
+    # each
+    rnd = random.Random(448)
+    lattices = [M3, N5, *(t for n in range(1, 9) for t in _lattices(n))]
+    assert M3 in lattices[2:] and N5 in lattices[2:]
+    seen = set()
+    for meet, join in lattices:
+        n = len(meet)
+        for m, j in [(meet, join), *lattice_corruptions(meet, join, rnd, 3)]:
+            A = FiniteIRL.from_tables(n, m, j, m, list(range(n)), 0)
+            want = oracle_distributivity_witness(A)
+            assert algebra._Lattice(n, A.meet, A.join).distributive == (
+                want is None)
+            assert is_distributive(A) == want
+            seen.add(want is None)
+    assert seen == {True, False}
+    for meet, join in (M3, N5):
+        A = FiniteIRL.from_tables(5, meet, join, meet, list(range(5)), 0)
+        assert is_distributive(A) is not None
+
+
+def all_reports(A):
+    """validate_irl, validate_dmm (or its NotAnIRL), validate_ra of the
+    e-free reduct and is_distributive, on the instance A."""
+    try:
+        dmm = validate_dmm(A)
+    except NotAnIRL as exc:
+        dmm = f"NotAnIRL: {exc}"
+    return (validate_irl(A), dmm, validate_ra(e_free_reduct(A)),
+            is_distributive(A))
+
+
+def fresh(A):
+    """A copy of A on new table objects, with no report computed."""
+    return FiniteIRL.from_dict(A.to_dict())
+
+
+def test_memo_reuses_lattice_for_corrupted_fusion():
+    # tables on a validated algebra's own meet and join objects, with
+    # fusion, neg or e corrupted, read the kept lattice stage and get the
+    # reports of fresh copies
+    rnd = random.Random(22)
+    failed = 0
+    for A in enumerate_algebras(SearchSpec(8)).algebras[::3]:
+        algebra._lattice_of(A)
+        n = A.size
+        for _ in range(3):
+            d = A.to_dict()
+            k = rnd.choice(["fusion", "neg", "e"])
+            a, b, v = rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)
+            if k == "fusion":
+                d["fusion"][a][b] = d["fusion"][b][a] = v
+            elif k == "neg":
+                d["neg"][a], d["neg"][b] = d["neg"][b], d["neg"][a]
+            else:
+                d["e"] = v
+            B = FiniteIRL(n, A.meet, A.join,
+                          tuple(map(tuple, d["fusion"])), tuple(d["neg"]),
+                          d["e"])
+            shared = all_reports(B)
+            assert algebra._last_lattice.meet is A.meet
+            assert algebra._last_lattice.join is A.join
+            # the reduct keeps them too, so validate_ra reads the same stage
+            R = e_free_reduct(B)
+            assert R.meet is A.meet and R.join is A.join
+            assert shared == all_reports(fresh(B))
+            failed += not shared[0].ok
+    assert failed > 50
+
+
+def test_memo_misses_new_join_tuples():
+    # meet shared, join a new tuple with one wrong entry: every changed
+    # join entry breaks a lattice law, as meet fixes the order
+    rnd = random.Random(5)
+    for A in enumerate_algebras(SearchSpec(6)).algebras:
+        algebra._lattice_of(A)
+        n = A.size
+        join = [list(r) for r in A.join]
+        a, b = rnd.randrange(n), rnd.randrange(n)
+        join[a][b] = join[b][a] = (join[a][b] + 1) % n
+        B = FiniteIRL(n, A.meet, tuple(map(tuple, join)), A.fusion, A.neg,
+                      A.e)
+        assert not validate_irl(B).ok
+        assert all_reports(B) == all_reports(fresh(B))
+
+
+def test_memo_misses_another_size(named):
+    # the kept stage's meet and join under a smaller size are malformed
+    A = named["C4"]
+    algebra._lattice_of(A)
+    n = A.size - 1
+    B = FiniteIRL(n, A.meet, A.join, tuple(map(tuple, chain_meet(n))),
+                  tuple(range(n)), 0)
+    with pytest.raises(MalformedTable, match=f"meet table is not {n}x{n}"):
+        B.check_well_formed()
+
+
+@pytest.mark.parametrize("rows", [list, tuple])
+def test_list_tables_mutated_in_place_get_fresh_verdicts(named, rows):
+    # tables with list rows, or a list of rows, are never kept, so an
+    # edit between two calls is always seen
+    for A in named.values():
+        n = A.size
+        meet = rows(list(r) for r in A.meet)
+        join = rows(list(r) for r in A.join)
+        first = FiniteIRL(n, meet, join, A.fusion, A.neg, A.e)
+        assert all_reports(first) == all_reports(fresh(A))
+        if n < 3:
+            continue
+        first = FiniteIRL(n, meet, join, A.fusion, A.neg, A.e)
+        assert validate_dmm(first).ok
+        join[1][2] = join[2][1] = (join[1][2] + 1) % n
+        meet[0][n - 1] = meet[n - 1][0] = n - 1
+        again = FiniteIRL(n, meet, join, A.fusion, A.neg, A.e)
+        assert not validate_irl(again).ok
+        assert all_reports(again) == all_reports(fresh(again))
+
+
+def test_shared_and_fresh_reports_agree_on_catalogs():
+    # every dmm n <= 8 and irl n <= 6 entry, first on the enumerator's own
+    # table objects in catalog order, so that the entries of one lattice
+    # follow each other and share its stage, then on fresh copies
+    algs = [A for klass, top in (("dmm", 8), ("irl", 6))
+            for n in range(1, top + 1)
+            for A in enumerate_algebras(SearchSpec(n, klass)).algebras]
+    shared = [all_reports(FiniteIRL(A.size, A.meet, A.join, A.fusion, A.neg,
+                                    A.e)) for A in algs]
+    assert shared == [all_reports(fresh(A)) for A in algs]
 
 
 def test_json_roundtrip(named):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from dmm import algebra, constructions, enumeration, filters
-from dmm.algebra import FiniteIRL, ValidationReport
+from dmm.algebra import FiniteIRL, ValidationReport, validate_irl
 from dmm.constructions import (NAMED_BASIC, canonical_form, direct_product,
                                is_isomorphic, make_named)
 from dmm.enumeration import (AXIOM_SETS, Catalog, IncompleteCatalog,
@@ -18,6 +18,18 @@ from dmm.enumeration import (AXIOM_SETS, Catalog, IncompleteCatalog,
 # freezing
 GOLDEN_DMM_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 3, 6: 18, 7: 15, 8: 92}
 GOLDEN_IRL_COUNTS = {1: 1, 2: 1, 3: 2, 4: 9, 5: 21, 6: 100}
+
+# the two five-element lattices that are not distributive, as (meet, join)
+# tuples, naturally labelled: M3 is 0 < 1, 2, 3 < 4, and N5 is
+# 0 < 1 < 3 < 4 with 0 < 2 < 4
+M3 = (((0, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 2, 0, 2), (0, 0, 0, 3, 3),
+       (0, 1, 2, 3, 4)),
+      ((0, 1, 2, 3, 4), (1, 1, 4, 4, 4), (2, 4, 2, 4, 4), (3, 4, 4, 3, 4),
+       (4, 4, 4, 4, 4)))
+N5 = (((0, 0, 0, 0, 0), (0, 1, 0, 1, 1), (0, 0, 2, 0, 2), (0, 1, 0, 3, 3),
+       (0, 1, 2, 3, 4)),
+      ((0, 1, 2, 3, 4), (1, 1, 4, 3, 4), (2, 4, 2, 4, 4), (3, 3, 4, 3, 4),
+       (4, 4, 4, 4, 4)))
 
 
 def test_golden_counts_small(dmm_catalogs):
@@ -235,6 +247,38 @@ def test_invalid_representative_raises(monkeypatch):
                         lambda A: ValidationReport(False))
     with pytest.raises(AssertionError, match="invalid algebra"):
         enumerate_algebras(SearchSpec(4))
+
+
+def test_non_associative_fusion_raises(monkeypatch):
+    # the real validators, on a table the search never yields: 0*0 = 1 on
+    # the chain 0 < 1 = e < 2, so (0*0)*2 = 2 but 0*(0*2) = 0*0 = 1
+    bad = ((1, 0, 0), (0, 1, 2), (0, 2, 2))
+    monkeypatch.setattr(
+        enumeration, "_fusion_tables",
+        lambda n, meet, neg, e, sq, stats=None: iter([bad] if e == 1 else []))
+    laws = validate_irl(FiniteIRL.from_tables(
+        3, [[min(a, b) for b in range(3)] for a in range(3)],
+        [[max(a, b) for b in range(3)] for a in range(3)], bad, [2, 1, 0],
+        1)).laws_violated()
+    assert "fusion-associative" in laws
+    for klass in ("dmm", "irl"):
+        with pytest.raises(AssertionError, match="invalid algebra") as info:
+            enumerate_algebras(SearchSpec(3, klass))
+        assert str(info.value).endswith(": " + ", ".join(laws))
+
+
+def test_non_distributive_lattice_raises(monkeypatch):
+    # N5 carries no square-increasing IRL, so the dmm search finds no table
+    # on it; M3 carries some, and validate_dmm names the failed law
+    monkeypatch.setattr(enumeration, "_lattices",
+                        lambda n, distributive=False: iter([N5]))
+    assert enumerate_algebras(SearchSpec(5)).algebras == []
+    monkeypatch.setattr(enumeration, "_lattices",
+                        lambda n, distributive=False: iter([N5, M3]))
+    with pytest.raises(AssertionError,
+                       match="^search produced an invalid algebra: "
+                             "distributive$"):
+        enumerate_algebras(SearchSpec(5))
 
 
 def test_size4_catalog_contents(dmm_catalogs):

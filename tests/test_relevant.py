@@ -1,18 +1,29 @@
 from itertools import combinations
 
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmm import relevant
 from dmm.algebra import (FiniteIRL, NotAnIRL, ValidationReport, _Collector,
                          is_distributive, is_rigorously_compact)
 from dmm.constructions import e_free_reduct, make_named
 from dmm.enumeration import SearchSpec, enumerate_algebras
-from dmm.filters import classify, congruence_lattice
+from dmm.filters import DeductiveFilter, _up_sets, classify, congruence_lattice
 from dmm.relevant import (FiniteRA, TrivialAlgebra, contains_two_reduct,
                           dfg_oracle, dfg_ra, dfg_ra_set, meet_property_check,
-                          ra_classify, ra_deductive_filters,
-                          reconstruct_neutral, validate_ra)
-from conftest import corrupted_tables, symmetric_corrupted_tables
+                          ra_classify, reconstruct_neutral, validate_ra)
+from conftest import (corrupted_tables, symmetric_corrupted_tables,
+                      symmetric_corruption)
+
+
+def ra_deductive_filters(A: FiniteRA) -> list[DeductiveFilter]:
+    """All deductive filters: [m) for each m <= t, sorted by (size, sorted
+    membership).  The library counts them as |down-set of t| instead."""
+    return [DeductiveFilter(F, A)
+            for F in _up_sets(A, [m for m in A.elements if A.leq(m, A.t)])]
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +134,43 @@ def test_validate_ra_matches_oracle_on_symmetric_corruptions(d):
     assert laws <= set().union(*ORACLE_LAWS.values())
     for law, names in ORACLE_LAWS.items():
         assert (law in old.laws_violated()) == bool(names & laws), law
+
+
+def assert_antitone_exact(d):
+    """The byte test of neg-antitone holds just when the pair walk finds
+    no violation, and validate_ra reports the same with the byte test
+    forced to fail, so that the walk alone decides."""
+    R = FiniteRA.from_dict(d)
+    meet, neg = R.meet, R.neg
+    walked = all((meet[a][b] == a) == (meet[neg[b]][neg[a]] == neg[b])
+                 for a in R.elements for b in R.elements)
+    assert relevant._neg_antitone(R) == walked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relevant, "_neg_antitone", lambda A: False)
+        slow = validate_ra(FiniteRA.from_dict(d))
+    assert validate_ra(FiniteRA.from_dict(d)) == slow
+    return walked
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=st.one_of(symmetric_corrupted_tables(), corrupted_tables()))
+def test_neg_antitone_bytes_match_walk(d):
+    assert_antitone_exact(d)
+
+
+def test_neg_antitone_bytes_match_walk_on_catalogs():
+    # every reduct of the dmm n <= 6 and irl n <= 5 catalogs, and four
+    # seeded symmetric corruptions of each, which swap values of neg
+    rnd = random.Random(80)
+    seen = set()
+    for klass, top in (("dmm", 6), ("irl", 5)):
+        for n in range(1, top + 1):
+            for A in enumerate_algebras(SearchSpec(n, klass)).algebras:
+                assert assert_antitone_exact(e_free_reduct(A).to_dict())
+                for _ in range(4):
+                    seen.add(assert_antitone_exact(
+                        symmetric_corruption(A.to_dict(), rnd)))
+    assert seen == {True, False}
 
 
 def test_dfg_ra_examples(reducts):
