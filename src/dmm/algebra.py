@@ -26,7 +26,9 @@ class of one lattice on the same meet and join tuples, so the last
 lattice stage made is kept, keyed by the identity of those two objects
 (_lattice_of).  Only tuples of tuples are kept, as they cannot change,
 and at most one lattice is kept.  Every law is still decided for every
-algebra: a kept stage holds the verdicts on its meet and join.
+algebra: a kept stage holds the verdicts on its meet and join.  The byte
+rows of fusion, which two tests of the other stage read, are kept the
+same way for the last fusion table (_fusion_rows).
 """
 
 from __future__ import annotations
@@ -417,6 +419,25 @@ def _lattice_of(A: Tables) -> _Lattice:
     return lat
 
 
+_last_fusion: tuple | None = None
+
+
+def _fusion_rows(A: Tables) -> tuple[list[bytes], bytes, list[bytes]]:
+    """A's fusion table as _byte_rows, padded for its size, for n <= 256.
+    _shared_laws_hold and _residuated both read it, so under the rule of
+    _lattice_of the last one made is kept while A holds the very same
+    fusion object, a tuple of tuples; at most one is kept."""
+    global _last_fusion
+    n, fus = A.size, A.fusion
+    if (_last_fusion is not None and _last_fusion[0] is fus
+            and _last_fusion[1] == n):
+        return _last_fusion[2]
+    rows = _byte_rows(fus, bytes(256 - n))
+    if _frozen(fus):
+        _last_fusion = (fus, n, rows)
+    return rows
+
+
 def _shared_laws_hold(A: Tables) -> bool:
     """Whether _check_shared finds no violation, decided on byte strings in
     O(n) Python steps, for well-formed tables; False above 256 elements,
@@ -446,7 +467,7 @@ def _shared_laws_hold(A: Tables) -> bool:
     neg = bytes(A.neg)
     if neg.translate(neg + pad) != bytes(range(n)):
         return False
-    frows, fflat, fpads = _byte_rows(A.fusion, pad)
+    frows, fflat, fpads = _fusion_rows(A)
     if (b"".join([fflat[c::n] for c in range(n)]) != fflat
             or (b"".join(map(frows.__getitem__, fflat))
                 != b"".join(map(fflat.translate, fpads)))):
@@ -467,7 +488,7 @@ def _residuated(A: Tables) -> bool:
         return False
     lat = _lattice_of(A)
     neg = bytes(A.neg)
-    frows, fflat, _ = _byte_rows(A.fusion, lat.pad)
+    frows, fflat, _ = _fusion_rows(A)
     # entry (b, a) is ~(~b*a) = a -> b
     res_t = b"".join(map(frows.__getitem__, neg)).translate(neg + lat.pad)
     return (b"".join([fflat.translate(d) for d in lat.down_pads])

@@ -28,7 +28,10 @@ search's output.  Searching only the first lattice of each class keeps the
 catalog's bytes: the first table of every class of algebras lies on the
 first lattice of its lattice class, since an isomorphic lattice met earlier
 would carry the same class, and the search there would find it sooner.
-_lattices gives the details.
+_lattices gives the details.  The order facts of a kept lattice (its order
+matrix, down-set and up-set masks, lower covers and bottom) are computed
+once (_order_of) and read by the automorphism, involution and fusion
+layers for all its (neg, e) triples.
 
 The DFS runs over per-cell domains and checks incrementally: a value of a
 cell is checked only against the constraint instances (monotonicity,
@@ -83,7 +86,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from dmm import __version__
-from dmm.algebra import (FiniteIRL, NotAnIRL, check_derived_laws,
+from dmm.algebra import (FiniteIRL, NotAnIRL, _frozen, check_derived_laws,
                          is_rigorously_compact, validate_dmm, validate_irl)
 from dmm.constructions import (NAMED_BASIC, e_free_reduct, embeds_in_some,
                                is_isomorphic, make_named, zero_generated)
@@ -357,14 +360,15 @@ def _lattices(n: int, distributive: bool = False):
 
 
 def _tables_from_below(below: list[int], n: int):
-    """meet and join of a naturally labelled lattice; a v b is the upper
-    bound with the least label, as it lies below the others."""
-    idx = {b: k for k, b in enumerate(below)}
-    meet = tuple(tuple(idx[below[a] & below[b]] for b in range(n))
-                 for a in range(n))
-    join = tuple(tuple(next(k for k, d in enumerate(below) if d & u == u)
-                       for u in (below[a] | below[b] for b in range(n)))
-                 for a in range(n))
+    """meet and join of a naturally labelled lattice, read off the down-sets
+    and up-sets by dict lookup: down(a) & down(b) = down(a /\\ b) and
+    up(a) & up(b) = up(a \\/ b)."""
+    rng = range(n)
+    above = [sum(1 << k for k in rng if below[k] >> a & 1) for a in rng]
+    idx = {d: k for k, d in enumerate(below)}
+    idx_up = {u: k for k, u in enumerate(above)}
+    meet = tuple(tuple(idx[below[a] & below[b]] for b in rng) for a in rng)
+    join = tuple(tuple(idx_up[above[a] & above[b]] for b in rng) for a in rng)
     return meet, join
 
 
@@ -380,11 +384,52 @@ def _down_sets(meet, n) -> list[int]:
     return [sum(1 << c for c in range(n) if meet[c][a] == c) for a in range(n)]
 
 
+class _Order:
+    """The order of a lattice on 0..n-1, read off its meet table once:
+    L[a][b] is a <= b, below[a] and above[a] are the bitmasks of the
+    down-set and up-set of a, covers[a] lists the lower covers of a in
+    increasing order, and bot is the bottom."""
+
+    def __init__(self, meet, n: int):
+        # holding meet keeps its id its own while this is kept
+        self.meet, self.n = meet, n
+        rng = range(n)
+        self.L = L = [[meet[a][b] == a for b in rng] for a in rng]
+        self.below = below = [sum(1 << c for c in rng if L[c][a])
+                              for a in rng]
+        self.above = above = [sum(1 << c for c in rng if L[a][c])
+                              for a in rng]
+        self.bot = next(a for a in rng if above[a] == (1 << n) - 1)
+        # c < a is a lower cover of a when nothing else below a is above c
+        strict = [d & ~(1 << a) for a, d in enumerate(below)]
+        self.covers = [[c for c in _bits(s) if s & above[c] == 1 << c]
+                       for s in strict]
+
+
+_last_order: _Order | None = None
+
+
+def _order_of(meet, n: int) -> _Order:
+    """The order record of meet.  As with dmm.algebra._lattice_of, the last
+    one made is kept and reused while meet is the very same object, and
+    only when it is a tuple of tuples, which cannot change; at most one is
+    kept.  The lattice layers and the fusion DFS read one lattice's record
+    for all its (neg, e) triples."""
+    global _last_order
+    o = _last_order
+    if o is not None and o.meet is meet and o.n == n:
+        return o
+    o = _Order(meet, n)
+    if _frozen(meet):
+        _last_order = o
+    return o
+
+
 def _automorphisms(meet, n):
     """The automorphisms of a naturally labelled lattice, as tuples in
     lexicographic order (the identity first): its relabellings onto its own
     down-set vector, which induce its own order."""
-    b = _down_sets(meet, n)
+    b = _order_of(meet, n).below
     return sorted(filter(None, _relabellings(b, b)))
 
 
@@ -402,10 +447,9 @@ def _involutions(meet, n):
     once, on any natural labelling: |Aut(L)| of them when L is self-dual,
     none otherwise.  The nu with nu.nu = id are kept.
     """
-    up = [sum(1 << (n - 1 - c) for c in range(n) if meet[a][c] == a)
-          for a in reversed(range(n))]
-    nus = (lam[::-1] for lam in filter(None, _relabellings(
-        up, _down_sets(meet, n))))
+    o = _order_of(meet, n)
+    up = [sum(1 << (n - 1 - c) for c in _bits(u)) for u in reversed(o.above)]
+    nus = (lam[::-1] for lam in filter(None, _relabellings(up, o.below)))
     yield from sorted(nu for nu in nus if all(nu[nu[a]] == a for a in range(n)))
 
 
@@ -422,7 +466,18 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     pass the constraint instances that mention that cell:
 
     - monotonicity against the decided cells in down(a) x down(b) and
-      up(a) x up(b);
+      up(a) x up(b), which the lower covers of a and b and the e row
+      decide.  The labelling is natural (c <= a makes c the smaller label)
+      and cells are filled row by row, so on entering (a, b) every other
+      cell of down(a) x down(b) is decided: as (min, max) it lies in an
+      earlier row or left of b in row a.  The decided cells are monotone
+      among themselves, and any (c, d) there has c <= c' for a lower cover
+      c' of a, giving c*d <= c'*d <= c'*b, or c = a and d <= d' for a lower
+      cover d' of b, giving a*d <= a*d'.  So v >= c'*b and v >= a*d' over
+      the lower covers decide that part.  Every cell of up(a) x up(b) other
+      than (a, b) lies in a later row or right of b in row a, so only its
+      prefilled e-row cells are decided: e*d = d for d >= b when a <= e,
+      and c*e = c for c >= a when b <= e, which read v <= b and v <= a;
     - square-increasingness of a new diagonal cell, when requested;
     - the involution law x*y <= z iff ~z*y <= ~x on the triples whose x*y is
       the new cell.  The triple (~z, y, ~x) states the same equivalence with
@@ -460,9 +515,9 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     instance that mentions the cell.  Each value outside the domain counts
     as one prune, as does each value that fails the per-value check.
     Instances over prefilled cells that hold for every v are not visited:
-    the bottom row in down(a) x down(b), u*y with u = bot in the involution
-    law, z in {e, bot} in v*z = x*(y*z), and an e-row x*y, whose triples read
-    the new cell as y*z or as x*(y*z).
+    u*y with u = bot in the involution law, z in {e, bot} in
+    v*z = x*(y*z), and an e-row x*y, whose triples read the new cell as
+    y*z or as x*(y*z).
 
     The result is exactly that of rechecking every constraint over every
     decided cell after each assignment:
@@ -484,12 +539,8 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     Hence the search keeps and prunes the same nodes in the same order.
     """
     rng = range(n)
-    L = [[meet[a][b] == a for b in rng] for a in rng]
-    down = [[c for c in rng if L[c][a]] for a in rng]
-    up = [[c for c in rng if L[a][c]] for a in rng]
-    below = [sum(1 << c for c in down[a]) for a in rng]
-    above = [sum(1 << c for c in up[a]) for a in rng]
-    bot = next(a for a in rng if len(up[a]) == n)
+    o = _order_of(meet, n)
+    L, below, above, covers, bot = o.L, o.below, o.above, o.covers, o.bot
     if e == bot and n > 1:
         # e neutral and bottom absorbing collapse the algebra; no tables
         return
@@ -499,25 +550,23 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
         fus[bot][x] = fus[x][bot] = bot
     cells = [(a, b) for a in rng for b in range(a, n)
              if fus[a][b] < 0]
-    lower = [[c for c in down[a] if c != bot] for a in rng]
     dual = [(u, below[neg[u]]) for u in rng if u != bot]
     inner = [z for z in rng if z != e and z != bot]
     where = [[] for _ in rng]
 
     def domain(a, b, pairs):
         dom = (1 << n) - 1
-        for c in lower[a]:
-            rowc = fus[c]
-            for d in lower[b]:
-                w = rowc[d]
-                if w >= 0:
-                    dom &= above[w]
-        for c in up[a]:
-            rowc = fus[c]
-            for d in up[b]:
-                w = rowc[d]
-                if w >= 0:
-                    dom &= below[w]
+        # monotonicity: v >= c*b and v >= a*d over the lower covers c of a
+        # and d of b; v <= b if a <= e and v <= a if b <= e
+        rowa = fus[a]
+        for c in covers[a]:
+            dom &= above[fus[c][b]]
+        for d in covers[b]:
+            dom &= above[rowa[d]]
+        if L[a][e]:
+            dom &= below[b]
+        if L[b][e]:
+            dom &= below[a]
         if square_increasing and a == b:
             dom &= above[a]
         # involution law at (x, y, ~u): v <= ~u iff u*y <= ~x

@@ -519,6 +519,40 @@ def test_list_tables_mutated_in_place_get_fresh_verdicts(named, rows):
         assert all_reports(again) == all_reports(fresh(again))
 
 
+def test_fusion_bytes_made_once_per_class(monkeypatch, named):
+    # the shared-law and residuation tests read one conversion of the
+    # fusion table
+    made = []
+    real = algebra._byte_rows
+
+    def counted(tab, pad):
+        made.append(tab)
+        return real(tab, pad)
+
+    monkeypatch.setattr(algebra, "_byte_rows", counted)
+    for A in named.values():
+        B = fresh(A)
+        assert validate_irl(B).ok
+        assert sum(tab is B.fusion for tab in made) == 1, A.name
+
+
+@pytest.mark.parametrize("rows", [list, tuple])
+def test_list_fusion_mutated_in_place_gets_fresh_verdicts(named, rows):
+    # a fusion table with list rows is never kept, so an edit between two
+    # validations is always seen
+    for A in named.values():
+        n = A.size
+        if n < 3:
+            continue
+        fus = rows(list(r) for r in A.fusion)
+        first = FiniteIRL(n, A.meet, A.join, fus, A.neg, A.e)
+        assert validate_irl(first).ok
+        fus[1][2] = fus[2][1] = (fus[1][2] + 1) % n
+        again = FiniteIRL(n, A.meet, A.join, fus, A.neg, A.e)
+        assert not validate_irl(again).ok
+        assert all_reports(again) == all_reports(fresh(again))
+
+
 def test_shared_and_fresh_reports_agree_on_catalogs():
     # every dmm n <= 8 and irl n <= 6 entry, first on the enumerator's own
     # table objects in catalog order, so that the entries of one lattice

@@ -281,6 +281,29 @@ def test_non_distributive_lattice_raises(monkeypatch):
         enumerate_algebras(SearchSpec(5))
 
 
+def test_order_record_kept_for_tuple_meet_only():
+    # the record is reused for the very same tuple meet, rebuilt for an
+    # equal copy, and never kept for a list-of-lists meet, which may change
+    meet, n = M3[0], 5
+    o = enumeration._order_of(meet, n)
+    assert enumeration._order_of(meet, n) is o
+    copy = tuple(tuple(list(row)) for row in meet)
+    o2 = enumeration._order_of(copy, n)
+    assert o2 is not o and o2.below == o.below
+    assert enumeration._order_of(copy, n) is o2
+    rows = [list(row) for row in meet]
+    o3 = enumeration._order_of(rows, n)
+    assert o3 is not o2 and o3.covers == o2.covers
+    assert enumeration._order_of(copy, n) is o2
+    rows[:] = [list(row) for row in N5[0]]
+    o4 = enumeration._order_of(rows, n)
+    assert o4 is not o3 and o4.covers == [[], [0], [0], [1], [2, 3]]
+    neg = (4, 3, 2, 1, 0)
+    tables = list(enumeration._fusion_tables(n, rows, neg, 1, False))
+    assert len(tables) == 2
+    assert tables == list(enumeration._fusion_tables(n, N5[0], neg, 1, False))
+
+
 def test_size4_catalog_contents(dmm_catalogs):
     cat = dmm_catalogs[4]
     expected = [direct_product(make_named("2"), make_named("2")),

@@ -2,16 +2,20 @@
 involution and fusion layers, compared against the pruned and incremental
 forms in dmm.enumeration.
 
-The lattice oracle yields every natural labelling of every lattice, where
-the library keeps the first labelling of each isomorphism class and, on
-request, builds only the distributive ones from posets.  The involution oracle filters every
-permutation of the elements.  The fusion oracle runs the same depth-first
-search over the same cells as the library, but after each assignment it
-rechecks every constraint over every decided cell, residual existence on
-completed rows included.  The library checks only the constraint instances
-that mention the new cell and leaves residual existence to the involution
-law, so both must emit the same tables in the same order and prune the same
-number of values.
+The lattice oracle yields every natural labelling of every lattice,
+where the library keeps the first labelling of each isomorphism class
+and, on request, builds only the distributive ones from posets.  It
+builds meet and join itself, each join by a scan, so no oracle shares
+the library's up-set lookup.  The library's order record is compared on
+every natural labelling with the brute-force cover relation and the
+down-sets of meet and join.  The involution oracle filters every
+permutation of the elements.  The fusion oracle runs the same
+depth-first search over the same cells as the library, but after each
+assignment it rechecks every constraint over every decided cell,
+residual existence on completed rows included.  The library checks only
+the constraint instances that mention the new cell and leaves residual
+existence to the involution law, so both must emit the same tables in
+the same order and prune the same number of values.
 
 The automorphism oracle tries every permutation that fixes bottom and top.
 The orbit-counting certificate checks the enumerator's orbit pruning and
@@ -43,22 +47,41 @@ from dmm.algebra import FiniteIRL, validate_dmm, validate_irl
 from dmm.constructions import homs
 from dmm.enumeration import (SearchSpec, _automorphisms, _down_sets,
                              _fusion_tables, _involutions,
-                             _lattice_distributive, _lattices, _relabellings,
-                             _tables_from_below, enumerate_algebras)
+                             _lattice_distributive, _lattices, _order_of,
+                             _relabellings, _tables_from_below,
+                             enumerate_algebras)
 from test_enumeration import GOLDEN_DMM_COUNTS, GOLDEN_IRL_COUNTS
 
 
 # ---- oracles -----------------------------------------------------------------
 
 
+def oracle_tables(below, n):
+    """meet and join of a naturally labelled lattice with down-set vector
+    below; a v b is the upper bound with the least label, as it lies below
+    the others.  Joins are found by a scan, not by the library's up-set
+    lookup."""
+    idx = {b: k for k, b in enumerate(below)}
+    meet = tuple(tuple(idx[below[a] & below[b]] for b in range(n))
+                 for a in range(n))
+    join = tuple(tuple(next(k for k, d in enumerate(below) if d & u == u)
+                       for u in (below[a] | below[b] for b in range(n)))
+                 for a in range(n))
+    return meet, join
+
+
 def oracle_lattices(n):
-    """Every natural labelling (a linear extension with 0 = bottom and
-    n-1 = top) of every lattice on 0..n-1, in lexicographic order of the
-    down-set vector."""
+    """(meet, join) of every natural labelling of every lattice on 0..n-1,
+    in the order of oracle_labellings."""
+    for below in oracle_labellings(n):
+        yield oracle_tables(below, n)
+
+
+def oracle_labellings(n):
+    """The down-set vector of every natural labelling (a linear extension
+    with 0 = bottom and n-1 = top) of every lattice on 0..n-1, in
+    lexicographic order."""
     full = (1 << n) - 1
-    if n == 1:
-        yield ((0,),), ((0,),)
-        return
     below = [1]  # element 0 is the bottom
 
     def down_closed(i):
@@ -69,7 +92,7 @@ def oracle_lattices(n):
     def rec():
         i = len(below)
         if i == n:
-            yield _tables_from_below(below, n)
+            yield list(below)
             return
         for mask in down_closed(i):
             nb = mask | (1 << i)
@@ -398,6 +421,30 @@ def test_irl_layers_match_full_recheck():
     # no square-increasing pruning, every lattice
     assert [_compare(n, False, False) for n in range(1, 6)] == \
         [1, 2, 3, 12, 40]
+
+
+def test_tables_from_below_match_oracle():
+    for n in range(1, 8):
+        for below in oracle_labellings(n):
+            assert _tables_from_below(below, n) == oracle_tables(below, n), \
+                below
+
+
+def test_order_record_matches_brute_force():
+    # the lower covers against FiniteIRL.covers, which tries every c
+    # between a and b, and the masks against the down-sets of meet and of
+    # the dual order, whose meet is join
+    for n in range(1, 8):
+        for meet, join in oracle_lattices(n):
+            o = _order_of(meet, n)
+            A = FiniteIRL(n, meet, join, meet, tuple(range(n)), n - 1)
+            assert sorted((c, a) for a in range(n) for c in o.covers[a]) \
+                == sorted(A.covers()), meet
+            assert o.below == _down_sets(meet, n), meet
+            assert o.above == _down_sets(join, n), meet
+            assert o.L == [[A.leq(a, b) for b in range(n)]
+                           for a in range(n)], meet
+            assert o.bot == A.bottom == 0, meet
 
 
 def test_lattices_are_first_of_each_class():

@@ -53,17 +53,25 @@ def test_sugihara_tower_surjections_to_24():
 
 def test_fusion_digest_pins_dmm8():
     # the tables and prune total of the fusion DFS over the triples the
-    # enumerator searches at dmm-8; the same script compares versions of the
-    # DFS at sizes above the ceiling
+    # enumerator searches at dmm-8 and at irl-6, where neither
+    # square-increasingness nor distributivity prunes; the same script
+    # compares versions of the DFS at sizes above the ceiling
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "fusion_digest.py"),
-         "--size", "8"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(
+    pins = {
+        ("dmm", "8"):
         "dmm-8: 62 triples, 103 tables, 14573 pruned, sha256 28e83128f17c26c4"
-        "452bb2391dc052533bae4d5159f1a513f3468aa912995b03, dfs ")
+        "452bb2391dc052533bae4d5159f1a513f3468aa912995b03, dfs ",
+        ("irl", "6"):
+        "irl-6: 56 triples, 110 tables, 4729 pruned, sha256 9fbd190d8e60565b"
+        "d7bfa3c214299434d8ab6f021ea663ac92cde02a22120356, dfs ",
+    }
+    for (klass, size), want in pins.items():
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "fusion_digest.py"),
+             "--class", klass, "--size", size],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(want)
 
 
 def test_law_digest_pins_dmm6_irl4():
