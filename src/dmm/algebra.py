@@ -18,17 +18,19 @@ The residual-is-max check has a test of the same kind: a*c <= b iff
 c <= a -> b for all triples makes a -> b the largest c with a*c <= b,
 and its walk runs only if that test fails.  So does distributivity.
 
-The tests come in two stages.  The lattice stage (_Lattice) reads meet
-and join alone: their shapes and ranges, their lattice laws, the byte
-marks of the order that the fusion laws read, and distributivity.  The
-other stage reads fusion, neg and e.  The enumerator validates every
-class of one lattice on the same meet and join tuples, so the last
-lattice stage made is kept, keyed by the identity of those two objects
-(_lattice_of).  Only tuples of tuples are kept, as they cannot change,
-and at most one lattice is kept.  Every law is still decided for every
-algebra: a kept stage holds the verdicts on its meet and join.  The byte
-rows of fusion, which two tests of the other stage read, are kept the
-same way for the last fusion table (_fusion_rows).
+The tests come in two stages.  The lattice stage reads meet and join
+alone: their shapes and ranges, their lattice laws, the byte marks of the
+order that the fusion laws read, and distributivity.  The other stage
+reads fusion, neg and e, and the byte rows of fusion are made once per
+validation (Tables._fusion_rows).  One record per lattice (_Lattice) holds
+the lattice stage together with the order facts the enumerator's layers
+read: the order matrix, down-set and up-set masks, bottom and lower
+covers.  The enumerator reads every class of one lattice on the same meet
+and join tuples, so the last record made is kept, keyed by the identity of
+those two objects (_lattice_of).  Only tuples of tuples are kept, as they
+cannot change, and at most one lattice is kept.  Every law is still
+decided for every algebra: a kept record holds the verdicts on its meet
+and join.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ class Tables:
     (residual table, extrema, and in subclasses the validation reports and
     t) is memoized on the instance on first use, so it goes away with the
     instance.  The law library is parsed and compiled once per process
-    instead (dmm.terms), as it depends on no algebra, and the lattice stage
-    of validation is kept for the last meet and join tuples validated
-    (_lattice_of), which any number of instances may share.
+    instead (dmm.terms), as it depends on no algebra, and the lattice
+    record is kept for the last meet and join tuples read (_lattice_of),
+    which any number of instances may share.
     """
 
     size: int
@@ -136,7 +138,7 @@ class Tables:
         if (n >= 1 and len(neg) == n and len(fus) == n
                 and set(map(len, fus)) == {n}
                 and not set(neg).union(*fus).difference(range(n))
-                and _lattice_of(self).well_formed):
+                and _lattice_of(n, self.meet, self.join).well_formed):
             return
         if n < 1:
             raise MalformedTable(f"size must be >= 1, got {n}")
@@ -184,6 +186,15 @@ class Tables:
     def residual(self, a: int, b: int) -> int:
         return self.residual_table[a][b]
 
+    @cached_property
+    def _fusion_rows(self) -> tuple[list[bytes], bytes, list[bytes]]:
+        """The fusion table as _byte_rows, padded for its size, for
+        n <= 256; _shared_laws_hold and _residuated both read it.
+        _check_irl and validate_ra drop it once their report is made, as
+        catalog entries outlive their validation and the padded rows would
+        triple what a catalog holds."""
+        return _byte_rows(self.fusion, bytes(256 - self.size))
+
 
 @dataclass(eq=False)
 class FiniteIRL(Tables):
@@ -229,14 +240,10 @@ class FiniteIRL(Tables):
         return str(a)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (a, b) with a covered by b, for Hasse output."""
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if self.lt(a, b) and not any(
-                        self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                    out.append((a, b))
-        return out
+        """Cover pairs (a, b) with a covered by b, in increasing order, for
+        Hasse output; read off the lattice record of meet."""
+        lower = _lattice_of(self.size, self.meet, self.join).covers
+        return sorted((c, b) for b in self.elements for c in lower[b])
 
     def relabel(self, perm: list[int] | tuple[int, ...], name: str = "") -> "FiniteIRL":
         """Image algebra under the bijection old index -> perm[old index]."""
@@ -325,14 +332,48 @@ def _frozen(tab) -> bool:
 
 
 class _Lattice:
-    """The lattice stage of validation: what the checks read of meet and
-    join alone, for one pair of size n, each part computed on first use.
-    Every part but well_formed assumes n <= 256 and well-formed tables."""
+    """One lattice on 0..n-1: what the enumerator's layers and the lattice
+    stage of validation read of its meet and join, each part computed on
+    first use.  The order parts (L, below, above, bot, covers) read meet
+    alone, so a record made with join None answers them; the byte parts
+    read both tables, assume n <= 256 and well-formed tables, and need a
+    join.  well_formed assumes nothing."""
 
-    def __init__(self, n: int, meet, join):
+    def __init__(self, n: int, meet, join=None):
         # holding meet and join keeps their ids theirs while this is kept
         self.n, self.meet, self.join = n, meet, join
         self.pad = bytes(max(256 - n, 0))
+
+    @cached_property
+    def L(self) -> list[list[bool]]:
+        """L[a][b] is a <= b, that is meet[a][b] = a."""
+        meet, rng = self.meet, range(self.n)
+        return [[meet[a][b] == a for b in rng] for a in rng]
+
+    @cached_property
+    def below(self) -> list[int]:
+        """below[a] is the bitmask of the down-set of a."""
+        L, rng = self.L, range(self.n)
+        return [sum(1 << c for c in rng if L[c][a]) for a in rng]
+
+    @cached_property
+    def above(self) -> list[int]:
+        """above[a] is the bitmask of the up-set of a."""
+        L, rng = self.L, range(self.n)
+        return [sum(1 << c for c in rng if L[a][c]) for a in rng]
+
+    @cached_property
+    def bot(self) -> int:
+        return self.above.index((1 << self.n) - 1)
+
+    @cached_property
+    def covers(self) -> list[list[int]]:
+        """covers[a] lists the lower covers of a in increasing order: the
+        c < a with nothing strictly between c and a."""
+        above, rng = self.above, range(self.n)
+        strict = [d & ~(1 << a) for a, d in enumerate(self.below)]
+        return [[c for c in rng if s >> c & 1 and not s & above[c] & ~(1 << c)]
+                for s in strict]
 
     @cached_property
     def well_formed(self) -> bool:
@@ -401,41 +442,23 @@ class _Lattice:
 _last_lattice: _Lattice | None = None
 
 
-def _lattice_of(A: Tables) -> _Lattice:
-    """The lattice stage of A's meet and join.  The last one made is kept
-    and reused while A holds the very same meet and join objects, and
-    only when both are tuples of tuples, which cannot change; the
-    enumerator validates every class of one lattice on the same objects.
-    At most one lattice is kept."""
+def _lattice_of(n: int, meet, join=None) -> _Lattice:
+    """The lattice record of meet and join.  The last one made is kept and
+    reused for the very same meet and join objects and size, and only when
+    both are tuples of tuples, which cannot change; a lookup that passes no
+    join reads only the order, so a record kept for meet answers it.  The
+    enumerator asks once per lattice with both tables, and its layers and
+    the validation of every class there read that record.  At most one
+    lattice is kept."""
     global _last_lattice
-    n, meet, join = A.size, A.meet, A.join
     lat = _last_lattice
-    if (lat is not None and lat.meet is meet and lat.join is join
-            and lat.n == n):
+    if (lat is not None and lat.meet is meet and lat.n == n
+            and (join is None or lat.join is join)):
         return lat
     lat = _Lattice(n, meet, join)
-    if _frozen(meet) and _frozen(join):
+    if _frozen(meet) and (join is None or _frozen(join)):
         _last_lattice = lat
     return lat
-
-
-_last_fusion: tuple | None = None
-
-
-def _fusion_rows(A: Tables) -> tuple[list[bytes], bytes, list[bytes]]:
-    """A's fusion table as _byte_rows, padded for its size, for n <= 256.
-    _shared_laws_hold and _residuated both read it, so under the rule of
-    _lattice_of the last one made is kept while A holds the very same
-    fusion object, a tuple of tuples; at most one is kept."""
-    global _last_fusion
-    n, fus = A.size, A.fusion
-    if (_last_fusion is not None and _last_fusion[0] is fus
-            and _last_fusion[1] == n):
-        return _last_fusion[2]
-    rows = _byte_rows(fus, bytes(256 - n))
-    if _frozen(fus):
-        _last_fusion = (fus, n, rows)
-    return rows
 
 
 def _shared_laws_hold(A: Tables) -> bool:
@@ -460,14 +483,14 @@ def _shared_laws_hold(A: Tables) -> bool:
     n = A.size
     if n > 256:
         return False
-    lat = _lattice_of(A)
+    lat = _lattice_of(n, A.meet, A.join)
     if not lat.laws_hold:
         return False
     pad = lat.pad
     neg = bytes(A.neg)
     if neg.translate(neg + pad) != bytes(range(n)):
         return False
-    frows, fflat, fpads = _fusion_rows(A)
+    frows, fflat, fpads = A._fusion_rows
     if (b"".join([fflat[c::n] for c in range(n)]) != fflat
             or (b"".join(map(frows.__getitem__, fflat))
                 != b"".join(map(fflat.translate, fpads)))):
@@ -486,9 +509,9 @@ def _residuated(A: Tables) -> bool:
     n = A.size
     if n > 256:
         return False
-    lat = _lattice_of(A)
+    lat = _lattice_of(n, A.meet, A.join)
     neg = bytes(A.neg)
-    frows, fflat, _ = _fusion_rows(A)
+    frows, fflat, _ = A._fusion_rows
     # entry (b, a) is ~(~b*a) = a -> b
     res_t = b"".join(map(frows.__getitem__, neg)).translate(neg + lat.pad)
     return (b"".join([fflat.translate(d) for d in lat.down_pads])
@@ -566,7 +589,7 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
         # sols[b] is the bitmask of {c : a*c <= b}, built from the up-sets
         # of the a*c; it must hold r = a -> b and lie in the down-set of r.
         up = [[b for b in rng if meet[x][b] == x] for x in rng]
-        down = [sum(1 << c for c in rng if meet[c][r] == c) for r in rng]
+        down = _lattice_of(A.size, meet, A.join).below
         for a in rng:
             sols = [0] * A.size
             for c, ac in enumerate(fus[a]):
@@ -575,6 +598,7 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
             for b, r in enumerate(A.residual_table[a]):
                 if not sols[b] >> r & 1 or sols[b] & ~down[r]:
                     col.add("residual-is-max", (a, b))
+    A.__dict__.pop("_fusion_rows", None)
     return col.report()
 
 
@@ -585,7 +609,7 @@ def is_distributive(A: Tables) -> tuple[int, int, int] | None:
     elements, are the elements walked: row b of a /\\ (b \\/ c) and of
     (a /\\ b) \\/ (a /\\ c) are compared whole, and c is walked only in a
     row that differs."""
-    if A.size <= 256 and _lattice_of(A).distributive:
+    if A.size <= 256 and _lattice_of(A.size, A.meet, A.join).distributive:
         return None
     meet, join, rng = A.meet, A.join, range(A.size)
     by_join = [itemgetter(*row) for row in join]  # by_join[b](r)[c] = r[b\/c]

@@ -13,8 +13,8 @@ import os
 import sys
 
 from dmm import __version__
-from dmm.algebra import (AlgebraError, FiniteIRL, MalformedTable, predicates,
-                         validate_dmm, validate_irl)
+from dmm.algebra import (AlgebraError, FiniteIRL, MalformedTable, NotAnIRL,
+                         predicates, validate_dmm, validate_irl)
 from dmm.constructions import (UnknownName, e_free_reduct, homs,
                                is_isomorphic, is_named, make_named)
 from dmm.enumeration import (DEFAULT_MAX_SIZE, IncompleteCatalog, SearchSpec,
@@ -67,6 +67,14 @@ def _load_pointed(spec: str, args):
     A = _load_algebra(spec)
     if isinstance(A, FiniteRA):
         raise UsageError(f"{args.command} expects a pointed algebra")
+    return A
+
+
+def _require_irl(A: FiniteIRL) -> FiniteIRL:
+    """A, if it is an IRL; NotAnIRL naming the laws it breaks otherwise."""
+    rep = validate_irl(A)
+    if not rep.ok:
+        raise NotAnIRL("not an IRL: " + ", ".join(rep.laws_violated()))
     return A
 
 
@@ -243,7 +251,7 @@ def _parse_generators(text: str, size: int) -> list[int]:
 
 
 def _cmd_quotient(args) -> int:
-    A = _load_pointed(args.algebra, args)
+    A = _require_irl(_load_pointed(args.algebra, args))
     gens = _parse_generators(args.generators or "", A.size)
     G = dfg(A, gens)
     Q, proj = quotient(A, G)
@@ -265,7 +273,7 @@ def _cmd_dfg(args) -> int:
     if isinstance(A, FiniteRA):
         F = dfg_ra_set(A, gens)
     else:
-        F = dfg(A, gens)
+        F = dfg(_require_irl(A), gens)
     _emit({"generators": gens, "filter": F.sorted_members()}, args,
           lambda: " ".join(map(str, F.sorted_members())))
     return 0

@@ -18,7 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm, validate_irl
+from dmm.algebra import (FiniteIRL, NotAnIRL, _lattice_of, validate_dmm,
+                         validate_irl)
 from dmm.filters import deductive_filters, quotient
 
 
@@ -395,10 +396,9 @@ def canonical_form(A: FiniteIRL) -> CanonicalForm:
     algebra.  Sorting a catalog by the form gives the catalog's order: v
     orders the lattices as their index does, and the encoding is
     _least_encoding's."""
-    from dmm.enumeration import (_down_sets, _least_encoding, _least_vector,
-                                 _relabellings)
+    from dmm.enumeration import _least_encoding, _least_vector, _relabellings
     n = A.size
-    b = _down_sets(A.meet, n)
+    b = _lattice_of(n, A.meet, A.join).below
     v = _least_vector(b)
     pairs = [(s, sorted(range(n), key=s.__getitem__))
              for s in filter(None, _relabellings(b, v))]

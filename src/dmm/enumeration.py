@@ -30,8 +30,9 @@ first lattice of its lattice class, since an isomorphic lattice met earlier
 would carry the same class, and the search there would find it sooner.
 _lattices gives the details.  The order facts of a kept lattice (its order
 matrix, down-set and up-set masks, lower covers and bottom) are computed
-once (_order_of) and read by the automorphism, involution and fusion
-layers for all its (neg, e) triples.
+once, in its one record dmm.algebra._Lattice (_lattice_of), and read by
+the automorphism, involution and fusion layers for all its (neg, e)
+triples and by the validation of its classes.
 
 The DFS runs over per-cell domains and checks incrementally: a value of a
 cell is checked only against the constraint instances (monotonicity,
@@ -74,10 +75,10 @@ Only the first table of each class is validated, and an invalid one still
 raises AssertionError, naming the laws it breaks (a table that is not an
 IRL too, under the dmm class).  A later table of the class is isomorphic
 to a validated one, so it is valid too.  All tables on one lattice share
-its meet and join tuples, and dmm.algebra keeps the lattice stage of the
-last lattice validated, so the lattice laws, the order marks and
-distributivity are computed once per lattice, while the laws that read
-fusion, neg and e are decided for every kept class.
+its meet and join tuples, and validation reads the same record as the
+layers, so the lattice laws, the order marks and distributivity are
+computed once per lattice, while the laws that read fusion, neg and e are
+decided for every kept class.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from dmm import __version__
-from dmm.algebra import (FiniteIRL, NotAnIRL, _frozen, check_derived_laws,
-                         is_rigorously_compact, validate_dmm, validate_irl)
+from dmm.algebra import (FiniteIRL, NotAnIRL, _lattice_of,
+                         check_derived_laws, is_rigorously_compact,
+                         validate_dmm, validate_irl)
 from dmm.constructions import (NAMED_BASIC, e_free_reduct, embeds_in_some,
                                is_isomorphic, make_named, zero_generated)
 # perfbench's test_wrappers_restore_every_namespace reads this binding
@@ -379,57 +381,12 @@ def _lattice_distributive(meet, join, n) -> bool:
                for a in range(n) for b in range(n) for c in range(n))
 
 
-def _down_sets(meet, n) -> list[int]:
-    """The down-set vector of a lattice: bit c of entry a is c <= a."""
-    return [sum(1 << c for c in range(n) if meet[c][a] == c) for a in range(n)]
-
-
-class _Order:
-    """The order of a lattice on 0..n-1, read off its meet table once:
-    L[a][b] is a <= b, below[a] and above[a] are the bitmasks of the
-    down-set and up-set of a, covers[a] lists the lower covers of a in
-    increasing order, and bot is the bottom."""
-
-    def __init__(self, meet, n: int):
-        # holding meet keeps its id its own while this is kept
-        self.meet, self.n = meet, n
-        rng = range(n)
-        self.L = L = [[meet[a][b] == a for b in rng] for a in rng]
-        self.below = below = [sum(1 << c for c in rng if L[c][a])
-                              for a in rng]
-        self.above = above = [sum(1 << c for c in rng if L[a][c])
-                              for a in rng]
-        self.bot = next(a for a in rng if above[a] == (1 << n) - 1)
-        # c < a is a lower cover of a when nothing else below a is above c
-        strict = [d & ~(1 << a) for a, d in enumerate(below)]
-        self.covers = [[c for c in _bits(s) if s & above[c] == 1 << c]
-                       for s in strict]
-
-
-_last_order: _Order | None = None
-
-
-def _order_of(meet, n: int) -> _Order:
-    """The order record of meet.  As with dmm.algebra._lattice_of, the last
-    one made is kept and reused while meet is the very same object, and
-    only when it is a tuple of tuples, which cannot change; at most one is
-    kept.  The lattice layers and the fusion DFS read one lattice's record
-    for all its (neg, e) triples."""
-    global _last_order
-    o = _last_order
-    if o is not None and o.meet is meet and o.n == n:
-        return o
-    o = _Order(meet, n)
-    if _frozen(meet):
-        _last_order = o
-    return o
-
-
 def _automorphisms(meet, n):
     """The automorphisms of a naturally labelled lattice, as tuples in
     lexicographic order (the identity first): its relabellings onto its own
-    down-set vector, which induce its own order."""
-    b = _order_of(meet, n).below
+    down-set vector, which induce its own order.  The vector is read off
+    the lattice's record (dmm.algebra._lattice_of)."""
+    b = _lattice_of(n, meet).below
     return sorted(filter(None, _relabellings(b, b)))
 
 
@@ -445,9 +402,10 @@ def _involutions(meet, n):
     (L's up-sets, reversed), so the relabellings lambda of up onto L's
     vector give every antitone bijection nu(a) = lambda(n-1-a) exactly
     once, on any natural labelling: |Aut(L)| of them when L is self-dual,
-    none otherwise.  The nu with nu.nu = id are kept.
+    none otherwise.  The nu with nu.nu = id are kept.  Both vectors are
+    read off the lattice's record (dmm.algebra._lattice_of).
     """
-    o = _order_of(meet, n)
+    o = _lattice_of(n, meet)
     up = [sum(1 << (n - 1 - c) for c in _bits(u)) for u in reversed(o.above)]
     nus = (lam[::-1] for lam in filter(None, _relabellings(up, o.below)))
     yield from sorted(nu for nu in nus if all(nu[nu[a]] == a for a in range(n)))
@@ -460,6 +418,8 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     """All commutative, associative, e-neutral fusion tables compatible with
     the involution law over the given lattice, generated depth-first.
 
+    The order matrix, masks, lower covers and bottom are read off the
+    lattice's record (dmm.algebra._lattice_of), made once per lattice.
     The e row is fixed by neutrality and the bottom row by absorption (both
     forced in any residuated lattice).  Cells (a, b), a <= b, are then filled
     in a fixed order, and a value v of the new cell (a, b) = (b, a) must
@@ -539,7 +499,7 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     Hence the search keeps and prunes the same nodes in the same order.
     """
     rng = range(n)
-    o = _order_of(meet, n)
+    o = _lattice_of(n, meet)
     L, below, above, covers, bot = o.L, o.below, o.above, o.covers, o.bot
     if e == bot and n > 1:
         # e neutral and bottom absorbing collapse the algebra; no tables
@@ -683,6 +643,8 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
     stats = {"pruned": 0}
     seen: dict[tuple[int, bytes], FiniteIRL] = {}
     for li, (meet, join) in enumerate(_lattices(n, spec.distributive)):
+        # the one record of this lattice, kept for its layers and validation
+        _lattice_of(n, meet, join)
         auts = [(s, sorted(range(n), key=s.__getitem__))
                 for s in _automorphisms(meet, n)]
         for neg in _involutions(meet, n):

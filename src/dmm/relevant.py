@@ -69,7 +69,7 @@ def _neg_antitone(A: FiniteRA) -> bool:
     n = A.size
     if n > 256:
         return False
-    lat = _lattice_of(A)
+    lat = _lattice_of(n, A.meet, A.join)
     up, neg = b"".join(lat.up), bytes(A.neg)
     cols = [up[c::n] + lat.pad for c in range(n)]   # cols[c][x]: x <= c
     return up == b"".join(map(neg.translate, map(cols.__getitem__, neg)))
@@ -104,6 +104,7 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
                 if meet[u[b]][u[c]] in fails:
                     col.add("identity-bound a <= a*(~(b*~b)/\\~(c*~c))",
                             (a, b, c))
+    A.__dict__.pop("_fusion_rows", None)    # as in _check_irl
     return _dmm_tail(A, col)
 
 

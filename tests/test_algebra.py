@@ -445,7 +445,7 @@ def test_memo_reuses_lattice_for_corrupted_fusion():
     rnd = random.Random(22)
     failed = 0
     for A in enumerate_algebras(SearchSpec(8)).algebras[::3]:
-        algebra._lattice_of(A)
+        algebra._lattice_of(A.size, A.meet, A.join)
         n = A.size
         for _ in range(3):
             d = A.to_dict()
@@ -476,7 +476,7 @@ def test_memo_misses_new_join_tuples():
     # join entry breaks a lattice law, as meet fixes the order
     rnd = random.Random(5)
     for A in enumerate_algebras(SearchSpec(6)).algebras:
-        algebra._lattice_of(A)
+        algebra._lattice_of(A.size, A.meet, A.join)
         n = A.size
         join = [list(r) for r in A.join]
         a, b = rnd.randrange(n), rnd.randrange(n)
@@ -490,7 +490,7 @@ def test_memo_misses_new_join_tuples():
 def test_memo_misses_another_size(named):
     # the kept stage's meet and join under a smaller size are malformed
     A = named["C4"]
-    algebra._lattice_of(A)
+    algebra._lattice_of(A.size, A.meet, A.join)
     n = A.size - 1
     B = FiniteIRL(n, A.meet, A.join, tuple(map(tuple, chain_meet(n))),
                   tuple(range(n)), 0)
@@ -534,6 +534,18 @@ def test_fusion_bytes_made_once_per_class(monkeypatch, named):
         B = fresh(A)
         assert validate_irl(B).ok
         assert sum(tab is B.fusion for tab in made) == 1, A.name
+
+
+def test_validated_algebras_keep_no_fusion_bytes():
+    # catalog entries outlive their validation, and the padded byte rows
+    # of their fusion tables would triple what a catalog holds; the same
+    # for validated reducts
+    for spec in (SearchSpec(8), SearchSpec(6, "irl")):
+        for A in enumerate_algebras(spec).algebras:
+            assert "_fusion_rows" not in vars(A), A.name
+            R = e_free_reduct(A)
+            assert validate_ra(R).ok or spec.klass == "irl"
+            assert "_fusion_rows" not in vars(R), A.name
 
 
 @pytest.mark.parametrize("rows", [list, tuple])

@@ -223,6 +223,23 @@ def test_generators_out_of_range_exit_2(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_quotient_and_dfg_of_non_irl_exit_2(capsys, tmp_path):
+    # well-formed tables that are no IRL: one error line naming the laws,
+    # not a traceback from the filter code (quotient) or an answer (dfg)
+    p = tmp_path / "not-irl.json"
+    p.write_text(json.dumps({
+        "size": 4,
+        "meet": [[0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3]],
+        "join": [[0, 1, 2, 3], [1, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]],
+        "fusion": [[3, 3, 1, 2], [2, 0, 3, 0], [1, 3, 2, 3], [0, 3, 0, 2]],
+        "neg": [3, 1, 1, 1], "e": 0}))
+    for command in ("quotient", "dfg"):
+        code, out, err = run(capsys, command, "--algebra", str(p))
+        assert code == 2 and out == "", command
+        assert err.startswith("error: not an IRL: ") and "e-neutral" in err
+        assert err.count("\n") == 1, command
+
+
 def test_enumerate_size_zero_exits_2(capsys):
     code, _, err = run(capsys, "enumerate", "--size", "0")
     assert code == 2 and "error:" in err

@@ -285,23 +285,51 @@ def test_order_record_kept_for_tuple_meet_only():
     # the record is reused for the very same tuple meet, rebuilt for an
     # equal copy, and never kept for a list-of-lists meet, which may change
     meet, n = M3[0], 5
-    o = enumeration._order_of(meet, n)
-    assert enumeration._order_of(meet, n) is o
+    o = algebra._lattice_of(n, meet)
+    assert algebra._lattice_of(n, meet) is o
     copy = tuple(tuple(list(row)) for row in meet)
-    o2 = enumeration._order_of(copy, n)
+    o2 = algebra._lattice_of(n, copy)
     assert o2 is not o and o2.below == o.below
-    assert enumeration._order_of(copy, n) is o2
+    assert algebra._lattice_of(n, copy) is o2
     rows = [list(row) for row in meet]
-    o3 = enumeration._order_of(rows, n)
+    o3 = algebra._lattice_of(n, rows)
     assert o3 is not o2 and o3.covers == o2.covers
-    assert enumeration._order_of(copy, n) is o2
+    assert algebra._lattice_of(n, copy) is o2
     rows[:] = [list(row) for row in N5[0]]
-    o4 = enumeration._order_of(rows, n)
+    o4 = algebra._lattice_of(n, rows)
     assert o4 is not o3 and o4.covers == [[], [0], [0], [1], [2, 3]]
+    # a record kept for meet and join answers a lookup without join, and a
+    # record made without join answers no lookup that passes one
+    assert algebra._lattice_of(n, copy, M3[1]) is not o2
+    o5 = algebra._lattice_of(n, copy, M3[1])
+    assert algebra._lattice_of(n, copy) is o5
+    assert algebra._lattice_of(n, copy, N5[1]) is not o5
     neg = (4, 3, 2, 1, 0)
     tables = list(enumeration._fusion_tables(n, rows, neg, 1, False))
     assert len(tables) == 2
     assert tables == list(enumeration._fusion_tables(n, N5[0], neg, 1, False))
+
+
+def test_one_lattice_record_per_lattice(monkeypatch):
+    # the enumerator asks for each lattice's record once, with meet and
+    # join, and its layers' join-free lookups and the validation of every
+    # class there read that record; nothing builds another
+    made = []
+
+    class Counted(algebra._Lattice):
+        def __init__(self, n, meet, join=None):
+            made.append(meet)
+            super().__init__(n, meet, join)
+
+    monkeypatch.setattr(algebra, "_Lattice", Counted)
+    for spec in (SearchSpec(8), SearchSpec(6, "irl")):
+        monkeypatch.setattr(algebra, "_last_lattice", None)
+        made.clear()
+        cat = enumerate_algebras(spec)
+        assert cat.algebras
+        lattices = [meet for meet, _ in enumeration._lattices(
+            spec.size, spec.distributive)]
+        assert made == lattices, spec
 
 
 def test_size4_catalog_contents(dmm_catalogs):

@@ -6,13 +6,14 @@ The lattice oracle yields every natural labelling of every lattice,
 where the library keeps the first labelling of each isomorphism class
 and, on request, builds only the distributive ones from posets.  It
 builds meet and join itself, each join by a scan, so no oracle shares
-the library's up-set lookup.  The library's order record is compared on
-every natural labelling with the brute-force cover relation and the
-down-sets of meet and join.  The involution oracle filters every
-permutation of the elements.  The fusion oracle runs the same
-depth-first search over the same cells as the library, but after each
-assignment it rechecks every constraint over every decided cell,
-residual existence on completed rows included.  The library checks only
+the library's up-set lookup.  The library's lattice record is compared
+on every natural labelling with the brute-force cover relation and the
+down-sets of meet and join (brute_covers, down_set_masks), which share
+none of its code.  The involution oracle filters every permutation of
+the elements.  The fusion oracle runs the same depth-first search
+over the same cells as the library, but after each assignment it
+rechecks every constraint over every decided cell, residual existence
+on completed rows included.  The library checks only
 the constraint instances that mention the new cell and leaves residual
 existence to the involution law, so both must emit the same tables in
 the same order and prune the same number of values.
@@ -43,11 +44,10 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from dmm import enumeration
-from dmm.algebra import FiniteIRL, validate_dmm, validate_irl
+from dmm.algebra import FiniteIRL, _lattice_of, validate_dmm, validate_irl
 from dmm.constructions import homs
-from dmm.enumeration import (SearchSpec, _automorphisms, _down_sets,
-                             _fusion_tables, _involutions,
-                             _lattice_distributive, _lattices, _order_of,
+from dmm.enumeration import (SearchSpec, _automorphisms, _fusion_tables,
+                             _involutions, _lattice_distributive, _lattices,
                              _relabellings, _tables_from_below,
                              enumerate_algebras)
 from test_enumeration import GOLDEN_DMM_COUNTS, GOLDEN_IRL_COUNTS
@@ -68,6 +68,22 @@ def oracle_tables(below, n):
                        for u in (below[a] | below[b] for b in range(n)))
                  for a in range(n))
     return meet, join
+
+
+def down_set_masks(meet, n):
+    """The down-set vector of a lattice: bit c of entry a is c <= a."""
+    return [sum(1 << c for c in range(n) if meet[c][a] == c)
+            for a in range(n)]
+
+
+def brute_covers(meet, n):
+    """Cover pairs (a, b), a covered by b, in increasing order: a < b with
+    no c strictly between them, every c tried."""
+    def lt(a, b):
+        return a != b and meet[a][b] == a
+
+    return [(a, b) for a in range(n) for b in range(n)
+            if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in range(n))]
 
 
 def oracle_lattices(n):
@@ -431,17 +447,18 @@ def test_tables_from_below_match_oracle():
 
 
 def test_order_record_matches_brute_force():
-    # the lower covers against FiniteIRL.covers, which tries every c
-    # between a and b, and the masks against the down-sets of meet and of
-    # the dual order, whose meet is join
+    # the lower covers against brute_covers, which tries every c between a
+    # and b, and the masks against the down-sets of meet and of the dual
+    # order, whose meet is join; FiniteIRL.covers reads the record
     for n in range(1, 8):
         for meet, join in oracle_lattices(n):
-            o = _order_of(meet, n)
+            o = _lattice_of(n, meet, join)
             A = FiniteIRL(n, meet, join, meet, tuple(range(n)), n - 1)
+            covers = brute_covers(meet, n)
             assert sorted((c, a) for a in range(n) for c in o.covers[a]) \
-                == sorted(A.covers()), meet
-            assert o.below == _down_sets(meet, n), meet
-            assert o.above == _down_sets(join, n), meet
+                == covers == A.covers(), meet
+            assert o.below == down_set_masks(meet, n), meet
+            assert o.above == down_set_masks(join, n), meet
             assert o.L == [[A.leq(a, b) for b in range(n)]
                            for a in range(n)], meet
             assert o.bot == A.bottom == 0, meet
@@ -496,8 +513,8 @@ def test_dual_search_counts_automorphisms_or_nothing():
             r = range(n)
             dual = tuple(tuple(n - 1 - join[n - 1 - a][n - 1 - b] for b in r)
                          for a in r)
-            maps = list(filter(None, _relabellings(_down_sets(dual, n),
-                                                   _down_sets(meet, n))))
+            maps = list(filter(None, _relabellings(
+                down_set_masks(dual, n), down_set_masks(meet, n))))
             self_dual = lattice_isomorphic(dual, meet, n)
             assert len(maps) == (len(_automorphisms(meet, n))
                                  if self_dual else 0), meet

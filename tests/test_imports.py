@@ -39,3 +39,21 @@ def test_canonical_form_imports_in_a_fresh_process():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+
+def _globals(node, fn=None):
+    """(enclosing function, name) for each name a global statement under
+    node declares; fn is None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Global):
+            yield from ((fn, name) for name in child.names)
+        yield from _globals(child, child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+
+def test_one_global_statement():
+    # the library keeps one module-level slot: the last lattice record
+    found = [(path.stem, *g) for path in sorted(SRC.glob("*.py"))
+             for g in _globals(ast.parse(path.read_text(), str(path)))]
+    assert found == [("algebra", "_lattice_of", "_last_lattice")]
