@@ -13,8 +13,8 @@ import os
 import sys
 
 from dmm import __version__
-from dmm.algebra import (AlgebraError, FiniteIRL, MalformedTable, NotAnIRL,
-                         predicates, validate_dmm, validate_irl)
+from dmm.algebra import (AlgebraError, FiniteIRL, MalformedTable, predicates,
+                         validate_dmm, validate_irl)
 from dmm.constructions import (UnknownName, e_free_reduct, homs,
                                is_isomorphic, is_named, make_named)
 from dmm.enumeration import (DEFAULT_MAX_SIZE, IncompleteCatalog, SearchSpec,
@@ -70,11 +70,14 @@ def _load_pointed(spec: str, args):
     return A
 
 
-def _require_irl(A: FiniteIRL) -> FiniteIRL:
-    """A, if it is an IRL; NotAnIRL naming the laws it breaks otherwise."""
-    rep = validate_irl(A)
+def _require_class(A):
+    """A, if it is an IRL (a relevant algebra, for a FiniteRA); an
+    AlgebraError naming the laws it breaks otherwise."""
+    ra = isinstance(A, FiniteRA)
+    rep = validate_ra(A) if ra else validate_irl(A)
     if not rep.ok:
-        raise NotAnIRL("not an IRL: " + ", ".join(rep.laws_violated()))
+        raise AlgebraError(("not a relevant algebra: " if ra else
+                            "not an IRL: ") + ", ".join(rep.laws_violated()))
     return A
 
 
@@ -115,7 +118,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
+    A = _require_class(_load_algebra(args.algebra, args.klass))
     if isinstance(A, FiniteRA):
         c = ra_classify(A)
         payload = {"algebra": A.name or args.algebra, "trivial": c.trivial,
@@ -251,7 +254,7 @@ def _parse_generators(text: str, size: int) -> list[int]:
 
 
 def _cmd_quotient(args) -> int:
-    A = _require_irl(_load_pointed(args.algebra, args))
+    A = _require_class(_load_pointed(args.algebra, args))
     gens = _parse_generators(args.generators or "", A.size)
     G = dfg(A, gens)
     Q, proj = quotient(A, G)
@@ -268,12 +271,9 @@ def _cmd_reduct(args) -> int:
 
 
 def _cmd_dfg(args) -> int:
-    A = _load_algebra(args.algebra, args.klass)
+    A = _require_class(_load_algebra(args.algebra, args.klass))
     gens = _parse_generators(args.generators or "", A.size)
-    if isinstance(A, FiniteRA):
-        F = dfg_ra_set(A, gens)
-    else:
-        F = dfg(_require_irl(A), gens)
+    F = (dfg_ra_set if isinstance(A, FiniteRA) else dfg)(A, gens)
     _emit({"generators": gens, "filter": F.sorted_members()}, args,
           lambda: " ".join(map(str, F.sorted_members())))
     return 0

@@ -425,7 +425,8 @@ def hs_contains(A: FiniteIRL, X: FiniteIRL) -> bool:
 
 def e_free_reduct(A: FiniteIRL):
     """Drop the distinguished neutral element, yielding a relevant-algebra
-    candidate over the signature fusion, meet, join, neg."""
+    candidate over the signature fusion, meet, join, neg, on A's own
+    tables, which were checked when A was made."""
     from dmm.relevant import FiniteRA
-    return FiniteRA.from_tables(A.size, A.meet, A.join, A.fusion, A.neg,
-                                name=f"{A.name}-" if A.name else "")
+    return FiniteRA(A.size, A.meet, A.join, A.fusion, A.neg,
+                    f"{A.name}-" if A.name else "")

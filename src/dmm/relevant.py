@@ -8,6 +8,8 @@ F = [m) because F is an up-set.  Conversely [m) is a filter for every
 m <= t.  So the filters are the [m) for m <= t, the least one is [t), the
 filter generated by X is [t /\\ /\\X), and classification reads the order
 below t as dmm.filters reads it below e.  t is computed once per algebra.
+The checks below read [m) as a row of meet or an up-set bitmask, which
+answer as A.leq does on any table, lattice or not.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 from dmm.algebra import (Tables, ValidationReport, _check_shared, _dmm_tail,
                          _checked_tables, _Collector, _lattice_of, _read_dict)
-from dmm.filters import DeductiveFilter, _order_flags, _up_sets
+from dmm.filters import DeductiveFilter, _order_flags
 
 
 class TrivialAlgebra(Exception):
@@ -115,42 +117,44 @@ def dfg_ra(A: FiniteRA, a: int) -> DeductiveFilter:
 
 def dfg_ra_set(A: FiniteRA, X) -> DeductiveFilter:
     """The least deductive filter containing X: [t /\\ /\\X), the least up-set
-    closed under meets that holds X and every |d|.  X = {} gives [t)."""
+    closed under meets that holds X and every |d|, read off row m of meet
+    for m = t /\\ /\\X.  X = {} gives [t)."""
     m = A.t
     for x in X:
         m = A.meet[m][x]
-    return DeductiveFilter(_up_sets(A, [m])[0], A)
+    row = A.meet[m]
+    return DeductiveFilter(frozenset(b for b in A.elements if row[b] == m), A)
 
 
 def dfg_oracle(A: FiniteRA, X) -> DeductiveFilter:
-    """Independent oracle: least fixpoint closure of X plus all |a| under
-    meet and upward closure."""
-    cur = set(X) | {A.abs_value(a) for a in A.elements}
-    while True:
-        new = set(cur)
-        for a in cur:
-            for b in A.elements:
-                if A.leq(a, b):
-                    new.add(b)
-            for b in cur:
-                new.add(A.meet[a][b])
-        if new == cur:
-            return DeductiveFilter(frozenset(cur), A)
-        cur = new
+    """Independent oracle: the least set holding X and every |a| closed
+    upward and under meet, by a worklist: each element, in the round it is
+    first added, is closed upward and met both ways with every member."""
+    meet, rng, rt = A.meet, A.elements, A.residual_table
+    members: set[int] = set()
+    new = {*X, *(rt[a][a] for a in rng)}
+    while new:
+        members |= new
+        new = ({b for a in new for b in rng if meet[a][b] == a}
+               | {meet[a][b] for a in new for b in members}
+               | {meet[b][a] for a in new for b in members}) - members
+    return DeductiveFilter(frozenset(members), A)
 
 
 def meet_property_check(A: FiniteRA) -> bool:
     """DFg{a} Intersection DFg{b} = DFg{a \\/ b} for all pairs, plus
-    ||a| /\\ |b|| <= |a| /\\ |b|.  DFg{a} is [t /\\ a), as in dfg_ra_set."""
-    t = A.t
-    up = [frozenset(b for b in A.elements if A.leq(A.meet[t][a], b))
-          for a in A.elements]
-    for a in A.elements:
-        for b in A.elements:
-            m = A.meet[A.abs_value(a)][A.abs_value(b)]
-            if not A.leq(A.abs_value(m), m):
-                return False
-            if up[a] & up[b] != up[A.join[a][b]]:
+    ||a| /\\ |b|| <= |a| /\\ |b|.  DFg{a} is [t /\\ a), as in dfg_ra_set, read
+    as the up-set bitmask above[t /\\ a] of meet's lattice record, which
+    reads meet alone (x <= c iff meet[x][c] = x), so exact off lattices."""
+    rng, meet, join = A.elements, A.meet, A.join
+    above, mt = _lattice_of(A.size, meet).above, meet[A.t]
+    up = [above[mt[a]] for a in rng]
+    ab = [A.abs_value(a) for a in rng]
+    for a in rng:
+        ma, ja, ua = meet[ab[a]], join[a], up[a]
+        for b in rng:
+            m = ma[ab[b]]
+            if meet[ab[m]][m] != ab[m] or ua & up[b] != up[ja[b]]:
                 return False
     return True
 

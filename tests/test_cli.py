@@ -240,6 +240,35 @@ def test_quotient_and_dfg_of_non_irl_exit_2(capsys, tmp_path):
         assert err.count("\n") == 1, command
 
 
+def test_classify_and_dfg_outside_their_class_exit_2(capsys, tmp_path):
+    # the pointed table above, and RA tables whose meet is not commutative:
+    # classify and dfg refuse them with one error line, as validate fails
+    # them, and print no flags or filter
+    irl = tmp_path / "not-irl.json"
+    irl.write_text(json.dumps({
+        "size": 4,
+        "meet": [[0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3]],
+        "join": [[0, 1, 2, 3], [1, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]],
+        "fusion": [[3, 3, 1, 2], [2, 0, 3, 0], [1, 3, 2, 3], [0, 3, 0, 2]],
+        "neg": [3, 1, 1, 1], "e": 0}))
+    ra = tmp_path / "not-ra.json"
+    ra.write_text(json.dumps({
+        "signature": "RA", "size": 2, "meet": [[0, 1], [0, 0]],
+        "join": [[0, 0], [0, 0]], "fusion": [[0, 0], [0, 0]],
+        "neg": [0, 1]}))
+    for argv, want in ((("classify", "--algebra", str(irl)), "an IRL"),
+                       (("classify", "--class", "ra", "--algebra", str(ra)),
+                        "a relevant algebra"),
+                       (("dfg", "--class", "ra", "--algebra", str(ra)),
+                        "a relevant algebra")):
+        code, _, _ = run(capsys, "validate", *argv[1:])
+        assert code == 1, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: not {want}: ") and "commutative" in err
+        assert err.count("\n") == 1, argv
+
+
 def test_enumerate_size_zero_exits_2(capsys):
     code, _, err = run(capsys, "enumerate", "--size", "0")
     assert code == 2 and "error:" in err

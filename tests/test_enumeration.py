@@ -522,3 +522,17 @@ def test_axiomatization_check_passes(dmm_upto):
     rep = axiomatization_check(dmm_upto(5))
     assert rep.ok, rep.text()
     assert set(rep.checks) == {f"axioms-{nm}" for nm in AXIOM_SETS}
+
+
+def test_axiomatization_check_decides_own_axioms_once(dmm_upto, monkeypatch):
+    # after one call, a second one reports the same without evaluating any
+    # statement on the basic algebras themselves
+    from dmm import terms
+    cat = dmm_upto(5)
+    first = axiomatization_check(cat).to_dict()
+    basics = {id(enumeration._basic(nm)) for nm in AXIOM_SETS}
+    seen, real = [], terms.satisfies
+    monkeypatch.setattr(terms, "satisfies",
+                        lambda A, s: seen.append(id(A)) or real(A, s))
+    assert axiomatization_check(cat).to_dict() == first
+    assert seen and not basics & set(seen)

@@ -116,3 +116,26 @@ def test_hs_digest_pins_dmm6_irl5():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+def test_ra_digest_pins_dmm6_irl5():
+    # every relevant-algebra answer (meet property, dfg_oracle and
+    # dfg_ra_set on the empty set, singletons and pairs, dfg_ra,
+    # ra_classify, reconstruct_neutral, contains_two_reduct) on the reducts
+    # of the dmm catalogs n <= 6 and irl n <= 5 and of their seeded
+    # corruptions, frozen before the checks read up-set masks; the same
+    # script compares versions of the checks on the larger catalogs and
+    # the corpus
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "scripts" / "ra_digest.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--dmm", "6", "--irl", "5", "--no-corpus"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "310 reducts, 7495 results, sha256 0a58614c169c43259ce32b853d7fa8af"
+        "317ed68fb6a59a210ab98b65b004696b, checks ")
+    proc = subprocess.run([sys.executable, script, "--dmm", "9"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
