@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import time
 
+from dmm.algebra import _Lattice
 from dmm.enumeration import (SearchSpec, _automorphisms, _fusion_tables,
                              _involutions, _lattices, _orbit_first_es)
 
@@ -30,14 +31,15 @@ def main() -> None:
     stats = {"pruned": 0}
     triples = tables = 0
     dfs = 0.0
-    for meet, _ in _lattices(n, spec.distributive):
+    for meet, join in _lattices(n, spec.distributive):
+        lat = _Lattice(n, meet, join)
         auts = [(s, sorted(range(n), key=s.__getitem__))
-                for s in _automorphisms(meet, n)]
-        for neg in _involutions(meet, n):
+                for s in _automorphisms(lat, n)]
+        for neg in _involutions(lat, n):
             for e in _orbit_first_es(neg, auts):
                 triples += 1
                 t0 = time.perf_counter()
-                out = list(_fusion_tables(n, meet, neg, e,
+                out = list(_fusion_tables(n, lat, neg, e,
                                           spec.square_increasing, stats))
                 dfs += time.perf_counter() - t0
                 tables += len(out)

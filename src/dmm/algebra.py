@@ -20,17 +20,14 @@ and its walk runs only if that test fails.  So does distributivity.
 
 The tests come in two stages.  The lattice stage reads meet and join
 alone: their shapes and ranges, their lattice laws, the byte marks of the
-order that the fusion laws read, and distributivity.  The other stage
-reads fusion, neg and e, and the byte rows of fusion are made once per
-validation (Tables._fusion_rows).  One record per lattice (_Lattice) holds
-the lattice stage together with the order facts the enumerator's layers
-read: the order matrix, down-set and up-set masks, bottom and lower
-covers.  The enumerator reads every class of one lattice on the same meet
-and join tuples, so the last record made is kept, keyed by the identity of
-those two objects (_lattice_of).  Only tuples of tuples are kept, as they
-cannot change, and at most one lattice is kept.  Every law is still
-decided for every algebra: a kept record holds the verdicts on its meet
-and join.
+order that the fusion laws read, and distributivity.  Its verdicts sit in
+the table's lattice record (Tables.lattice, a _Lattice), beside the order
+facts the enumerator's layers read: the order matrix, down-set and up-set
+masks, bottom and lower covers.  Tables on the same meet and join objects
+may share one record, handed on by assignment: enumerate_algebras gives
+its lattice's record to every class it keeps, and e_free_reduct gives an
+algebra's record to its reduct.  The other stage reads fusion, neg and e;
+each validation makes the byte rows of fusion once, as a local.
 """
 
 from __future__ import annotations
@@ -83,16 +80,14 @@ def _ints(row, what: str) -> tuple[int, ...]:
 
 def _checked_tables(size, meet, join, fusion, neg) -> tuple:
     """The five shared fields as tuples, after the type checks; the shape and
-    range checks are check_well_formed's.  A table that is a tuple of tuples
-    is kept as the same object, so tables shared stay shared."""
+    range checks are check_well_formed's."""
     if type(size) is not int:
         raise MalformedTable("size must be an integer")
     tabs = []
     for nm, rows in (("meet", meet), ("join", join), ("fusion", fusion)):
         if not isinstance(rows, _SEQ):
             raise MalformedTable(f"{nm} must be a list of rows")
-        tab = tuple(_ints(row, f"{nm} row") for row in rows)
-        tabs.append(rows if _frozen(rows) else tab)
+        tabs.append(tuple(_ints(row, f"{nm} row") for row in rows))
     return (size, *tabs, _ints(neg, "neg"))
 
 
@@ -116,12 +111,10 @@ class Tables:
     from them.  Candidates are not assumed valid until checked.
 
     Instances are treated as immutable after construction; all derived data
-    (residual table, extrema, and in subclasses the validation reports and
-    t) is memoized on the instance on first use, so it goes away with the
-    instance.  The law library is parsed and compiled once per process
-    instead (dmm.terms), as it depends on no algebra, and the lattice
-    record is kept for the last meet and join tuples read (_lattice_of),
-    which any number of instances may share.
+    (lattice record, residual table, extrema, and in subclasses the
+    validation reports and t) is memoized on the instance on first use, so
+    it goes away with the instance.  The law library is parsed and compiled
+    once per process instead (dmm.terms), as it depends on no algebra.
     """
 
     size: int
@@ -133,12 +126,12 @@ class Tables:
     def check_well_formed(self) -> None:
         n, fus, neg = self.size, self.fusion, self.neg
         # shapes and ranges in a few C-level passes, meet and join's once
-        # per lattice (_lattice_of); the walk below runs only to name the
-        # first defect
+        # per lattice record; the walk below runs only to name the first
+        # defect
         if (n >= 1 and len(neg) == n and len(fus) == n
                 and set(map(len, fus)) == {n}
                 and not set(neg).union(*fus).difference(range(n))
-                and _lattice_of(n, self.meet, self.join).well_formed):
+                and self.lattice.well_formed):
             return
         if n < 1:
             raise MalformedTable(f"size must be >= 1, got {n}")
@@ -163,6 +156,13 @@ class Tables:
         return a != b and self.meet[a][b] == a
 
     @cached_property
+    def lattice(self) -> "_Lattice":
+        """The record of meet and join (see _Lattice).  Tables on the same
+        meet and join objects may be handed one record by assignment,
+        X.lattice = lat, which replaces the record made on first use."""
+        return _Lattice(self.size, self.meet, self.join)
+
+    @cached_property
     def bottom(self) -> int:
         for a in self.elements:
             if all(self.leq(a, b) for b in self.elements):
@@ -185,15 +185,6 @@ class Tables:
 
     def residual(self, a: int, b: int) -> int:
         return self.residual_table[a][b]
-
-    @cached_property
-    def _fusion_rows(self) -> tuple[list[bytes], bytes, list[bytes]]:
-        """The fusion table as _byte_rows, padded for its size, for
-        n <= 256; _shared_laws_hold and _residuated both read it.
-        _check_irl and validate_ra drop it once their report is made, as
-        catalog entries outlive their validation and the padded rows would
-        triple what a catalog holds."""
-        return _byte_rows(self.fusion, bytes(256 - self.size))
 
 
 @dataclass(eq=False)
@@ -242,7 +233,7 @@ class FiniteIRL(Tables):
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (a, b) with a covered by b, in increasing order, for
         Hasse output; read off the lattice record of meet."""
-        lower = _lattice_of(self.size, self.meet, self.join).covers
+        lower = self.lattice.covers
         return sorted((c, b) for b in self.elements for c in lower[b])
 
     def relabel(self, perm: list[int] | tuple[int, ...], name: str = "") -> "FiniteIRL":
@@ -326,21 +317,15 @@ def _byte_rows(tab, pad: bytes) -> tuple[list[bytes], bytes, list[bytes]]:
     return rows, b"".join(rows), [r + pad for r in rows]
 
 
-def _frozen(tab) -> bool:
-    """Whether tab is a tuple of tuples, which cannot change."""
-    return type(tab) is tuple and all(type(row) is tuple for row in tab)
-
-
 class _Lattice:
     """One lattice on 0..n-1: what the enumerator's layers and the lattice
     stage of validation read of its meet and join, each part computed on
-    first use.  The order parts (L, below, above, bot, covers) read meet
-    alone, so a record made with join None answers them; the byte parts
-    read both tables, assume n <= 256 and well-formed tables, and need a
-    join.  well_formed assumes nothing."""
+    first use and kept as long as the record.  The order parts (L, below,
+    above, bot, covers) read meet alone, so a record made with join None
+    answers them; the byte parts read both tables, assume n <= 256 and
+    well-formed tables, and need a join.  well_formed assumes nothing."""
 
     def __init__(self, n: int, meet, join=None):
-        # holding meet and join keeps their ids theirs while this is kept
         self.n, self.meet, self.join = n, meet, join
         self.pad = bytes(max(256 - n, 0))
 
@@ -384,19 +369,11 @@ class _Lattice:
                 and not set().union(*meet, *join).difference(range(n)))
 
     @cached_property
-    def meet_rows(self) -> tuple[list[bytes], bytes, list[bytes]]:
-        return _byte_rows(self.meet, self.pad)
-
-    @cached_property
-    def join_rows(self) -> tuple[list[bytes], bytes, list[bytes]]:
-        return _byte_rows(self.join, self.pad)
-
-    @cached_property
     def laws_hold(self) -> bool:
         """Whether meet and join are commutative, absorb each other and are
         associative; see _shared_laws_hold."""
         n = self.n
-        tabs = (self.meet_rows, self.join_rows)
+        tabs = [_byte_rows(t, self.pad) for t in (self.meet, self.join)]
         for _, flat, _ in tabs:
             if b"".join([flat[c::n] for c in range(n)]) != flat:
                 return False
@@ -412,12 +389,12 @@ class _Lattice:
     @cached_property
     def up(self) -> list[bytes]:
         """up[w][z] is 1 iff meet[w][z] = w, that is w <= z."""
-        return list(map(bytes.translate, self.meet_rows[0], _ONEHOT))
+        return list(map(bytes.translate, map(bytes, self.meet), _ONEHOT))
 
     @cached_property
     def down(self) -> list[bytes]:
         """down[u][v] is 1 iff join[u][v] = u, that is v <= u."""
-        return list(map(bytes.translate, self.join_rows[0], _ONEHOT))
+        return list(map(bytes.translate, map(bytes, self.join), _ONEHOT))
 
     @cached_property
     def down_pads(self) -> list[bytes]:
@@ -431,45 +408,32 @@ class _Lattice:
         each meet row, against each meet row a, once per b, translated by
         the join row of a /\\ b."""
         n = self.n
-        mrows, mflat, mpads = self.meet_rows
-        _, jflat, jpads = self.join_rows
+        mrows, mflat, mpads = _byte_rows(self.meet, self.pad)
+        _, jflat, jpads = _byte_rows(self.join, self.pad)
         lhs = b"".join([jflat.translate(p) for p in mpads])
         each_ab = chain.from_iterable(repeat(r, n) for r in mrows)
         return lhs == b"".join(map(bytes.translate, each_ab,
                                    map(jpads.__getitem__, mflat)))
 
 
-_last_lattice: _Lattice | None = None
+def _fusion_bytes(A: Tables) -> tuple[list[bytes], bytes, list[bytes]] | None:
+    """A's fusion table as _byte_rows, for well-formed tables of at most 256
+    elements (a byte holds 256 values); None above.  _check_irl and
+    validate_ra each make it once, as a local of the call, and hand it to
+    the byte-string tests, so catalog entries, which outlive their
+    validation, do not hold it."""
+    return _byte_rows(A.fusion, A.lattice.pad) if A.size <= 256 else None
 
 
-def _lattice_of(n: int, meet, join=None) -> _Lattice:
-    """The lattice record of meet and join.  The last one made is kept and
-    reused for the very same meet and join objects and size, and only when
-    both are tuples of tuples, which cannot change; a lookup that passes no
-    join reads only the order, so a record kept for meet answers it.  The
-    enumerator asks once per lattice with both tables, and its layers and
-    the validation of every class there read that record.  At most one
-    lattice is kept."""
-    global _last_lattice
-    lat = _last_lattice
-    if (lat is not None and lat.meet is meet and lat.n == n
-            and (join is None or lat.join is join)):
-        return lat
-    lat = _Lattice(n, meet, join)
-    if _frozen(meet) and (join is None or _frozen(join)):
-        _last_lattice = lat
-    return lat
-
-
-def _shared_laws_hold(A: Tables) -> bool:
+def _shared_laws_hold(A: Tables, fb) -> bool:
     """Whether _check_shared finds no violation, decided on byte strings in
-    O(n) Python steps, for well-formed tables; False above 256 elements,
-    as a byte holds 256 values.
+    O(n) Python steps, for well-formed tables with fusion bytes fb
+    (_fusion_bytes); False when fb is None.
 
     The lattice stage (_Lattice.laws_hold) reads meet and join only, and
-    is decided once per lattice kept by _lattice_of.  Commutativity
-    compares a table with its transpose, and absorption translates each
-    join row by the meet row and back.  Idempotence and order agreement
+    is decided once per lattice record.  Commutativity compares a table
+    with its transpose, and absorption translates each join row by the
+    meet row and back.  Idempotence and order agreement
     follow from these two, so they need no stage: with b = a /\\ a,
     a \\/ b = a, so a /\\ a = a /\\ (a \\/ b) = a, and dually;
     a /\\ b = a gives b \\/ a = b \\/ (b /\\ a) = b, and a \\/ b = b gives
@@ -480,17 +444,13 @@ def _shared_laws_hold(A: Tables) -> bool:
     and associative as above, and involution-fusion, which compares the
     up-set marks of every x*y with the down-set marks of ~x over the table
     y*~z, which is ~z*y by commutativity."""
-    n = A.size
-    if n > 256:
+    n, lat = A.size, A.lattice
+    if fb is None or not lat.laws_hold:
         return False
-    lat = _lattice_of(n, A.meet, A.join)
-    if not lat.laws_hold:
-        return False
-    pad = lat.pad
     neg = bytes(A.neg)
-    if neg.translate(neg + pad) != bytes(range(n)):
+    if neg.translate(neg + lat.pad) != bytes(range(n)):
         return False
-    frows, fflat, fpads = A._fusion_rows
+    frows, fflat, fpads = fb
     if (b"".join([fflat[c::n] for c in range(n)]) != fflat
             or (b"".join(map(frows.__getitem__, fflat))
                 != b"".join(map(fflat.translate, fpads)))):
@@ -501,32 +461,33 @@ def _shared_laws_hold(A: Tables) -> bool:
                             map(lat.down_pads.__getitem__, neg))))
 
 
-def _residuated(A: Tables) -> bool:
+def _residuated(A: Tables, fb) -> bool:
     """Whether a*c <= b iff c <= a -> b for every (a, b, c), on byte strings,
-    for tables that pass every IRL law (so the order may be read off join);
-    False above 256 elements.  It implies residual-is-max: a -> b is then
-    the largest such c.  The down-set marks come from the lattice stage."""
-    n = A.size
-    if n > 256:
+    for tables that pass every IRL law (so the order may be read off join),
+    with fusion bytes fb; False when fb is None.  It implies
+    residual-is-max: a -> b is then the largest such c.  The down-set marks
+    come from the lattice stage."""
+    if fb is None:
         return False
-    lat = _lattice_of(n, A.meet, A.join)
+    lat = A.lattice
     neg = bytes(A.neg)
-    frows, fflat, _ = A._fusion_rows
+    frows, fflat, _ = fb
     # entry (b, a) is ~(~b*a) = a -> b
     res_t = b"".join(map(frows.__getitem__, neg)).translate(neg + lat.pad)
     return (b"".join([fflat.translate(d) for d in lat.down_pads])
             == b"".join(map(lat.down.__getitem__, res_t)))
 
 
-def _check_shared(A: Tables, col: _Collector):
-    """The laws an IRL and a relevant algebra share, on well-formed tables:
-    lattice laws, neg of period 2, commutative and associative fusion, and
-    involution-fusion.  A generator: it yields each a between a's one- and
-    two-variable laws, where a caller adds its own law for a.  The element
-    walk runs only when the byte-string test finds a violation, or above
-    256 elements; it is the code that collects witnesses."""
+def _check_shared(A: Tables, col: _Collector, fb):
+    """The laws an IRL and a relevant algebra share, on well-formed tables
+    with fusion bytes fb: lattice laws, neg of period 2, commutative and
+    associative fusion, and involution-fusion.  A generator: it yields each
+    a between a's one- and two-variable laws, where a caller adds its own
+    law for a.  The element walk runs only when the byte-string test finds
+    a violation, or above 256 elements; it is the code that collects
+    witnesses."""
     rng = range(A.size)
-    if _shared_laws_hold(A):
+    if _shared_laws_hold(A, fb):
         yield from rng
         return
     meet, join, fus, neg = A.meet, A.join, A.fusion, A.neg
@@ -581,15 +542,16 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
     rng = range(A.size)
     meet, fus, e = A.meet, A.fusion, A.e
     col = _Collector()
-    for a in _check_shared(A, col):
+    fb = _fusion_bytes(A)
+    for a in _check_shared(A, col, fb):
         if fus[e][a] != a or fus[a][e] != a:
             col.add("e-neutral", (a,))
-    if not col.violations and not _residuated(A):
+    if not col.violations and not _residuated(A, fb):
         # Sanity: with the axioms in place, a -> b must be max{c : a*c <= b}.
         # sols[b] is the bitmask of {c : a*c <= b}, built from the up-sets
         # of the a*c; it must hold r = a -> b and lie in the down-set of r.
         up = [[b for b in rng if meet[x][b] == x] for x in rng]
-        down = _lattice_of(A.size, meet, A.join).below
+        down = A.lattice.below
         for a in rng:
             sols = [0] * A.size
             for c, ac in enumerate(fus[a]):
@@ -598,18 +560,17 @@ def _check_irl(A: FiniteIRL) -> ValidationReport:
             for b, r in enumerate(A.residual_table[a]):
                 if not sols[b] >> r & 1 or sols[b] & ~down[r]:
                     col.add("residual-is-max", (a, b))
-    A.__dict__.pop("_fusion_rows", None)
     return col.report()
 
 
 def is_distributive(A: Tables) -> tuple[int, int, int] | None:
     """First witness of a distributivity failure, or None, for well-formed
     tables.  The lattice stage decides it on byte strings, once per
-    lattice kept by _lattice_of.  Only when that test fails, or above 256
+    lattice record.  Only when that test fails, or above 256
     elements, are the elements walked: row b of a /\\ (b \\/ c) and of
     (a /\\ b) \\/ (a /\\ c) are compared whole, and c is walked only in a
     row that differs."""
-    if A.size <= 256 and _lattice_of(A.size, A.meet, A.join).distributive:
+    if A.size <= 256 and A.lattice.distributive:
         return None
     meet, join, rng = A.meet, A.join, range(A.size)
     by_join = [itemgetter(*row) for row in join]  # by_join[b](r)[c] = r[b\/c]

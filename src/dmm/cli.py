@@ -108,7 +108,8 @@ def _cmd_validate(args) -> int:
         if rep.ok and args.klass == "dmm":
             rep = validate_dmm(A)
     payload = {"algebra": getattr(A, "name", "") or args.algebra,
-               "class": args.klass, "ok": rep.ok,
+               "class": "ra" if isinstance(A, FiniteRA) else args.klass,
+               "ok": rep.ok,
                "violations": [{"law": v.law, "witness": list(v.witness)}
                               for v in rep.violations]}
     _emit(payload, args,
@@ -265,7 +266,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_reduct(args) -> int:
-    R = e_free_reduct(_load_algebra(args.algebra))
+    R = e_free_reduct(_load_pointed(args.algebra, args))
     _emit(R.to_dict(), args)
     return 0
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from dmm.algebra import (FiniteIRL, NotAnIRL, _lattice_of, validate_dmm,
-                         validate_irl)
+from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm, validate_irl
 from dmm.filters import deductive_filters, quotient
 
 
@@ -398,7 +397,7 @@ def canonical_form(A: FiniteIRL) -> CanonicalForm:
     _least_encoding's."""
     from dmm.enumeration import _least_encoding, _least_vector, _relabellings
     n = A.size
-    b = _lattice_of(n, A.meet, A.join).below
+    b = A.lattice.below
     v = _least_vector(b)
     pairs = [(s, sorted(range(n), key=s.__getitem__))
              for s in filter(None, _relabellings(b, v))]
@@ -426,7 +425,10 @@ def hs_contains(A: FiniteIRL, X: FiniteIRL) -> bool:
 def e_free_reduct(A: FiniteIRL):
     """Drop the distinguished neutral element, yielding a relevant-algebra
     candidate over the signature fusion, meet, join, neg, on A's own
-    tables, which were checked when A was made."""
+    tables, which were checked when A was made, and with A's lattice
+    record."""
     from dmm.relevant import FiniteRA
-    return FiniteRA(A.size, A.meet, A.join, A.fusion, A.neg,
-                    f"{A.name}-" if A.name else "")
+    R = FiniteRA(A.size, A.meet, A.join, A.fusion, A.neg,
+                 f"{A.name}-" if A.name else "")
+    R.lattice = A.lattice
+    return R

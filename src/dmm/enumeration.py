@@ -28,11 +28,11 @@ search's output.  Searching only the first lattice of each class keeps the
 catalog's bytes: the first table of every class of algebras lies on the
 first lattice of its lattice class, since an isomorphic lattice met earlier
 would carry the same class, and the search there would find it sooner.
-_lattices gives the details.  The order facts of a kept lattice (its order
+_lattices gives the details.  Each kept lattice gets one record
+(dmm.algebra._Lattice), made by enumerate_algebras: its order facts (order
 matrix, down-set and up-set masks, lower covers and bottom) are computed
-once, in its one record dmm.algebra._Lattice (_lattice_of), and read by
-the automorphism, involution and fusion layers for all its (neg, e)
-triples and by the validation of its classes.
+once there, and the automorphism, involution and fusion layers take the
+record for all its (neg, e) triples.
 
 The DFS runs over per-cell domains and checks incrementally: a value of a
 cell is checked only against the constraint instances (monotonicity,
@@ -75,8 +75,9 @@ Only the first table of each class is validated, and an invalid one still
 raises AssertionError, naming the laws it breaks (a table that is not an
 IRL too, under the dmm class).  A later table of the class is isomorphic
 to a validated one, so it is valid too.  All tables on one lattice share
-its meet and join tuples, and validation reads the same record as the
-layers, so the lattice laws, the order marks and distributivity are
+its meet and join tuples, and each kept class is handed the lattice's
+record as its own (FiniteIRL.lattice), so validation reads the record the
+layers read: the lattice laws, the order marks and distributivity are
 computed once per lattice, while the laws that read fusion, neg and e are
 decided for every kept class.
 """
@@ -87,9 +88,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from dmm import __version__
-from dmm.algebra import (FiniteIRL, NotAnIRL, _lattice_of,
-                         check_derived_laws, is_rigorously_compact,
-                         validate_dmm, validate_irl)
+from dmm.algebra import (FiniteIRL, NotAnIRL, _Lattice, check_derived_laws,
+                         is_rigorously_compact, validate_dmm, validate_irl)
 from dmm.constructions import (NAMED_BASIC, e_free_reduct, embeds_in_some,
                                is_isomorphic, make_named, zero_generated)
 # perfbench's test_wrappers_restore_every_namespace reads this binding
@@ -381,21 +381,21 @@ def _lattice_distributive(meet, join, n) -> bool:
                for a in range(n) for b in range(n) for c in range(n))
 
 
-def _automorphisms(meet, n):
-    """The automorphisms of a naturally labelled lattice, as tuples in
-    lexicographic order (the identity first): its relabellings onto its own
-    down-set vector, which induce its own order.  The vector is read off
-    the lattice's record (dmm.algebra._lattice_of)."""
-    b = _lattice_of(n, meet).below
+def _automorphisms(lat, n):
+    """The automorphisms of the naturally labelled lattice with record lat,
+    as tuples in lexicographic order (the identity first): its relabellings
+    onto its own down-set vector lat.below, which induce its own order."""
+    b = lat.below
     return sorted(filter(None, _relabellings(b, b)))
 
 
 # ---- layer 2: antitone involutions ------------------------------------------
 
 
-def _involutions(meet, n):
-    """Antitone involutions of a naturally labelled lattice L, as tuples in
-    lexicographic order, the order itertools.permutations lists them in.
+def _involutions(lat, n):
+    """Antitone involutions of the naturally labelled lattice L with record
+    lat, as tuples in lexicographic order, the order itertools.permutations
+    lists them in.
 
     An antitone bijection of L is an isomorphism of the dual L^op onto L.
     Labelled x -> n-1-x, L^op is naturally labelled with down-set vector up
@@ -403,27 +403,27 @@ def _involutions(meet, n):
     vector give every antitone bijection nu(a) = lambda(n-1-a) exactly
     once, on any natural labelling: |Aut(L)| of them when L is self-dual,
     none otherwise.  The nu with nu.nu = id are kept.  Both vectors are
-    read off the lattice's record (dmm.algebra._lattice_of).
+    read off lat.
     """
-    o = _lattice_of(n, meet)
-    up = [sum(1 << (n - 1 - c) for c in _bits(u)) for u in reversed(o.above)]
-    nus = (lam[::-1] for lam in filter(None, _relabellings(up, o.below)))
+    up = [sum(1 << (n - 1 - c) for c in _bits(u)) for u in reversed(lat.above)]
+    nus = (lam[::-1] for lam in filter(None, _relabellings(up, lat.below)))
     yield from sorted(nu for nu in nus if all(nu[nu[a]] == a for a in range(n)))
 
 
 # ---- layer 3: fusion tables by constraint-propagating DFS -------------------
 
 
-def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
+def _fusion_tables(n, lat, neg, e, square_increasing, stats=None):
     """All commutative, associative, e-neutral fusion tables compatible with
-    the involution law over the given lattice, generated depth-first.
+    the involution law over the lattice with record lat, generated
+    depth-first.
 
-    The order matrix, masks, lower covers and bottom are read off the
-    lattice's record (dmm.algebra._lattice_of), made once per lattice.
-    The e row is fixed by neutrality and the bottom row by absorption (both
-    forced in any residuated lattice).  Cells (a, b), a <= b, are then filled
-    in a fixed order, and a value v of the new cell (a, b) = (b, a) must
-    pass the constraint instances that mention that cell:
+    The order matrix, masks, lower covers and bottom are read off lat, made
+    once per lattice.  The e row is fixed by neutrality and the bottom row
+    by absorption (both forced in any residuated lattice).  Cells (a, b),
+    a <= b, are then filled in a fixed order, and a value v of the new cell
+    (a, b) = (b, a) must pass the constraint instances that mention that
+    cell:
 
     - monotonicity against the decided cells in down(a) x down(b) and
       up(a) x up(b), which the lower covers of a and b and the e row
@@ -499,8 +499,8 @@ def _fusion_tables(n, meet, neg, e, square_increasing, stats=None):
     Hence the search keeps and prunes the same nodes in the same order.
     """
     rng = range(n)
-    o = _lattice_of(n, meet)
-    L, below, above, covers, bot = o.L, o.below, o.above, o.covers, o.bot
+    L, below, above, covers, bot = (lat.L, lat.below, lat.above, lat.covers,
+                                    lat.bot)
     if e == bot and n > 1:
         # e neutral and bottom absorbing collapse the algebra; no tables
         return
@@ -643,18 +643,19 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
     stats = {"pruned": 0}
     seen: dict[tuple[int, bytes], FiniteIRL] = {}
     for li, (meet, join) in enumerate(_lattices(n, spec.distributive)):
-        # the one record of this lattice, kept for its layers and validation
-        _lattice_of(n, meet, join)
+        # the one record of this lattice, for its layers and its classes
+        lat = _Lattice(n, meet, join)
         auts = [(s, sorted(range(n), key=s.__getitem__))
-                for s in _automorphisms(meet, n)]
-        for neg in _involutions(meet, n):
+                for s in _automorphisms(lat, n)]
+        for neg in _involutions(lat, n):
             for e in _orbit_first_es(neg, auts):
-                for fus in _fusion_tables(n, meet, neg, e,
+                for fus in _fusion_tables(n, lat, neg, e,
                                           spec.square_increasing, stats):
                     key = (li, _least_encoding(fus, neg, e, auts))
                     if key in seen:
                         continue
                     A = FiniteIRL(n, meet, join, fus, tuple(neg), e)
+                    A.lattice = lat
                     try:
                         rep = (validate_dmm(A) if spec.klass == "dmm"
                                else validate_irl(A))

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from dmm.algebra import (Tables, ValidationReport, _check_shared, _dmm_tail,
-                         _checked_tables, _Collector, _lattice_of, _read_dict)
+                         _checked_tables, _Collector, _fusion_bytes,
+                         _read_dict)
 from dmm.filters import DeductiveFilter, _order_flags
 
 
@@ -71,7 +72,7 @@ def _neg_antitone(A: FiniteRA) -> bool:
     n = A.size
     if n > 256:
         return False
-    lat = _lattice_of(n, A.meet, A.join)
+    lat = A.lattice
     up, neg = b"".join(lat.up), bytes(A.neg)
     cols = [up[c::n] + lat.pad for c in range(n)]   # cols[c][x]: x <= c
     return up == b"".join(map(neg.translate, map(cols.__getitem__, neg)))
@@ -93,7 +94,7 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
     # a <= a*w depends on (a, w) only, for w in W = {u[b] /\ u[c]}; (b, c)
     # is walked only for an a that fails on some w
     W = {meet[x][y] for x in u for y in u}
-    for a in _check_shared(A, col):
+    for a in _check_shared(A, col, _fusion_bytes(A)):
         ma, fa = meet[a], fus[a]
         fails = {w for w in W if ma[fa[w]] != a}
         if antitone and not fails:
@@ -106,7 +107,6 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
                 if meet[u[b]][u[c]] in fails:
                     col.add("identity-bound a <= a*(~(b*~b)/\\~(c*~c))",
                             (a, b, c))
-    A.__dict__.pop("_fusion_rows", None)    # as in _check_irl
     return _dmm_tail(A, col)
 
 
@@ -144,10 +144,10 @@ def dfg_oracle(A: FiniteRA, X) -> DeductiveFilter:
 def meet_property_check(A: FiniteRA) -> bool:
     """DFg{a} Intersection DFg{b} = DFg{a \\/ b} for all pairs, plus
     ||a| /\\ |b|| <= |a| /\\ |b|.  DFg{a} is [t /\\ a), as in dfg_ra_set, read
-    as the up-set bitmask above[t /\\ a] of meet's lattice record, which
+    as the up-set bitmask above[t /\\ a] of the lattice record, which
     reads meet alone (x <= c iff meet[x][c] = x), so exact off lattices."""
     rng, meet, join = A.elements, A.meet, A.join
-    above, mt = _lattice_of(A.size, meet).above, meet[A.t]
+    above, mt = A.lattice.above, meet[A.t]
     up = [above[mt[a]] for a in rng]
     ab = [A.abs_value(a) for a in rng]
     for a in rng:

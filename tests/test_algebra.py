@@ -203,15 +203,16 @@ def assert_byte_tests_exact(d) -> set[str]:
     decide.  And the shared-law test is exact: it holds just when the walk
     finds no violation.  Returns the laws the walk finds violated."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "_shared_laws_hold", lambda A: False)
-        mp.setattr(algebra, "_residuated", lambda A: False)
+        mp.setattr(algebra, "_shared_laws_hold", lambda A, fb: False)
+        mp.setattr(algebra, "_residuated", lambda A, fb: False)
         walked = three_reports(d)
         col = _Collector()
-        for _ in _check_shared(FiniteIRL.from_dict(d), col):
+        for _ in _check_shared(FiniteIRL.from_dict(d), col, None):
             pass
     assert three_reports(d) == walked
     A = FiniteIRL.from_dict(d)
-    assert algebra._shared_laws_hold(A) == (not col.violations)
+    assert algebra._shared_laws_hold(A, algebra._fusion_bytes(A)) == (
+        not col.violations)
     return {v.law for v in col.violations}
 
 
@@ -440,12 +441,11 @@ def fresh(A):
 
 def test_memo_reuses_lattice_for_corrupted_fusion():
     # tables on a validated algebra's own meet and join objects, with
-    # fusion, neg or e corrupted, read the kept lattice stage and get the
-    # reports of fresh copies
+    # fusion, neg or e corrupted and handed the algebra's lattice record,
+    # read its lattice stage and get the reports of fresh copies
     rnd = random.Random(22)
     failed = 0
     for A in enumerate_algebras(SearchSpec(8)).algebras[::3]:
-        algebra._lattice_of(A.size, A.meet, A.join)
         n = A.size
         for _ in range(3):
             d = A.to_dict()
@@ -460,12 +460,14 @@ def test_memo_reuses_lattice_for_corrupted_fusion():
             B = FiniteIRL(n, A.meet, A.join,
                           tuple(map(tuple, d["fusion"])), tuple(d["neg"]),
                           d["e"])
+            B.lattice = A.lattice
             shared = all_reports(B)
-            assert algebra._last_lattice.meet is A.meet
-            assert algebra._last_lattice.join is A.join
-            # the reduct keeps them too, so validate_ra reads the same stage
+            assert B.lattice is A.lattice
+            # the reduct is handed the record too, so validate_ra reads the
+            # same stage
             R = e_free_reduct(B)
             assert R.meet is A.meet and R.join is A.join
+            assert R.lattice is B.lattice
             assert shared == all_reports(fresh(B))
             failed += not shared[0].ok
     assert failed > 50
@@ -476,7 +478,6 @@ def test_memo_misses_new_join_tuples():
     # join entry breaks a lattice law, as meet fixes the order
     rnd = random.Random(5)
     for A in enumerate_algebras(SearchSpec(6)).algebras:
-        algebra._lattice_of(A.size, A.meet, A.join)
         n = A.size
         join = [list(r) for r in A.join]
         a, b = rnd.randrange(n), rnd.randrange(n)
@@ -488,9 +489,8 @@ def test_memo_misses_new_join_tuples():
 
 
 def test_memo_misses_another_size(named):
-    # the kept stage's meet and join under a smaller size are malformed
+    # A's meet and join under a smaller size are malformed
     A = named["C4"]
-    algebra._lattice_of(A.size, A.meet, A.join)
     n = A.size - 1
     B = FiniteIRL(n, A.meet, A.join, tuple(map(tuple, chain_meet(n))),
                   tuple(range(n)), 0)
@@ -500,8 +500,8 @@ def test_memo_misses_another_size(named):
 
 @pytest.mark.parametrize("rows", [list, tuple])
 def test_list_tables_mutated_in_place_get_fresh_verdicts(named, rows):
-    # tables with list rows, or a list of rows, are never kept, so an
-    # edit between two calls is always seen
+    # each instance reads its own tables, so an edit to list rows, or to a
+    # list of rows, between two instances is always seen
     for A in named.values():
         n = A.size
         meet = rows(list(r) for r in A.meet)
@@ -536,22 +536,27 @@ def test_fusion_bytes_made_once_per_class(monkeypatch, named):
         assert sum(tab is B.fusion for tab in made) == 1, A.name
 
 
+def _holds_bytes(v) -> bool:
+    return isinstance(v, bytes) or (isinstance(v, (list, tuple))
+                                    and any(map(_holds_bytes, v)))
+
+
 def test_validated_algebras_keep_no_fusion_bytes():
     # catalog entries outlive their validation, and the padded byte rows
     # of their fusion tables would triple what a catalog holds; the same
     # for validated reducts
     for spec in (SearchSpec(8), SearchSpec(6, "irl")):
         for A in enumerate_algebras(spec).algebras:
-            assert "_fusion_rows" not in vars(A), A.name
+            assert not any(map(_holds_bytes, vars(A).values())), A.name
             R = e_free_reduct(A)
             assert validate_ra(R).ok or spec.klass == "irl"
-            assert "_fusion_rows" not in vars(R), A.name
+            assert not any(map(_holds_bytes, vars(R).values())), A.name
 
 
 @pytest.mark.parametrize("rows", [list, tuple])
 def test_list_fusion_mutated_in_place_gets_fresh_verdicts(named, rows):
-    # a fusion table with list rows is never kept, so an edit between two
-    # validations is always seen
+    # each instance reads its own fusion table, so an edit to list rows
+    # between two validations is always seen
     for A in named.values():
         n = A.size
         if n < 3:
@@ -567,13 +572,18 @@ def test_list_fusion_mutated_in_place_gets_fresh_verdicts(named, rows):
 
 def test_shared_and_fresh_reports_agree_on_catalogs():
     # every dmm n <= 8 and irl n <= 6 entry, first on the enumerator's own
-    # table objects in catalog order, so that the entries of one lattice
-    # follow each other and share its stage, then on fresh copies
+    # table objects, handed the lattice record that the entries of one
+    # lattice share, then on fresh copies
     algs = [A for klass, top in (("dmm", 8), ("irl", 6))
             for n in range(1, top + 1)
             for A in enumerate_algebras(SearchSpec(n, klass)).algebras]
-    shared = [all_reports(FiniteIRL(A.size, A.meet, A.join, A.fusion, A.neg,
-                                    A.e)) for A in algs]
+
+    def on_shared_record(A):
+        B = FiniteIRL(A.size, A.meet, A.join, A.fusion, A.neg, A.e)
+        B.lattice = A.lattice
+        return B
+
+    shared = [all_reports(on_shared_record(A)) for A in algs]
     assert shared == [all_reports(fresh(A)) for A in algs]
 
 

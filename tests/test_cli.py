@@ -286,6 +286,19 @@ def test_reduct_signature(capsys):
     assert json.loads(out)["signature"] == "RA"
 
 
+def test_validate_reduct_file_reports_class_ra(capsys, tmp_path):
+    # a file with "signature": "RA" is validated as a relevant algebra
+    # under any --class, and the payload names the class it was checked in
+    p = tmp_path / "S3-.json"
+    assert run(capsys, "reduct", "--algebra", "S3", "--out", str(p))[0] == 0
+    for klass in ("dmm", "irl", "ra"):
+        code, out, _ = run(capsys, "validate", "--class", klass,
+                           "--algebra", str(p))
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True, klass
+        assert payload["class"] == "ra", klass
+
+
 def test_named_beats_file_with_warning(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "C4").write_text("not json")
@@ -390,7 +403,7 @@ def test_classify_named_as_ra(capsys, tmp_path):
     p.write_text(json.dumps(e_free_reduct(make_named("C4")).to_dict()))
     for cmd, *extra in (("analyze",), ("homs", "--algebra2", "C4"),
                         ("iso", "--algebra2", "C4"),
-                        ("quotient", "--generators", "1")):
+                        ("quotient", "--generators", "1"), ("reduct",)):
         code, out, err = run(capsys, cmd, "--algebra", str(p), *extra)
         assert code == 2 and out == "" and "expects a pointed" in err, cmd
 

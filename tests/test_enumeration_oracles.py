@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from dmm import enumeration
-from dmm.algebra import FiniteIRL, _lattice_of, validate_dmm, validate_irl
+from dmm.algebra import FiniteIRL, _Lattice, validate_dmm, validate_irl
 from dmm.constructions import homs
 from dmm.enumeration import (SearchSpec, _automorphisms, _fusion_tables,
                              _involutions, _lattice_distributive, _lattices,
@@ -413,12 +413,13 @@ def _compare(n, distributive, square_increasing):
     for meet, join in oracle_lattices(n):
         if distributive and not _lattice_distributive(meet, join, n):
             continue
-        invs = list(_involutions(meet, n))
+        lat = _Lattice(n, meet, join)
+        invs = list(_involutions(lat, n))
         assert invs == list(oracle_involutions(meet, n)), meet
         for neg in invs:
             for e in range(n):
                 got, want = {"pruned": 0}, {"pruned": 0}
-                tables = list(_fusion_tables(n, meet, neg, e,
+                tables = list(_fusion_tables(n, lat, neg, e,
                                              square_increasing, got))
                 assert tables == list(oracle_fusion_tables(
                     n, meet, neg, e, square_increasing, want)), (meet, neg, e)
@@ -452,7 +453,7 @@ def test_order_record_matches_brute_force():
     # order, whose meet is join; FiniteIRL.covers reads the record
     for n in range(1, 8):
         for meet, join in oracle_lattices(n):
-            o = _lattice_of(n, meet, join)
+            o = _Lattice(n, meet, join)
             A = FiniteIRL(n, meet, join, meet, tuple(range(n)), n - 1)
             covers = brute_covers(meet, n)
             assert sorted((c, a) for a in range(n) for c in o.covers[a]) \
@@ -492,16 +493,16 @@ def test_distributive_lattices_are_the_distributive_subsequence():
 def test_automorphisms_match_brute_force():
     for n in range(1, 8):
         for distributive in (False, True):
-            for meet, _ in _lattices(n, distributive):
-                assert _automorphisms(meet, n) == \
+            for meet, join in _lattices(n, distributive):
+                assert _automorphisms(_Lattice(n, meet, join), n) == \
                     sorted(oracle_automorphisms(meet, n)), meet
 
 
 def test_involutions_match_brute_force_on_every_class():
     # _compare reaches only the distributive lattices at n = 6 and 7
     for n in range(1, 8):
-        for meet, _ in _lattices(n):
-            assert list(_involutions(meet, n)) == \
+        for meet, join in _lattices(n):
+            assert list(_involutions(_Lattice(n, meet, join), n)) == \
                 list(oracle_involutions(meet, n)), meet
 
 
@@ -516,7 +517,7 @@ def test_dual_search_counts_automorphisms_or_nothing():
             maps = list(filter(None, _relabellings(
                 down_set_masks(dual, n), down_set_masks(meet, n))))
             self_dual = lattice_isomorphic(dual, meet, n)
-            assert len(maps) == (len(_automorphisms(meet, n))
+            assert len(maps) == (len(_automorphisms(_Lattice(n, meet), n))
                                  if self_dual else 0), meet
 
 
@@ -539,10 +540,10 @@ def orbit_certificate(klass, n, monkeypatch, unsafe=False):
     spec = SearchSpec.for_class(klass, n)
     searched = defaultdict(list)  # meet -> [(neg, e, tables)]
 
-    def recorded(n, meet, neg, e, square_increasing, stats):
-        tables = list(_fusion_tables(n, meet, neg, e, square_increasing,
+    def recorded(n, lat, neg, e, square_increasing, stats):
+        tables = list(_fusion_tables(n, lat, neg, e, square_increasing,
                                      stats))
-        searched[meet].append((neg, e, len(tables)))
+        searched[lat.meet].append((neg, e, len(tables)))
         yield from tables
 
     with monkeypatch.context() as mp:
@@ -551,13 +552,14 @@ def orbit_certificate(klass, n, monkeypatch, unsafe=False):
     classes = defaultdict(list)
     for A in cat.algebras:
         classes[A.meet].append(A)
-    for meet, _ in _lattices(n, spec.distributive):
-        auts = _automorphisms(meet, n)
+    for meet, join in _lattices(n, spec.distributive):
+        lat = _Lattice(n, meet, join)
+        auts = _automorphisms(lat, n)
         weighted = sum(k * len(orbit(neg, e, auts))
                        for neg, e, k in searched[meet])
-        unpruned = sum(1 for neg in _involutions(meet, n)
+        unpruned = sum(1 for neg in _involutions(lat, n)
                        for e in range(n)
-                       for _ in _fusion_tables(n, meet, neg, e,
+                       for _ in _fusion_tables(n, lat, neg, e,
                                                spec.square_increasing))
         orbits = sum(Fraction(len(auts),
                               sum(h.injective for h in homs(A, A)))
