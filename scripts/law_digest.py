@@ -5,8 +5,11 @@ validate_dmm report, the validate_ra report of each e-free reduct, and
 every satisfies result for the LAW_LIBRARY statements.  A second line
 digests the same three reports on CORRUPTIONS seeded corruptions of each
 input, which are mostly not IRLs, so it covers the violations and
-witnesses the validators report.  Two versions of the checks agree when
-they print the same digests; the times are the checks' own.
+witnesses the validators report.  With --battery a third line digests
+the check_derived_laws report of every input and of every corruption,
+where premises fail and first counterexamples differ most.  Two versions
+of the checks agree when they print the same digests; the times are the
+checks' own.
 
 Each corruption makes one or two edits that keep the tables symmetric: an
 entry of meet, join or fusion is set at (a, b) and (b, a) together, two
@@ -21,7 +24,7 @@ The inputs are the dmm catalogs of sizes 1..--dmm, the irl catalogs of sizes
 2^3, 2^4, S3^2, S3^3, C4x2, C4xS3, C4xC4, C4xD4 and D4xD4.
 
 Example:
-    python3 scripts/law_digest.py --dmm 8 --irl 6
+    python3 scripts/law_digest.py --dmm 8 --irl 6 --battery
 """
 
 import argparse
@@ -31,7 +34,8 @@ import time
 from dataclasses import replace
 from functools import reduce
 
-from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm, validate_irl
+from dmm.algebra import (FiniteIRL, NotAnIRL, check_derived_laws, validate_dmm,
+                         validate_irl)
 from dmm.constructions import direct_product, e_free_reduct, make_named
 from dmm.enumeration import DEFAULT_MAX_SIZE, SearchSpec, enumerate_algebras
 from dmm.relevant import validate_ra
@@ -88,6 +92,15 @@ def answers(A):
             yield f"{law}: {satisfies(A, s)!r}"
 
 
+def battery(A):
+    """The check_derived_laws report line; its bounds clause raises
+    NotAnIRL on a meet table without a least or greatest element."""
+    try:
+        return repr(check_derived_laws(A))
+    except NotAnIRL as exc:
+        return f"NotAnIRL: {exc}"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dmm", type=int, default=8,
@@ -95,6 +108,9 @@ def main() -> None:
     ap.add_argument("--irl", type=int, default=6,
                     help="largest irl catalog size (0 for none)")
     ap.add_argument("--no-corpus", action="store_true")
+    ap.add_argument("--battery", action="store_true",
+                    help="also digest check_derived_laws on every input "
+                         "and corruption")
     args = ap.parse_args()
     for flag in ("dmm", "irl"):
         if not 0 <= getattr(args, flag) <= DEFAULT_MAX_SIZE:
@@ -129,6 +145,14 @@ def main() -> None:
     print(f"{len(bad)} corruptions, {results} reports, "
           f"sha256 {digest.hexdigest()}, "
           f"checks {time.perf_counter() - t0:.2f}s")
+    if args.battery:
+        digest = hashlib.sha256()
+        t0 = time.perf_counter()
+        for name, B in algebras + bad:
+            digest.update(f"{name}\t{battery(B)}\n".encode())
+        print(f"{len(algebras) + len(bad)} law batteries, "
+              f"sha256 {digest.hexdigest()}, "
+              f"checks {time.perf_counter() - t0:.2f}s")
 
 
 if __name__ == "__main__":

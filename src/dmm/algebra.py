@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -678,22 +678,31 @@ class LawReport:
         return {k: v for k, v in self.results.items() if v is not None}
 
 
+@cache
+def _law_battery(square_increasing: bool) -> tuple[tuple[str, ...], tuple]:
+    """The report keys "law: statement" of check_derived_laws' battery and
+    its statements, one tuple of each, kept for the process so the
+    battery is compiled once."""
+    from dmm.terms import LAW_LIBRARY, law_statements
+    laws = [f"law-{i}" for i in range(4, 13)] + ["de-morgan", "3-conditions"]
+    if square_increasing:
+        laws += ["law-13", "law-14", "law-15", "cube", "idempotence-triple"]
+    return (tuple(f"{law}: {text}" for law in laws for text in LAW_LIBRARY[law]),
+            tuple(s for law in laws for s in law_statements(law)))
+
+
 def check_derived_laws(A: FiniteIRL) -> LawReport:
     """The derived laws of dmm.terms.LAW_LIBRARY, one result per statement,
     keyed "law: statement": laws 4-12, De Morgan duality, the 3-conditions,
     and laws 13-15, the cube law and the idempotence triple when A is
-    square-increasing.  Only the bounds clause is written out here, as no
+    square-increasing.  The statements are checked in one walk by
+    first_counterexamples, so each result is the first counterexample
+    satisfies finds.  Only the bounds clause is written out here, as no
     term names the extrema.  A valid algebra passes every law."""
-    from dmm.terms import LAW_LIBRARY, law_statements, satisfies
-    laws = [f"law-{i}" for i in range(4, 13)] + ["de-morgan", "3-conditions"]
-    if square_increasing_witness(A) is None:
-        laws += ["law-13", "law-14", "law-15", "cube", "idempotence-triple"]
-    out: dict[str, tuple[int, ...] | None] = {}
-    for law in laws:
-        for text, s in zip(LAW_LIBRARY[law], law_statements(law)):
-            r = satisfies(A, s)
-            out[f"{law}: {text}"] = (
-                None if r.holds else tuple(r.counterexample.values()))
+    from dmm.terms import first_counterexamples
+    keys, battery = _law_battery(square_increasing_witness(A) is None)
+    out: dict[str, tuple[int, ...] | None] = dict(
+        zip(keys, first_counterexamples(A, battery)))
     fus, res, bot, top = A.fusion, A.residual_table, A.bottom, A.top
     out["bounds: bot * x = bot, x -> top = top, top * top = top, "
         "top -> bot = bot"] = next(

@@ -83,7 +83,10 @@ def _require_class(A):
 
 def _load_statements(spec: str):
     if spec.startswith("@"):
-        return statements_from_text(_read_text(spec[1:]))
+        statements = statements_from_text(_read_text(spec[1:]))
+        if not statements:
+            raise UsageError(f"{spec[1:]}: no statements")
+        return statements
     return [parse_statement(spec)]
 
 

@@ -17,11 +17,15 @@ from dmm.algebra import FiniteIRL
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
-        super().__init__(f"{message} at position {position}"
+    def __init__(self, message: str, position: int,
+                 expected: tuple[str, ...] = (), line: int | None = None):
+        super().__init__((f"line {line}: " if line else "")
+                         + f"{message} at position {position}"
                          + (f" (expected one of: {', '.join(expected)})" if expected else ""))
+        self.message = message
         self.position = position
         self.expected = expected
+        self.line = line
 
 
 class UnboundVariable(Exception):
@@ -288,12 +292,17 @@ def parse_statement(text: str) -> Statement:
 
 
 def statements_from_text(text: str) -> list[Statement]:
-    """One statement per line; '#' starts a comment."""
+    """One statement per line; '#' starts a comment.  A parse error names
+    its line, counted from 1, and its position within the line's text."""
     out = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            out.append(parse_statement(line))
+            try:
+                out.append(parse_statement(line))
+            except ParseError as exc:
+                raise ParseError(exc.message, exc.position, exc.expected,
+                                 number) from None
     return out
 
 
@@ -336,26 +345,35 @@ def _term_text(t: Term) -> str:
 
 # ---- evaluation ------------------------------------------------------------
 #
-# A term or statement is compiled once into one Python function over the
-# tables.  Its source is built from a fixed vocabulary only: the table names
-# below, e and f, v0, v1, ... for the sorted variables, and the temporaries
-# t<k> (a value) and r<k> (a table row).  No character of the term enters
-# it, so user statements cannot inject code.
+# A term, a statement or a tuple of statements (a battery) is compiled once
+# into one Python function over the tables.  Its source is built from a
+# fixed vocabulary only: the table names below, e and f, v0, v1, ... for
+# the sorted variables, the temporaries t<k> (a value) and r<k> (a table
+# row), and a battery's o<k> (statement k's first counterexample).  No
+# character of the term enters it, so user statements cannot inject code.
 #
-# A statement becomes one nested loop per variable, v0 outermost, so rng^k
-# is walked in lexicographic order.  Each subterm, and each row op[x] read
-# with a later variable, is computed once in the loop of its last variable,
-# and shared by every use with the same source text.  A premise is tested
-# in the loop of its last variable and `continue`s that loop when it fails,
-# which skips every assignment below it; a variable-free premise that fails
-# returns before any loop.  The conclusion is tested in the innermost loop,
-# so the first failing assignment and the count of conclusion evaluations
-# are those of a walk over every assignment.
+# A statement or battery becomes one nested loop per variable, v0
+# outermost, so rng^k is walked in lexicographic order.  Each subterm, and
+# each row op[x] read with a later variable, is computed once in the loop
+# of its last variable, and shared by every use with the same source text,
+# across all the statements of a battery.
+#
+# For satisfies, a premise is tested in the loop of its last variable and
+# `continue`s that loop when it fails, which skips every assignment below
+# it; a variable-free premise that fails returns before any loop.  The
+# conclusion is tested in the innermost loop, so the first failing
+# assignment and the count of conclusion evaluations are those of a walk
+# over every assignment.
+#
+# A battery walks the sorted union of its statements' variables once.  The
+# loops are shared, so nothing `continue`s: each statement is tested in the
+# loop of its last variable, with its premises as guards, and its first
+# failure is kept; the walk returns once every statement has failed.
 
 _TABLES = "meet, join, fus, res, neg, e, f"
 _BINARY = {Fusion: "fus", Meet: "meet", Join: "join", Arrow: "res"}
-# CPython compiles at most 20 nested blocks, so a statement with more
-# variables walks the last ones with one product loop.
+# CPython compiles at most 20 nested blocks, so a walk over more variables
+# takes the last ones with one product loop.
 _LOOPS = 20
 
 
@@ -407,34 +425,26 @@ class _Code:
         return f"{lhs[0]} == {rhs[0]}", level
 
 
-def _source(node, slots: dict[str, str]) -> str:
-    """A term becomes run(tables, v0, v1, ...) -> its value.  A statement
-    becomes run(rng, tables) -> (first failing assignment or None, number of
-    conclusion evaluations), with one loop per variable (see above); the
-    count is kept for quasi-equations only."""
-    vs = "".join(f"{v}, " for v in slots.values())
-    if isinstance(node, Term):
-        code = _Code(0, {nm: (v, 0) for nm, v in slots.items()})
-        out = code.value(node)[0]
-        return "\n".join([f"def run({_TABLES}, {vs}):",
-                          *(f" {ln}" for ln in code.lines[0]),
-                          f" return {out}"]) + "\n"
-    premises, conclusion = ((node.premises, node.conclusion)
-                            if isinstance(node, QuasiEquation) else ((), node))
+def _parts(s: Statement) -> tuple[tuple[Statement, ...], Statement]:
+    """(premises, conclusion) of s."""
+    if isinstance(s, QuasiEquation):
+        return s.premises, s.conclusion
+    return (), s
+
+
+def _walk_source(slots: dict[str, str], fill) -> str:
+    """run(rng, tables): one loop per variable of slots, v0 outermost, the
+    ones past the 19th in one product loop.  fill(code) adds the tests to
+    a _Code over those loops and returns the lines before the loops and
+    after them."""
     vars_ = list(slots.values())
     loops = [[v] for v in vars_[:_LOOPS - 1]]
     if vars_[_LOOPS - 1:]:
         loops.append(vars_[_LOOPS - 1:])
     code = _Code(len(loops), {nm: (v, 1 + min(i, _LOOPS - 1))
                               for i, (nm, v) in enumerate(slots.items())})
-    for p in premises:
-        cond, level = code.test(p)
-        code.lines[level] += [f"if not ({cond}):",
-                              " continue" if level else " return None, 0"]
-    cond, _ = code.test(conclusion)
-    code.lines[-1] += (["evals += 1"] if premises else []) + [
-        f"if not ({cond}):", f" return ({vs}), evals"]
-    lines = [f"def run(rng, {_TABLES}):", " evals = 0"]
+    head, tail = fill(code)
+    lines = [f"def run(rng, {_TABLES}):", *(f" {ln}" for ln in head)]
     for depth, loop in enumerate(loops):
         pad = " " * (depth + 1)
         lines += [pad + ln for ln in code.lines[depth]]
@@ -443,26 +453,71 @@ def _source(node, slots: dict[str, str]) -> str:
                             f"product(rng, repeat={len(loop)}):"))
     pad = " " * (len(loops) + 1)
     lines += [pad + ln for ln in code.lines[-1]]
-    lines.append(" return None, evals")
+    lines += (f" {ln}" for ln in tail)
     return "\n".join(lines) + "\n"
+
+
+def _source(node, slots: dict[str, str]) -> str:
+    """A term becomes run(tables, v0, v1, ...) -> its value.  A statement
+    becomes run(rng, tables) -> (first failing assignment or None, number of
+    conclusion evaluations); the count is kept for quasi-equations only.  A
+    tuple of statements becomes run(rng, tables) -> each one's first
+    failing assignment of its own variables, or None.  See above for the
+    loops."""
+    vs = "".join(f"{v}, " for v in slots.values())
+    if isinstance(node, Term):
+        code = _Code(0, {nm: (v, 0) for nm, v in slots.items()})
+        out = code.value(node)[0]
+        return "\n".join([f"def run({_TABLES}, {vs}):",
+                          *(f" {ln}" for ln in code.lines[0]),
+                          f" return {out}"]) + "\n"
+
+    def statement(code: _Code):
+        premises, conclusion = _parts(node)
+        for p in premises:
+            cond, level = code.test(p)
+            code.lines[level] += [f"if not ({cond}):",
+                                  " continue" if level else " return None, 0"]
+        cond, _ = code.test(conclusion)
+        code.lines[-1] += (["evals += 1"] if premises else []) + [
+            f"if not ({cond}):", f" return ({vs}), evals"]
+        return ["evals = 0"], ["return None, evals"]
+
+    def battery(code: _Code):
+        found = [f"o{k}" for k in range(len(node))]
+        out = f"return ({''.join(f'{o}, ' for o in found)})"
+        for o, s in zip(found, node):
+            premises, conclusion = _parts(s)
+            conds = [code.test(p) for p in (*premises, conclusion)]
+            guards = "".join(f"{cond} and " for cond, _ in conds[:-1])
+            own = "".join(f"{slots[nm]}, " for nm in variables(s))
+            code.lines[max(level for _, level in conds)] += [
+                f"if {guards}not ({conds[-1][0]}) and {o} is None:",
+                f" {o} = ({own})", " left -= 1", " if not left:", f"  {out}"]
+        return [*(f"{o} = None" for o in found), f"left = {len(found)}"], [out]
+
+    return _walk_source(slots, battery if isinstance(node, tuple)
+                        else statement)
 
 
 # id(node) -> (node, sorted variable names, compiled run).  Looking a node
 # up by identity skips hashing the whole frozen tree on every call, and
 # holding the node keeps its id from being reused.  Library callers pass
-# long-lived nodes (law_statements returns the same objects on every call).
+# long-lived nodes (law_statements returns the same objects on every call,
+# and check_derived_laws keeps its batteries).
 _COMPILED: dict[int, tuple] = {}
 
 
 def _compiled(node) -> tuple[list[str], object]:
-    """(sorted variable names, compiled run) of a term or statement.  A
-    term nested deeper than MAX_DEPTH, which only code can build, raises
-    TermTooDeep."""
+    """(sorted variable names, compiled run) of a term, a statement or a
+    tuple of statements.  A term nested deeper than MAX_DEPTH, which only
+    code can build, raises TermTooDeep."""
     hit = _COMPILED.get(id(node))
     if hit is None:
-        if max(h for _, h in _walk(node)) > MAX_DEPTH:
+        parts = node if isinstance(node, tuple) else (node,)
+        if max((h for p in parts for _, h in _walk(p)), default=0) > MAX_DEPTH:
             raise TermTooDeep(_TOO_DEEP)
-        names = variables(node)
+        names = sorted({nm for p in parts for nm in variables(p)})
         scope = {"__builtins__": {}, "product": product}
         exec(_source(node, {nm: f"v{i}" for i, nm in enumerate(names)}),
              scope)
@@ -505,6 +560,23 @@ def satisfies(A: FiniteIRL, s: Statement, max_vars: int = 4) -> SatisfactionResu
     return SatisfactionResult(
         first is None, None if first is None else dict(zip(names, first)),
         checked, evals)
+
+
+def first_counterexamples(A: FiniteIRL,
+                          statements: tuple[Statement, ...]) -> tuple:
+    """For each statement, the values of its own sorted variables at the
+    first counterexample satisfies(A, s) finds, or None where s holds.
+    The tuple is compiled once, into one walk over the sorted union of the
+    variables, and is found again by identity, so pass the same tuple
+    object each time.
+
+    The answers are satisfies' own.  Take any subset S of the walk's
+    variables.  The walk is lexicographic, so the first time it visits an
+    S-assignment every other variable is 0, and first visits come in the
+    lexicographic order of S.  A statement over S is tested at every visit,
+    in the loop of its last variable, so its first failure in the walk is
+    its lexicographically first counterexample."""
+    return _compiled(statements)[1](A.elements, *_tables(A))
 
 
 # ---- the named law / axiom library ----------------------------------------

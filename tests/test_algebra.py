@@ -739,3 +739,29 @@ def test_derived_laws_match_hand_coded_oracle(dmm_upto, named):
                     == _law_names(old.failures())), B.to_dict()
             flagged += not old.ok
     assert flagged > len(algebras)  # most corruptions break some law
+
+
+def test_derived_laws_report_satisfies_counterexamples(dmm_upto, named):
+    # each statement's entry is the first counterexample satisfies finds,
+    # as the values of its own sorted variables, in the library's order
+    from dmm.terms import LAW_LIBRARY, law_statements, satisfies
+    laws = [f"law-{i}" for i in range(4, 13)] + ["de-morgan", "3-conditions"]
+    sq_laws = ["law-13", "law-14", "law-15", "cube", "idempotence-triple"]
+    rng = random.Random(29)
+    algebras = list(dmm_upto(6).algebras) + [
+        named[nm] for nm in ("D4", "S5", "C4ext_1")]
+    failed = 0
+    for A in algebras:
+        for B in [A] + [_corrupted(A, rng) for _ in range(20)]:
+            want = {}
+            for law in laws + (sq_laws if square_increasing_witness(B) is None
+                               else []):
+                for text, s in zip(LAW_LIBRARY[law], law_statements(law)):
+                    r = satisfies(B, s)
+                    want[f"{law}: {text}"] = (
+                        None if r.holds else tuple(r.counterexample.values()))
+            got = list(check_derived_laws(B).results.items())
+            assert got[-1][0].startswith("bounds: ")
+            assert got[:-1] == list(want.items()), B.to_dict()
+            failed += sum(v is not None for v in want.values())
+    assert failed > 3 * len(algebras)  # corruptions give counterexamples

@@ -84,6 +84,27 @@ def test_satisfies_statement_file(capsys, tmp_path):
     assert len(json.loads(out)["results"]) == 2
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# laws\n  # none yet\n"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_satisfies_empty_statement_file_exits_2(capsys, tmp_path, text, fmt):
+    p = tmp_path / "laws.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, "satisfies", "--algebra", "S3",
+                         "--statement", f"@{p}", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"error: {p}: no statements\n"
+
+
+def test_satisfies_statement_file_parse_error_names_line(capsys, tmp_path):
+    p = tmp_path / "laws.txt"
+    p.write_text("x <= x\n=> x\n")
+    code, out, err = run(capsys, "satisfies", "--algebra", "S3",
+                         "--statement", f"@{p}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: unexpected token '=>' at position 0")
+    assert len(err.splitlines()) == 1
+
+
 def test_satisfies_binary_statement_file_exits_2(capsys, tmp_path):
     p = tmp_path / "laws.bin"
     p.write_bytes(b"\xff\xfe\x00 x <= e\n")

@@ -13,7 +13,8 @@ from dmm.terms import (LAW_LIBRARY, MAX_DEPTH, Arrow, Const, Equation, Fusion,
                        Inequation, Join, Meet, Neg, ParseError, QuasiEquation,
                        SatisfactionResult, TermTooDeep, TooManyVariables,
                        UnboundVariable,
-                       Var, _source, evaluate, law_statements, parse,
+                       Var, _source, evaluate, first_counterexamples,
+                       law_statements, parse,
                        parse_statement, satisfies, statements_from_text,
                        to_text, variables)
 
@@ -119,6 +120,15 @@ def test_satisfies_refuses_deep_code_built_terms(named, depth):
 
 
 @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 300, 5000])
+def test_first_counterexamples_refuses_deep_code_built_terms(named, depth):
+    ok = Inequation(x, fusion_chain(MAX_DEPTH))
+    assert first_counterexamples(named["C4"], (ok, ok)) == (None, None)
+    with pytest.raises(TermTooDeep, match="nested deeper"):
+        first_counterexamples(named["C4"],
+                              (ok, Inequation(x, fusion_chain(depth))))
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 300, 5000])
 def test_evaluate_refuses_deep_code_built_terms(named, depth):
     assert evaluate(fusion_chain(MAX_DEPTH), named["C4"], {"x": 1}) == 1
     with pytest.raises(TermTooDeep, match="nested deeper"):
@@ -183,6 +193,24 @@ def test_statement_files():
     """
     stmts = statements_from_text(text)
     assert len(stmts) == 2
+
+
+def test_statement_file_parse_error_names_line():
+    with pytest.raises(ParseError) as ei:
+        statements_from_text("x <= x\n=> x\n")
+    assert str(ei.value).startswith(
+        "line 2: unexpected token '=>' at position 0")
+    assert (ei.value.line, ei.value.position) == (2, 0)
+    # positions count from the line's text without its indentation or
+    # comment, and blank and comment lines still count
+    with pytest.raises(ParseError) as ei:
+        statements_from_text("# laws\n\n  x <= ~  # bad\n")
+    assert str(ei.value).startswith("line 3: unexpected token 'end of input'"
+                                    " at position 6")
+    # a single statement's errors name no line
+    with pytest.raises(ParseError) as ei:
+        parse_statement("=> x")
+    assert ei.value.line is None and not str(ei.value).startswith("line")
 
 
 def test_law_library_parses_and_roundtrips():
@@ -341,6 +369,68 @@ def test_satisfies_matches_interpreter_on_corrupted_tables(d):
         assert satisfies(A, s) == oracle_satisfies(A, s), to_text(s)
 
 
+def _first(A, s):
+    """The oracle's first counterexample of s, as its variables' values."""
+    r = oracle_satisfies(A, s)
+    return None if r.holds else tuple(r.counterexample.values())
+
+
+def _statement(kind, s, t, p):
+    """Equation, inequation, or a quasi-equation with premise p."""
+    return (Equation(s, t), Inequation(s, t),
+            QuasiEquation((p,), Inequation(s, t)))[kind]
+
+
+closed_terms = st.recursive(
+    st.sampled_from([Const("e"), Const("f")]),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(sub, sub).map(lambda p: Fusion(*p)),
+        st.tuples(sub, sub).map(lambda p: Arrow(*p))),
+    max_leaves=4)
+# premises with variables, and variable-free ones
+premises = st.one_of(st.builds(Inequation, terms, terms),
+                     st.builds(Equation, closed_terms, closed_terms))
+statements = st.builds(_statement, st.integers(0, 2), terms, terms, premises)
+batteries = st.lists(statements, min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_NAMED), batteries)
+def test_first_counterexamples_match_interpreter(named, name, battery):
+    A = named[name]
+    assert first_counterexamples(A, battery) == tuple(
+        _first(A, s) for s in battery), [to_text(s) for s in battery]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=corrupted_tables(), battery=batteries)
+def test_first_counterexamples_match_interpreter_on_corrupted_tables(
+        d, battery):
+    A = FiniteIRL.from_dict(d)
+    assert first_counterexamples(A, battery) == tuple(
+        _first(A, s) for s in battery), [to_text(s) for s in battery]
+
+
+@pytest.mark.parametrize("texts", [
+    # {x, z} and {y} beside {x, y, z}: each gets its own variables' values
+    ("x * z <= z", "x * y <= z", "y <= e", "x \\/ z = z \\/ x"),
+    # variable-free premises, one that holds and one that fails
+    ("f * f = f => x <= e", "e = f => x <= y", "e <= f => f <= e"),
+    # every statement fails, in D4 at an early assignment, so the walk
+    # stops early there
+    ("x <= e", "z <= e", "f <= e", "x * y <= x /\\ y")])
+def test_first_counterexamples_examples(named, texts):
+    battery = tuple(map(parse_statement, texts))
+    for A in named.values():
+        got = first_counterexamples(A, battery)
+        assert got == tuple(_first(A, s) for s in battery), (A.name, texts)
+    if texts[0] == "x <= e":
+        assert first_counterexamples(named["D4"], battery) == (
+            (2,), (2,), (), (1, 2))
+    assert first_counterexamples(named["D4"], ()) == ()
+
+
 def test_satisfies_past_the_nested_loop_limit(named):
     # 21 variables: the compiled run walks the last two with one product
     # loop; in 2, e is the top and the first failure is the second
@@ -353,6 +443,11 @@ def test_satisfies_past_the_nested_loop_limit(named):
         r = satisfies(A, s, max_vars=21)
         assert r == oracle_satisfies(A, s)
         assert r.counterexample == {**dict.fromkeys(names, 0), "a21": 1}
+        # the same walk for a battery, with a statement over a20 and a21
+        # only, which is tested in the product loop too
+        battery = (s, parse("a21 <= a20"))
+        assert first_counterexamples(A, battery) == (
+            (*[0] * 20, 1), (0, 1))
 
 
 def test_variable_names_cannot_capture_generated_names(named):
@@ -370,15 +465,20 @@ def test_variable_names_cannot_capture_generated_names(named):
 
 def test_generated_source_has_a_fixed_vocabulary():
     s = parse("import * os <= exec -> x & globals = e => f <= ~breakpoint")
-    names = variables(s)
-    src = _source(s, {nm: f"v{i}" for i, nm in enumerate(names)})
-    words = {tok.string for tok in tokenize.generate_tokens(
-        io.StringIO(src).readline) if tok.type == tokenize.NAME}
-    # the compiler's own temporaries: t<k> for a value, r<k> for a row
-    temporaries = {w for w in words if re.fullmatch(r"[tr][0-9]+", w)}
-    assert words - temporaries <= {
-        "def", "run", "rng", "meet", "join", "fus", "res", "neg",
-        "e", "f", "evals", "for", "in", "product", "repeat",
-        "if", "and", "not", "return", "None", "continue",
-        *(f"v{i}" for i in range(len(names)))}
-    assert not words & {"import", "os", "exec", "globals", "breakpoint"}
+    battery = (s, parse("eval = len"))
+    names = sorted({nm for t in battery for nm in variables(t)})
+    slots = {nm: f"v{i}" for i, nm in enumerate(names)}
+    for node in (s, battery):
+        src = _source(node, slots)
+        words = {tok.string for tok in tokenize.generate_tokens(
+            io.StringIO(src).readline) if tok.type == tokenize.NAME}
+        # the compiler's own temporaries: t<k> for a value, r<k> for a
+        # row, o<k> for a battery's first counterexamples
+        temporaries = {w for w in words if re.fullmatch(r"[tro][0-9]+", w)}
+        assert words - temporaries <= {
+            "def", "run", "rng", "meet", "join", "fus", "res", "neg",
+            "e", "f", "evals", "left", "for", "in", "product", "repeat",
+            "if", "and", "not", "is", "return", "None", "continue",
+            *slots.values()}
+        assert not words & {"import", "os", "exec", "globals", "breakpoint",
+                            "eval", "len"}
