@@ -5,9 +5,9 @@ validate_dmm report, the validate_ra report of each e-free reduct, and
 every satisfies result for the LAW_LIBRARY statements.  A second line
 digests the same three reports on CORRUPTIONS seeded corruptions of each
 input, which are mostly not IRLs, so it covers the violations and
-witnesses the validators report.  With --battery a third line digests
-the check_derived_laws report of every input and of every corruption,
-where premises fail and first counterexamples differ most.  Two versions
+witnesses the validators report.  A third line digests the
+check_derived_laws report of every input and of every corruption, where
+premises fail and first counterexamples differ most.  Two versions
 of the checks agree when they print the same digests; the times are the
 checks' own.
 
@@ -24,7 +24,7 @@ The inputs are the dmm catalogs of sizes 1..--dmm, the irl catalogs of sizes
 2^3, 2^4, S3^2, S3^3, C4x2, C4xS3, C4xC4, C4xD4 and D4xD4.
 
 Example:
-    python3 scripts/law_digest.py --dmm 8 --irl 6 --battery
+    python3 scripts/law_digest.py --dmm 8 --irl 6
 """
 
 import argparse
@@ -108,9 +108,6 @@ def main() -> None:
     ap.add_argument("--irl", type=int, default=6,
                     help="largest irl catalog size (0 for none)")
     ap.add_argument("--no-corpus", action="store_true")
-    ap.add_argument("--battery", action="store_true",
-                    help="also digest check_derived_laws on every input "
-                         "and corruption")
     args = ap.parse_args()
     for flag in ("dmm", "irl"):
         if not 0 <= getattr(args, flag) <= DEFAULT_MAX_SIZE:
@@ -145,14 +142,13 @@ def main() -> None:
     print(f"{len(bad)} corruptions, {results} reports, "
           f"sha256 {digest.hexdigest()}, "
           f"checks {time.perf_counter() - t0:.2f}s")
-    if args.battery:
-        digest = hashlib.sha256()
-        t0 = time.perf_counter()
-        for name, B in algebras + bad:
-            digest.update(f"{name}\t{battery(B)}\n".encode())
-        print(f"{len(algebras) + len(bad)} law batteries, "
-              f"sha256 {digest.hexdigest()}, "
-              f"checks {time.perf_counter() - t0:.2f}s")
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for name, B in algebras + bad:
+        digest.update(f"{name}\t{battery(B)}\n".encode())
+    print(f"{len(algebras) + len(bad)} law batteries, "
+          f"sha256 {digest.hexdigest()}, "
+          f"checks {time.perf_counter() - t0:.2f}s")
 
 
 if __name__ == "__main__":

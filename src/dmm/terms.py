@@ -293,16 +293,17 @@ def parse_statement(text: str) -> Statement:
 
 def statements_from_text(text: str) -> list[Statement]:
     """One statement per line; '#' starts a comment.  A parse error names
-    its line, counted from 1, and its position within the line's text."""
+    its line, counted from 1, and its position within that line."""
     out = []
     for number, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
+        line = line.split("#", 1)[0]
+        indent = len(line) - len(line.lstrip())
+        if line := line.strip():
             try:
                 out.append(parse_statement(line))
             except ParseError as exc:
-                raise ParseError(exc.message, exc.position, exc.expected,
-                                 number) from None
+                raise ParseError(exc.message, indent + exc.position,
+                                 exc.expected, number) from None
     return out
 
 
@@ -562,13 +563,16 @@ def satisfies(A: FiniteIRL, s: Statement, max_vars: int = 4) -> SatisfactionResu
         checked, evals)
 
 
-def first_counterexamples(A: FiniteIRL,
-                          statements: tuple[Statement, ...]) -> tuple:
+def first_counterexamples(A: FiniteIRL, statements: tuple[Statement, ...],
+                          max_vars: int = 4) -> tuple:
     """For each statement, the values of its own sorted variables at the
     first counterexample satisfies(A, s) finds, or None where s holds.
     The tuple is compiled once, into one walk over the sorted union of the
     variables, and is found again by identity, so pass the same tuple
-    object each time.
+    object each time.  The walk visits up to |A|^k assignments for the k
+    variables of the union, against |A|^k_s for each statement alone, so
+    it is meant for statements over shared variables; the cap max_vars
+    bounds k as satisfies bounds k_s.
 
     The answers are satisfies' own.  Take any subset S of the walk's
     variables.  The walk is lexicographic, so the first time it visits an
@@ -576,7 +580,11 @@ def first_counterexamples(A: FiniteIRL,
     lexicographic order of S.  A statement over S is tested at every visit,
     in the loop of its last variable, so its first failure in the walk is
     its lexicographically first counterexample."""
-    return _compiled(statements)[1](A.elements, *_tables(A))
+    names, run = _compiled(statements)
+    if len(names) > max_vars:
+        raise TooManyVariables(
+            f"{len(names)} variables exceeds the cap of {max_vars}")
+    return run(A.elements, *_tables(A))
 
 
 # ---- the named law / axiom library ----------------------------------------

@@ -92,30 +92,15 @@ def test_law_digest_pins_dmm6_irl4():
     assert proc.stdout.splitlines()[1].startswith(
         "164 corruptions, 492 reports, sha256 d8ef1cb2ef00d11416c0e866d1a16783"
         "738a3efecdf194e1a65ae7cc3e1e1306, checks ")
+    # every check_derived_laws report on the same inputs and corruptions,
+    # frozen while the battery still ran one satisfies call per statement
+    assert proc.stdout.splitlines()[2].startswith(
+        "205 law batteries, sha256 d79ba9d94d1b808e7b3ca1823f746795e2d51cbe"
+        "2b174483efc2a23272b992a5, checks ")
     proc = subprocess.run([sys.executable, script, "--dmm", "9"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
-
-
-def test_law_digest_battery_pins_dmm6_irl4():
-    # --battery adds a digest of every check_derived_laws report on the
-    # same inputs and their seeded corruptions, frozen while the battery
-    # still ran one satisfies call per statement; the two lines above it
-    # are those pinned in test_law_digest_pins_dmm6_irl4
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "law_digest.py"),
-         "--dmm", "6", "--irl", "4", "--no-corpus", "--battery"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 3
-    assert "sha256 496e04c9eb653ba758d563e830f5a1ff" in lines[0]
-    assert "sha256 d8ef1cb2ef00d11416c0e866d1a16783" in lines[1]
-    assert lines[2].startswith(
-        "205 law batteries, sha256 d79ba9d94d1b808e7b3ca1823f746795e2d51cbe"
-        "2b174483efc2a23272b992a5, checks ")
 
 
 def test_hs_digest_pins_dmm6_irl5():

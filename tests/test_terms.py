@@ -183,6 +183,12 @@ def test_variable_cap():
     with pytest.raises(TooManyVariables):
         satisfies(make_named("2"), s)
     assert satisfies(make_named("2"), s, max_vars=5).holds
+    # a battery's cap bounds the union of its statements' variables
+    battery = (parse("x1 /\\ x2 <= x1"), parse("x3 /\\ x4 <= x5"))
+    with pytest.raises(TooManyVariables):
+        first_counterexamples(make_named("2"), battery)
+    assert first_counterexamples(make_named("2"), battery,
+                                 max_vars=5) == (None, (1, 1, 0))
 
 
 def test_statement_files():
@@ -201,12 +207,15 @@ def test_statement_file_parse_error_names_line():
     assert str(ei.value).startswith(
         "line 2: unexpected token '=>' at position 0")
     assert (ei.value.line, ei.value.position) == (2, 0)
-    # positions count from the line's text without its indentation or
-    # comment, and blank and comment lines still count
+    # positions count from the start of the line, indentation included,
+    # and blank and comment lines still count
     with pytest.raises(ParseError) as ei:
         statements_from_text("# laws\n\n  x <= ~  # bad\n")
     assert str(ei.value).startswith("line 3: unexpected token 'end of input'"
-                                    " at position 6")
+                                    " at position 8")
+    with pytest.raises(ParseError) as ei:
+        statements_from_text("x <= x\n\t  => x\n")
+    assert (ei.value.line, ei.value.position) == (2, 3)
     # a single statement's errors name no line
     with pytest.raises(ParseError) as ei:
         parse_statement("=> x")
@@ -446,7 +455,7 @@ def test_satisfies_past_the_nested_loop_limit(named):
         # the same walk for a battery, with a statement over a20 and a21
         # only, which is tested in the product loop too
         battery = (s, parse("a21 <= a20"))
-        assert first_counterexamples(A, battery) == (
+        assert first_counterexamples(A, battery, max_vars=21) == (
             (*[0] * 20, 1), (0, 1))
 
 
