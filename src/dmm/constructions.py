@@ -394,8 +394,11 @@ def canonical_form(A: FiniteIRL) -> CanonicalForm:
     and the same relabelled tables, and equal forms share one relabelled
     algebra.  Sorting a catalog by the form gives the catalog's order: v
     orders the lattices as their index does, and the encoding is
-    _least_encoding's."""
-    from dmm.enumeration import _least_encoding, _least_vector, _relabellings
+    _least_encoding's, read through the _gathers of these relabellings, so
+    only those with the least sigma(e) are encoded.  The relabelling search
+    is most of the cost on a lattice with many automorphisms (2^6: 720)."""
+    from dmm.enumeration import (_gathers, _least_encoding, _least_vector,
+                                 _relabellings)
     n = A.size
     b = A.lattice.below
     v = _least_vector(b)
@@ -404,7 +407,8 @@ def canonical_form(A: FiniteIRL) -> CanonicalForm:
     width = (n + 7) // 8
     return CanonicalForm(bytes([n])
                          + b"".join(x.to_bytes(width, "big") for x in v)
-                         + _least_encoding(A.fusion, A.neg, A.e, pairs))
+                         + _least_encoding(A.fusion, A.neg, A.e,
+                                           _gathers(pairs, n)))
 
 
 def is_isomorphic(A: FiniteIRL, B: FiniteIRL) -> bool:

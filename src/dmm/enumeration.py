@@ -87,6 +87,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
+from operator import itemgetter
 from dmm import __version__
 from dmm.algebra import (FiniteIRL, NotAnIRL, _Lattice, check_derived_laws,
                          is_rigorously_compact, validate_dmm, validate_irl)
@@ -100,6 +102,9 @@ from dmm.relevant import (contains_two_reduct, dfg_oracle, dfg_ra,
                           meet_property_check, reconstruct_neutral, validate_ra)
 
 DEFAULT_MAX_SIZE = 8
+
+# compact JSON text, as Catalog.to_json writes it
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class SizeTooLarge(Exception):
@@ -154,11 +159,32 @@ class Catalog:
     complete: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"spec": self.spec.to_dict(), "tool_version": __version__,
-             "complete": self.complete, "count": len(self.algebras),
-             "algebras": [A.to_dict() for A in self.algebras]},
-            sort_keys=True, separators=(",", ":"))
+        """The catalog as compact JSON with sorted keys, byte for byte
+        json.dumps of the to_dict forms with sort_keys=True and separators
+        (",", ":").  The entries are assembled in sorted-key order, and each
+        table object's text is made once per call: the classes on one
+        lattice share its meet and join tuples (enumerate_algebras), so
+        their text is written once per lattice, not once per class.  e,
+        size and count are ints, which JSON writes as Python does."""
+        texts: dict[int, str] = {}
+
+        def text(t) -> str:
+            # t stays alive through the call, so its id is not reused
+            out = texts.get(id(t))
+            if out is None:
+                out = texts[id(t)] = _dumps(t)
+            return out
+
+        entries = ",".join(
+            f'{{"e":{A.e},"fusion":{_dumps(A.fusion)},'
+            f'"join":{text(A.join)},"meet":{text(A.meet)},'
+            f'"name":{_dumps(A.name)},"neg":{_dumps(A.neg)},'
+            f'"size":{A.size}}}' for A in self.algebras)
+        return (f'{{"algebras":[{entries}],'
+                f'"complete":{_dumps(self.complete)},'
+                f'"count":{len(self.algebras)},'
+                f'"spec":{_dumps(self.spec.to_dict())},'
+                f'"tool_version":{_dumps(__version__)}}}')
 
     @classmethod
     def from_json(cls, text: str) -> "Catalog":
@@ -615,11 +641,31 @@ def _orbit_first_es(neg, auts):
     return [e for e in range(len(neg)) if all(s[e] >= e for s in stab)]
 
 
-def _least_encoding(fus, neg, e, auts) -> bytes:
-    """The least encoding of sigma.(e, fusion, neg) over sigma in Aut(L)."""
-    return min(bytes([s[e], *(s[fus[a][b]] for a in inv for b in inv),
-                      *(s[neg[a]] for a in inv)])
-               for s, inv in auts)
+def _gathers(pairs, n):
+    """Per relabelling (sigma, sigma^-1) in pairs, the pair (g, t) that
+    _least_encoding reads: g = itemgetter(*sigma^-1) gathers a row, or the
+    rows of a table, in the relabelled order (position i holds entry
+    sigma^-1(i)), and t is sigma as a 256-byte translate table, which
+    renames the gathered values.  At n = 1 sigma is the identity and
+    itemgetter with one index would return a bare item, so g is the whole
+    slice."""
+    pad = bytes(256 - n)
+    return [(itemgetter(*inv) if n > 1 else itemgetter(slice(None)),
+             bytes(s) + pad) for s, inv in pairs]
+
+
+def _least_encoding(fus, neg, e, gathers) -> bytes:
+    """The least encoding of sigma.(e, fusion, neg) over the relabellings
+    sigma of gathers (made by _gathers): the bytes sigma(e), then the n^2
+    cells sigma(fus[sigma^-1 a][sigma^-1 b]) row by row, then the n entries
+    sigma(neg[sigma^-1 a]).  Every encoding starts with sigma(e) and bytes
+    compare lexicographically, so the least one is among the sigma with
+    the least sigma(e), and only those are encoded, each by C-level gathers
+    and one translate."""
+    lo = min(t[e] for _, t in gathers)
+    return bytes((lo,)) + min(
+        (bytes(chain.from_iterable(map(g, g(fus)))) + bytes(g(neg)))
+        .translate(t) for g, t in gathers if t[e] == lo)
 
 
 def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
@@ -631,10 +677,15 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
     table's key is (lattice index, least encoding over Aut(L)): the lattices
     are pairwise non-isomorphic and Aut(L) fixes meet and join, so equal
     keys mean isomorphic tables, and the index keeps tables on different
-    lattices apart.  The module docstring gives the orbit argument.  A
-    change to the order of _lattices or to _least_encoding reorders the
-    catalog, renames its entries and changes canonical_form, so the pinned
-    digests in tests/test_enumeration.py must be recorded again."""
+    lattices apart.  The module docstring gives the orbit argument.  The
+    gathers of Aut(L) (_gathers) are made once per lattice beside auts, and
+    each key encodes only the automorphisms with the least sigma(e), since
+    every encoding starts with sigma(e).  The kept classes on one lattice
+    share its meet and join tuples, so Catalog.to_json writes their text
+    once per lattice.  A change to the order of _lattices or to
+    _least_encoding reorders the catalog, renames its entries and changes
+    canonical_form, so the pinned digests in tests/test_enumeration.py must
+    be recorded again."""
     n = spec.size
     if n < 1:
         raise SizeTooSmall(f"size {n} below 1")
@@ -647,11 +698,12 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
         lat = _Lattice(n, meet, join)
         auts = [(s, sorted(range(n), key=s.__getitem__))
                 for s in _automorphisms(lat, n)]
+        gathers = _gathers(auts, n)
         for neg in _involutions(lat, n):
             for e in _orbit_first_es(neg, auts):
                 for fus in _fusion_tables(n, lat, neg, e,
                                           spec.square_increasing, stats):
-                    key = (li, _least_encoding(fus, neg, e, auts))
+                    key = (li, _least_encoding(fus, neg, e, gathers))
                     if key in seen:
                         continue
                     A = FiniteIRL(n, meet, join, fus, tuple(neg), e)

@@ -141,29 +141,32 @@ def variables(node) -> list[str]:
 
 # ---- parsing ---------------------------------------------------------------
 
-_ALIASES = [("·", "*"), ("∧", "/\\"), ("∨", "\\/"), ("¬", "~"),
-            ("→", "->"), ("≤", "<="), ("⟹", "=>"), ("⇒", "=>")]
+_ALIASES = {"·": "*", "∧": "/\\", "∨": "\\/", "¬": "~", "→": "->",
+            "≤": "<=", "⟹": "=>", "⇒": "=>"}
 
 _END = "end of input"  # the value of the last token
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op>=>|<=|->|/\\|\\/|[*~&=()])|(?P<ident>[A-Za-z][A-Za-z0-9_]*))")
+    r"(?P<op>=>|<=|->|/\\|\\/|[*~&=()]|[" + "".join(_ALIASES) + r"])"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)")
 
 
 def _tokenize(text: str):
-    for u, a in _ALIASES:
-        text = text.replace(u, a)
+    """The tokens of text as (kind, value, position, written form).  The
+    text is scanned as written, so positions count its own characters; a
+    Unicode alias is one token whose value is its ASCII form, and errors
+    name the written form."""
     pos, toks = 0, []
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
             continue
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.start("op") == m.start("ident") == -1:
+        if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = "op" if m.group("op") else "ident"
-        toks.append((kind, m.group(kind), m.start(kind)))
+        kind, word = m.lastgroup, m.group()
+        toks.append((kind, _ALIASES.get(word, word), pos, word))
         pos = m.end()
-    toks.append(("end", _END, len(text)))
+    toks.append(("end", _END, len(text), _END))
     return toks
 
 
@@ -187,11 +190,16 @@ class _Parser:
         return self.toks[self.i]
 
     def take(self, value=None):
-        kind, val, pos = self.toks[self.i]
-        if value is not None and val != value:
-            raise ParseError(f"unexpected token {val!r}", pos, (value,))
+        tok = self.toks[self.i]
+        if value is not None and tok[1] != value:
+            raise self.unexpected(tok, (value,))
         self.i += 1
-        return kind, val, pos
+        return tok
+
+    @staticmethod
+    def unexpected(tok, expected) -> ParseError:
+        """The error for token tok, named as written."""
+        return ParseError(f"unexpected token {tok[3]!r}", tok[2], expected)
 
     def too_deep(self) -> ParseError:
         return ParseError(_TOO_DEEP, self.peek()[2])
@@ -231,7 +239,7 @@ class _Parser:
         return t
 
     def unary(self) -> Term:
-        kind, val, pos = self.peek()
+        tok = kind, val, _, _ = self.peek()
         if val == "~":
             self.take()
             return self.node(Neg, self.nested(self.unary))
@@ -243,21 +251,20 @@ class _Parser:
         if kind == "ident":
             self.take()
             return {"e": E, "f": F}.get(val) or Var(val)
-        raise ParseError(f"unexpected token {val!r}", pos,
-                         ("~", "(", "identifier"))
+        raise self.unexpected(tok, ("~", "(", "identifier"))
 
     def eqineq(self) -> Statement:
         lhs = self.term()
-        kind, val, pos = self.take()
-        if val == "=":
+        tok = self.take()
+        if tok[1] == "=":
             return Equation(lhs, self.term())
-        if val == "<=":
+        if tok[1] == "<=":
             return Inequation(lhs, self.term())
-        raise ParseError(f"unexpected token {val!r}", pos, ("=", "<="))
+        raise self.unexpected(tok, ("=", "<="))
 
     def statement_or_term(self):
         # A statement iff a relation symbol occurs at the top level.
-        if any(v in ("=", "<=", "=>", "&") for _, v, _ in self.toks):
+        if any(v in ("=", "<=", "=>", "&") for _, v, _, _ in self.toks):
             first = self.eqineq()
             prems = [first]
             while self.peek()[1] == "&":
@@ -501,18 +508,25 @@ def _source(node, slots: dict[str, str]) -> str:
                         else statement)
 
 
-# id(node) -> (node, sorted variable names, compiled run).  Looking a node
-# up by identity skips hashing the whole frozen tree on every call, and
-# holding the node keeps its id from being reused.  Library callers pass
-# long-lived nodes (law_statements returns the same objects on every call,
-# and check_derived_laws keeps its batteries).
+# id(node) -> (node, sorted variable names, compiled run), oldest first.
+# Looking a node up by identity skips hashing the whole frozen tree on every
+# call, and holding the node keeps its id from being reused while its entry
+# lives.  Library callers pass long-lived nodes (law_statements returns the
+# same objects on every call, and check_derived_laws keeps its batteries).
+COMPILED_CAP = 1024
 _COMPILED: dict[int, tuple] = {}
 
 
 def _compiled(node) -> tuple[list[str], object]:
     """(sorted variable names, compiled run) of a term, a statement or a
     tuple of statements.  A term nested deeper than MAX_DEPTH, which only
-    code can build, raises TermTooDeep."""
+    code can build, raises TermTooDeep.
+
+    At most COMPILED_CAP nodes stay compiled: past it the oldest entry is
+    dropped, so a caller that parses afresh on every call does not grow
+    the map without end, and a node met again after its entry is dropped
+    is compiled again.  The whole law library (48 statements) and both
+    derived-law batteries make 50 entries, far below the cap."""
     hit = _COMPILED.get(id(node))
     if hit is None:
         parts = node if isinstance(node, tuple) else (node,)
@@ -523,6 +537,8 @@ def _compiled(node) -> tuple[list[str], object]:
         exec(_source(node, {nm: f"v{i}" for i, nm in enumerate(names)}),
              scope)
         hit = _COMPILED[id(node)] = (node, names, scope["run"])
+        if len(_COMPILED) > COMPILED_CAP:
+            del _COMPILED[next(iter(_COMPILED))]
     return hit[1], hit[2]
 
 

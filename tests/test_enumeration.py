@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dmm import algebra, constructions, enumeration, filters
+from dmm import __version__, algebra, constructions, enumeration, filters
 from dmm.algebra import FiniteIRL, ValidationReport, validate_irl
 from dmm.constructions import (NAMED_BASIC, canonical_form, direct_product,
                                is_isomorphic, make_named)
@@ -378,6 +378,37 @@ def test_catalog_roundtrip(tmp_path, dmm_catalogs):
     assert len(back.algebras) == len(cat.algebras)
     for A, B in zip(back.algebras, cat.algebras):
         assert A.tables_equal(B)
+
+
+def oracle_catalog_json(cat: Catalog) -> str:
+    """json.dumps of the catalog's to_dict forms, the text Catalog.to_json
+    assembles from per-table pieces."""
+    return json.dumps(
+        {"spec": cat.spec.to_dict(), "tool_version": __version__,
+         "complete": cat.complete, "count": len(cat.algebras),
+         "algebras": [A.to_dict() for A in cat.algebras]},
+        sort_keys=True, separators=(",", ":"))
+
+
+def test_catalog_text_matches_json_dumps():
+    # enumerated catalogs share each lattice's meet and join objects
+    # among its classes; a loaded catalog shares none
+    for klass, top in (("dmm", 8), ("irl", 6)):
+        for n in range(1, top + 1):
+            cat = enumerate_algebras(SearchSpec.for_class(klass, n))
+            text = cat.to_json()
+            assert text == oracle_catalog_json(cat), (klass, n)
+            back = Catalog.from_json(text)
+            assert back.to_json() == oracle_catalog_json(back) == text
+    empty = Catalog(SearchSpec(3, "irl"), [], False)
+    assert empty.to_json() == oracle_catalog_json(empty)
+    cat = enumerate_algebras(SearchSpec(4))
+    for A, name in zip(cat.algebras, ['q"uote', "back\\slash", "caf\u00e9",
+                                      "new\nline"]):
+        A.name = name
+    assert cat.to_json() == oracle_catalog_json(cat)
+    assert [A.name for A in Catalog.from_json(cat.to_json()).algebras] == \
+        ['q"uote', "back\\slash", "caf\u00e9", "new\nline"]
 
 
 def test_irl_catalog_roundtrip_and_unknown_class():

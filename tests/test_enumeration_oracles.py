@@ -32,6 +32,13 @@ The slow recount re-counts small sizes with no search pruning at all, from
 raw binary relations and every permutation and table, so that catalog
 counts can be frozen only once the two agree.
 
+The least-encoding oracle builds every relabelled encoding of a table cell
+by cell and takes the minimum, as the enumerator did before it gathered
+rows at C level and encoded only the relabellings with the least sigma(e).
+It is compared with the library's _least_encoding on every table the
+enumerator searches at small sizes, over the full automorphism list, and on
+canonical_form's relabellings of seeded relabellings of corpus algebras.
+
 The canonical form oracle is the color refinement that the library's
 canonical_form ran before it became the enumerator's dedup key.  The slow
 recount, the HS oracle in test_constructions.py and the CATALOG_SHA256
@@ -39,17 +46,19 @@ re-sort use it, so no oracle shares _relabellings or _least_encoding with
 the enumerator.
 """
 
+import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations, product
 
 from dmm import enumeration
 from dmm.algebra import FiniteIRL, _Lattice, validate_dmm, validate_irl
-from dmm.constructions import homs
+from dmm.constructions import direct_product, homs, make_named
 from dmm.enumeration import (SearchSpec, _automorphisms, _fusion_tables,
-                             _involutions, _lattice_distributive, _lattices,
-                             _relabellings, _tables_from_below,
-                             enumerate_algebras)
+                             _gathers, _involutions, _lattice_distributive,
+                             _lattices, _least_encoding, _least_vector,
+                             _orbit_first_es, _relabellings,
+                             _tables_from_below, enumerate_algebras)
 from test_enumeration import GOLDEN_DMM_COUNTS, GOLDEN_IRL_COUNTS
 
 
@@ -305,6 +314,14 @@ def _slow_fusion_ok(n, meet, neg, e, fus, square_increasing):
     return True
 
 
+def oracle_least_encoding(fus, neg, e, pairs) -> bytes:
+    """The least encoding of sigma.(e, fusion, neg) over the relabellings
+    (sigma, sigma^-1) in pairs, each encoding built cell by cell."""
+    return min(bytes([s[e], *(s[fus[a][b]] for a in inv for b in inv),
+                      *(s[neg[a]] for a in inv)])
+               for s, inv in pairs)
+
+
 def _refine_colors(A: FiniteIRL) -> list[int]:
     n = A.size
     below = [sum(1 for b in range(n) if A.leq(b, a)) for a in range(n)]
@@ -519,6 +536,51 @@ def test_dual_search_counts_automorphisms_or_nothing():
             self_dual = lattice_isomorphic(dual, meet, n)
             assert len(maps) == (len(_automorphisms(_Lattice(n, meet), n))
                                  if self_dual else 0), meet
+
+
+def test_least_encoding_matches_oracle_on_searched_tables():
+    # every (fus, neg, e) the enumerator searches, over the full
+    # automorphism list; n = 1 included
+    for klass, top in (("dmm", 7), ("irl", 6)):
+        spec = SearchSpec.for_class(klass, top)
+        for n in range(1, top + 1):
+            for meet, join in _lattices(n, spec.distributive):
+                lat = _Lattice(n, meet, join)
+                auts = [(s, sorted(range(n), key=s.__getitem__))
+                        for s in _automorphisms(lat, n)]
+                gathers = _gathers(auts, n)
+                for neg in _involutions(lat, n):
+                    for e in _orbit_first_es(neg, auts):
+                        for fus in _fusion_tables(n, lat, neg, e,
+                                                  spec.square_increasing):
+                            assert _least_encoding(fus, neg, e, gathers) \
+                                == oracle_least_encoding(fus, neg, e, auts), \
+                                (klass, meet, neg, e, fus)
+
+
+def test_least_encoding_matches_oracle_on_relabelled_corpus():
+    # canonical_form's relabellings onto the least down-set vector, read
+    # off seeded relabellings of corpus algebras, n = 1 and n = 2 included
+    rnd = random.Random(7)
+    corpus = [make_named(nm) for nm in ("S1", "2", "S3", "C4", "D4", "S8",
+                                        "C4ext_2")]
+    for names in (("2", "2", "2"), ("2", "2", "2", "2"), ("S3", "S3"),
+                  ("C4", "2"), ("C4", "D4"), ("D4", "D4")):
+        P = make_named(names[0])
+        for nm in names[1:]:
+            P = direct_product(P, make_named(nm))
+        corpus.append(P)
+    for A in corpus:
+        n = A.size
+        for _ in range(3):
+            B = A.relabel(rnd.sample(range(n), n))
+            b = B.lattice.below
+            pairs = [(s, sorted(range(n), key=s.__getitem__))
+                     for s in filter(None, _relabellings(b, _least_vector(b)))]
+            assert _least_encoding(B.fusion, B.neg, B.e,
+                                   _gathers(pairs, n)) \
+                == oracle_least_encoding(B.fusion, B.neg, B.e, pairs), \
+                (A.name, B.fusion)
 
 
 def orbit(neg, e, auts):

@@ -144,3 +144,17 @@ def test_ra_digest_pins_dmm6_irl5():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+def test_catalog_digest_pins_dmm8():
+    # the digest of the bytes `dmm enumerate` writes, as pinned for the
+    # library; the same script compares enumerators above the ceiling
+    from test_enumeration import ENUMERATED_SHA256
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "catalog_digest.py"),
+         "--class", "dmm", "--size", "8"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        f"dmm-8: 92 classes, sha256 {ENUMERATED_SHA256['dmm', 8]}, wall ")

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import corrupted_tables
 from dmm.algebra import FiniteIRL
-from dmm.terms import (LAW_LIBRARY, MAX_DEPTH, Arrow, Const, Equation, Fusion,
-                       Inequation, Join, Meet, Neg, ParseError, QuasiEquation,
-                       SatisfactionResult, TermTooDeep, TooManyVariables,
-                       UnboundVariable,
-                       Var, _source, evaluate, first_counterexamples,
-                       law_statements, parse,
-                       parse_statement, satisfies, statements_from_text,
-                       to_text, variables)
+from dmm.terms import (_COMPILED, COMPILED_CAP, LAW_LIBRARY, MAX_DEPTH, Arrow,
+                       Const, Equation, Fusion, Inequation, Join, Meet, Neg,
+                       ParseError, QuasiEquation, SatisfactionResult,
+                       TermTooDeep, TooManyVariables, UnboundVariable, Var,
+                       _source, evaluate, first_counterexamples,
+                       law_statements, parse, parse_statement, satisfies,
+                       statements_from_text, to_text, variables)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -81,6 +80,28 @@ def test_parse_error_names_end_of_input():
     with pytest.raises(ParseError) as ei:
         parse("(x")
     assert "unexpected token 'end of input'" in str(ei.value)
+
+
+def test_parse_error_counts_unicode_as_written():
+    # the text is scanned as written: 'x ≤ y ≤' has 7 characters and its
+    # bad token, named as written, is at position 6
+    with pytest.raises(ParseError) as ei:
+        parse("x ≤ y ≤")
+    assert str(ei.value) == ("unexpected token '≤' at position 6 "
+                             "(expected one of: end of input)")
+    with pytest.raises(ParseError) as ei:
+        parse("x ∧ ⟹ y")
+    assert (ei.value.position, ei.value.message) == (
+        4, "unexpected token '⟹'")
+    assert parse("x ∧ y ≤ x · x") == parse("x /\\ y <= x * x")
+
+
+def test_statement_file_positions_are_columns_with_unicode():
+    with pytest.raises(ParseError) as ei:
+        statements_from_text("x ≤ x\n  x ≤ y ≤\n")
+    assert (ei.value.line, ei.value.position) == (2, 8)
+    assert str(ei.value).startswith("line 2: unexpected token '≤' "
+                                    "at position 8")
 
 
 def test_nesting_bound():
@@ -438,6 +459,21 @@ def test_first_counterexamples_examples(named, texts):
         assert first_counterexamples(named["D4"], battery) == (
             (2,), (2,), (), (1, 2))
     assert first_counterexamples(named["D4"], ()) == ()
+
+
+def test_compiled_cache_is_bounded(named):
+    # statements parsed afresh on every call each get an entry; past the
+    # cap the oldest are dropped, and answers stay those of fresh code
+    A = named["D4"]
+    battery = tuple(map(parse_statement, ("x <= e", "x * y <= x /\\ y")))
+    law = law_statements("law-1")[0]
+    want = (satisfies(A, law), first_counterexamples(A, battery))
+    for _ in range(COMPILED_CAP + 100):
+        satisfies(A, parse_statement("x * e = x"))
+    assert len(_COMPILED) <= COMPILED_CAP
+    assert (satisfies(A, law), first_counterexamples(A, battery)) == want
+    assert first_counterexamples(A, battery) == tuple(
+        _first(A, s) for s in battery)
 
 
 def test_satisfies_past_the_nested_loop_limit(named):
