@@ -14,8 +14,8 @@ import hashlib
 import time
 
 from dmm.algebra import _Lattice
-from dmm.enumeration import (SearchSpec, _automorphisms, _fusion_tables,
-                             _involutions, _lattices, _orbit_first_es)
+from dmm.enumeration import (SearchSpec, _fusion_tables, _involutions,
+                             _lattices, _orbit_first_es)
 
 
 def main() -> None:
@@ -31,10 +31,9 @@ def main() -> None:
     stats = {"pruned": 0}
     triples = tables = 0
     dfs = 0.0
-    for meet, join in _lattices(n, spec.distributive):
+    for meet, join, group in _lattices(n, spec.distributive):
         lat = _Lattice(n, meet, join)
-        auts = [(s, sorted(range(n), key=s.__getitem__))
-                for s in _automorphisms(lat, n)]
+        auts = [(s, sorted(range(n), key=s.__getitem__)) for s in group]
         for neg in _involutions(lat, n):
             for e in _orbit_first_es(neg, auts):
                 triples += 1

@@ -8,6 +8,10 @@ itself for a corpus input), and hs_contains(A, X) for the trivial algebra
 and each X.  Two versions of the quotient and embedding searches agree
 when they print the same digest; the time is the searches' own.
 
+A second line gives a SHA-256 digest over canonical_form(A).data for every
+input A, and the time of those forms.  The form of A's seeded relabelling
+must be A's own; the script stops with an error naming A if it is not.
+
 The inputs are the dmm catalogs of sizes 1..--dmm, the irl catalogs of sizes
 1..--irl, and, unless --no-corpus, the corpus of scripts/law_digest.py.
 
@@ -18,11 +22,12 @@ Example:
 import argparse
 import hashlib
 import random
+import sys
 import time
 from functools import reduce
 
-from dmm.constructions import (NAMED_BASIC, direct_product, homs,
-                               hs_contains, is_isomorphic, make_named)
+from dmm.constructions import (NAMED_BASIC, canonical_form, direct_product,
+                               homs, hs_contains, is_isomorphic, make_named)
 from dmm.enumeration import DEFAULT_MAX_SIZE, SearchSpec, enumerate_algebras
 from dmm.filters import deductive_filters, quotient
 from law_digest import CORPUS
@@ -35,6 +40,13 @@ def tables(A):
     return (A.meet, A.join, A.fusion, A.neg, A.e)
 
 
+def relabelled(name, A):
+    """A under a permutation of its elements seeded by its name."""
+    perm = list(A.elements)
+    random.Random(name).shuffle(perm)
+    return A.relabel(perm)
+
+
 def answers(name, A, peers):
     """The lines the digest covers for one algebra; peers are the algebras
     its relabelling is compared with."""
@@ -44,9 +56,7 @@ def answers(name, A, peers):
     for X in BASIC:
         yield f"homs to {X.name}: {[h.mapping for h in homs(A, X)]}"
         yield f"homs from {X.name}: {[h.mapping for h in homs(X, A)]}"
-    perm = list(A.elements)
-    random.Random(name).shuffle(perm)
-    B = A.relabel(perm)
+    B = relabelled(name, A)
     yield f"isomorphic: {[is_isomorphic(B, C) for C in peers]}"
     for X in (TRIVIAL, *BASIC):
         yield f"hs {X.name}: {hs_contains(A, X)}"
@@ -83,6 +93,16 @@ def main() -> None:
     print(f"{len(algebras)} algebras, {results} results, "
           f"sha256 {digest.hexdigest()}, "
           f"searches {time.perf_counter() - t0:.2f}s")
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for name, A, _ in algebras:
+        form = canonical_form(A).data
+        if canonical_form(relabelled(name, A)).data != form:
+            sys.exit(f"error: the seeded relabelling of {name} has another "
+                     "canonical form")
+        digest.update(form)
+    print(f"{len(algebras)} forms, sha256 {digest.hexdigest()}, "
+          f"canonical {time.perf_counter() - t0:.2f}s")
 
 
 if __name__ == "__main__":

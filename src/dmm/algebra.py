@@ -111,10 +111,11 @@ class Tables:
     from them.  Candidates are not assumed valid until checked.
 
     Instances are treated as immutable after construction; all derived data
-    (lattice record, residual table, extrema, and in subclasses the
-    validation reports and t) is memoized on the instance on first use, so
-    it goes away with the instance.  The law library is parsed and compiled
-    once per process instead (dmm.terms), as it depends on no algebra.
+    (lattice record, which holds the extrema, residual table, and in
+    subclasses the validation reports and t) is memoized on the instance
+    on first use, so it goes away with the instance.  The law library is
+    parsed and compiled once per process instead (dmm.terms), as it
+    depends on no algebra.
     """
 
     size: int
@@ -162,19 +163,13 @@ class Tables:
         X.lattice = lat, which replaces the record made on first use."""
         return _Lattice(self.size, self.meet, self.join)
 
-    @cached_property
+    @property
     def bottom(self) -> int:
-        for a in self.elements:
-            if all(self.leq(a, b) for b in self.elements):
-                return a
-        raise NotAnIRL("no least element (meet table is not a lattice)")
+        return self.lattice.bot
 
-    @cached_property
+    @property
     def top(self) -> int:
-        for a in self.elements:
-            if all(self.leq(b, a) for b in self.elements):
-                return a
-        raise NotAnIRL("no greatest element (meet table is not a lattice)")
+        return self.lattice.top
 
     @cached_property
     def residual_table(self) -> tuple[tuple[int, ...], ...]:
@@ -321,7 +316,7 @@ class _Lattice:
     """One lattice on 0..n-1: what the enumerator's layers and the lattice
     stage of validation read of its meet and join, each part computed on
     first use and kept as long as the record.  The order parts (L, below,
-    above, bot, covers) read meet alone, so a record made with join None
+    above, bot, top, covers) read meet alone, so a record made with join None
     answers them; the byte parts read both tables, assume n <= 256 and
     well-formed tables, and need a join.  well_formed assumes nothing."""
 
@@ -349,7 +344,17 @@ class _Lattice:
 
     @cached_property
     def bot(self) -> int:
-        return self.above.index((1 << self.n) - 1)
+        """The least element: its up-set holds every element."""
+        if (full := (1 << self.n) - 1) in self.above:
+            return self.above.index(full)
+        raise NotAnIRL("no least element (meet table is not a lattice)")
+
+    @cached_property
+    def top(self) -> int:
+        """The greatest element: its down-set holds every element."""
+        if (full := (1 << self.n) - 1) in self.below:
+            return self.below.index(full)
+        raise NotAnIRL("no greatest element (meet table is not a lattice)")
 
     @cached_property
     def covers(self) -> list[list[int]]:

@@ -63,27 +63,6 @@ class CanonicalForm:
 # ---- named algebras --------------------------------------------------------
 
 
-def _from_order(values, leq_pairs, fusion, neg, e, name, labels=None):
-    """Assemble an algebra from an order relation given as a leq predicate
-    over abstract values, with explicit fusion/neg maps."""
-    idx = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    leq = {(a, b): (a, b) in leq_pairs for a in values for b in values}
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for a in values:
-        for b in values:
-            lows = [c for c in values if leq[(c, a)] and leq[(c, b)]]
-            ups = [c for c in values if leq[(a, c)] and leq[(b, c)]]
-            m = [c for c in lows if all(leq[(d, c)] for d in lows)]
-            j = [c for c in ups if all(leq[(c, d)] for d in ups)]
-            if len(m) != 1 or len(j) != 1:
-                raise NotAnIRL(f"not a lattice at ({a}, {b})")
-            meet[idx[a]][idx[b]] = idx[m[0]]
-            join[idx[a]][idx[b]] = idx[j[0]]
-    return _assemble(values, meet, join, fusion, neg, e, name, labels)
-
-
 def _chain(values, fusion, neg, e, name, labels=None):
     """Assemble an algebra on the chain values, listed from the bottom up:
     meet and join are min and max of positions."""
@@ -152,14 +131,15 @@ def make_c4() -> FiniteIRL:
 
 
 def make_d4() -> FiniteIRL:
-    # diamond: bot < e, f < top with e and f incomparable
+    # diamond: bot < e, f < top with e and f incomparable; the down-sets
+    # {bot}, {bot, e}, {bot, f} and all four give meet and join
+    from dmm.enumeration import _tables_from_below
     vals = ["bot", "e", "f", "top"]
-    pairs = {(a, a) for a in vals} | {("bot", x) for x in vals} | {
-        (x, "top") for x in vals}
+    meet, join = _tables_from_below([1, 3, 5, 15], 4)
     fus = _rigorous_fusion("e", "bot", "top", lambda a, b: "top")
     neg = {"bot": "top", "e": "f", "f": "e", "top": "bot"}
-    return _from_order(vals, pairs, fus, neg.__getitem__, "e", "D4",
-                       labels=["~(f^2)", "e", "f", "f^2"])
+    return _assemble(vals, meet, join, fus, neg.__getitem__, "e", "D4",
+                     labels=["~(f^2)", "e", "f", "f^2"])
 
 
 def make_two() -> FiniteIRL:
@@ -395,15 +375,18 @@ def canonical_form(A: FiniteIRL) -> CanonicalForm:
     algebra.  Sorting a catalog by the form gives the catalog's order: v
     orders the lattices as their index does, and the encoding is
     _least_encoding's, read through the _gathers of these relabellings, so
-    only those with the least sigma(e) are encoded.  The relabelling search
-    is most of the cost on a lattice with many automorphisms (2^6: 720)."""
-    from dmm.enumeration import (_gathers, _least_encoding, _least_vector,
-                                 _relabellings)
+    only those with the least sigma(e) are encoded.  One walk
+    (_least_labellings) gives v and the relabellings together; it is most
+    of the cost on a lattice with many automorphisms (2^6: 720).  n and
+    every table entry take one byte, so A has at most 255 elements; a
+    larger A raises ValueError before any walk."""
+    from dmm.enumeration import _gathers, _least_encoding, _least_labellings
     n = A.size
-    b = A.lattice.below
-    v = _least_vector(b)
-    pairs = [(s, sorted(range(n), key=s.__getitem__))
-             for s in filter(None, _relabellings(b, v))]
+    if n > 255:
+        raise ValueError(f"canonical_form takes at most 255 elements, "
+                         f"got {n}")
+    v, maps = _least_labellings(A.lattice.below)
+    pairs = [(s, sorted(range(n), key=s.__getitem__)) for s in maps]
     width = (n + 7) // 8
     return CanonicalForm(bytes([n])
                          + b"".join(x.to_bytes(width, "big") for x in v)

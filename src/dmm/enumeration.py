@@ -6,14 +6,15 @@ construction), antitone involutions, a choice of neutral element, then a
 constraint-propagating DFS over fusion tables.  Only one (involution,
 neutral element) pair per orbit of the lattice's automorphisms is searched.
 
-One search, _relabellings, serves the lattice layer: it walks the linear
-extensions of an order against a target down-set vector.  The
-least-labelling test asks it for no smaller vector.  Aut(L) is the
-relabellings of L onto its own vector b: one that gives b induces L's
-order, and an automorphism keeps a natural labelling natural and keeps b.
-The relabellings of the dual L^op onto b are the isomorphisms L^op -> L,
-that is the antitone bijections of L, and the involutions are read off
-them.  Both are exact on every natural labelling.
+Two walks over the linear extensions of an order serve the lattice layer.
+_relabellings walks them depth first against a target down-set vector: the
+least-labelling test asks it for no smaller vector, and its relabellings
+of the dual L^op onto L's vector are the antitone bijections of L, off
+which the involutions are read.  _least_labellings walks them breadth
+first and returns the least vector with every relabelling onto it.  Aut(L)
+is the relabellings of L onto its own vector b (one that gives b induces
+L's order, and an automorphism keeps b), so the walk that finds a least
+labelling gives Aut(L) too, and _lattices yields it with the lattice.
 
 The lattice layer yields one labelled lattice per isomorphism class: the
 first one the unpruned down-set search would yield, which is the
@@ -30,9 +31,9 @@ first lattice of its lattice class, since an isomorphic lattice met earlier
 would carry the same class, and the search there would find it sooner.
 _lattices gives the details.  Each kept lattice gets one record
 (dmm.algebra._Lattice), made by enumerate_algebras: its order facts (order
-matrix, down-set and up-set masks, lower covers and bottom) are computed
-once there, and the automorphism, involution and fusion layers take the
-record for all its (neg, e) triples.
+matrix, down-set and up-set masks, lower covers, bottom and top) are
+computed once there, and the involution and fusion layers take the record
+for all its (neg, e) triples.
 
 The DFS runs over per-cell domains and checks incrementally: a value of a
 cell is checked only against the constraint instances (monotonicity,
@@ -219,8 +220,9 @@ def _with_point(downs: list[int], strict: int, i: int) -> list[int]:
 
 @cache
 def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, in increasing order; the masks are subsets of
-    one lattice's elements, so the cache holds at most 2^n of them."""
+    """The set bits of mask, in increasing order.  The cache keeps every
+    mask asked for in the process, not per lattice: canonical_form(2^6)
+    alone leaves 4,068."""
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
@@ -259,12 +261,13 @@ def _relabellings(below: list[int], target: list[int]):
     return rec(0, 0)
 
 
-def _least_vector(below: list[int]) -> list[int]:
+def _least_labellings(below: list[int]):
     """The least down-set vector over the linear extensions of the order in
-    which element x has down-set bitmask below[x].  The extensions are
-    walked position by position, as in _relabellings; at each position only
-    the elements that give the least entry are kept, and only ties
-    branch."""
+    which element x has down-set bitmask below[x], and the relabellings
+    onto it, as tuples element -> position.  The extensions are walked
+    position by position, as in _relabellings; at each position only the
+    elements that give the least entry are kept, and only ties branch, so
+    the states left at the end are exactly the relabellings onto it."""
     m = len(below)
     vector, states = [], [((0,) * m, 0)]  # (element -> position, placed)
     for k in range(m):
@@ -284,7 +287,7 @@ def _least_vector(below: list[int]) -> list[int]:
         vector.append(least)
         states = [(new[:x] + (k,) + new[x + 1:], placed | 1 << x)
                   for new, placed, x in ties]
-    return vector
+    return vector, [new for new, _ in states]
 
 
 def _posets(n: int):
@@ -318,12 +321,13 @@ def _posets(n: int):
 
 
 def _lattices(n: int, distributive: bool = False):
-    """Yield (meet, join) tables of the lattices on 0..n-1, one per
+    """Yield (meet, join, auts) for the lattices on 0..n-1, one per
     isomorphism class (only the distributive ones if asked), each with its
     least natural labelling: a linear extension with 0 = bottom and
     n-1 = top whose down-set vector (below[0], ..., below[n-1]) of bitmasks
     is lexicographically least.  They come in ascending order of that
-    vector.
+    vector.  auts lists the automorphisms of the labelled lattice as tuples
+    element -> element, the identity first.
 
     - Every lattice.  Elements are added one at a time; element i's strict
       down-set is a down-set of the existing order, tried in ascending
@@ -335,15 +339,18 @@ def _lattices(n: int, distributive: bool = False):
       prefix (a down-set) and keeping the later labels gives a natural
       labelling of the same lattice that is smaller at an earlier position.
       So the test, that _relabellings(below, below) yields no None, runs at
-      every node, and at the leaf it decides exactly.  The same search
-      gives a kept lattice's automorphisms and antitone involutions, as
-      _automorphisms and _involutions say.
+      every node, and at the leaf it decides exactly; the relabellings it
+      walked at a kept leaf are Aut(L).  At n = 1 the root is the leaf, and
+      its one-element prefix has the identity alone.
     - Distributive.  By Birkhoff's representation a finite distributive
       lattice is O(P), the down-sets of its poset P of join-irreducibles
       ordered by inclusion, and P is unique up to isomorphism.  So the
       classes are O(P) for the posets P with n down-sets, one per class
-      (_posets).  Each O(P) gets its least vector (_least_vector), and the
-      sorted least vectors are the vectors the search above would keep.
+      (_posets).  Each O(P) gets its least vector and the relabellings r
+      onto it (_least_labellings), and the sorted least vectors are the
+      vectors the search above would keep.  Each r is an isomorphism of
+      O(P) onto the lattice L so labelled, so with r0 the first of them,
+      sigma = r . r0^-1 runs once over each element of Aut(L).
 
     Why the catalog does not change when only these lattices are searched:
     suppose a class of algebras first appears on a labelled lattice L_j
@@ -355,22 +362,25 @@ def _lattices(n: int, distributive: bool = False):
     first table of each class, which the catalog keeps, is the same.
     """
     if distributive:
-        # O(P) in ascending mask order is a natural labelling, since a
-        # down-set inside another has the smaller mask
-        vectors = sorted(
-            _least_vector([sum(1 << j for j, d in enumerate(downs)
-                               if d & D == d) for D in downs])
-            for downs in _posets(n))
-        for below in vectors:
-            yield _tables_from_below(below, n)
+        found = []
+        for downs in _posets(n):
+            # O(P) in ascending mask order is a natural labelling, since a
+            # down-set inside another has the smaller mask
+            v, maps = _least_labellings([sum(1 << j for j, d in
+                                             enumerate(downs) if d & D == d)
+                                         for D in downs])
+            inv = sorted(range(n), key=maps[0].__getitem__)  # r0^-1
+            found.append((v, [tuple(r[x] for x in inv) for r in maps]))
+        for below, auts in sorted(found, key=itemgetter(0)):
+            yield (*_tables_from_below(below, n), auts)
         return
     full = (1 << n) - 1
     below: list[int] = [1]  # element 0 is the bottom
 
-    def rec(downs):
+    def rec(downs, auts):
         i = len(below)
         if i == n:
-            yield _tables_from_below(below, n)
+            yield (*_tables_from_below(below, n), auts)
             return
         known = set(below)
         for mask in downs:
@@ -380,11 +390,16 @@ def _lattices(n: int, distributive: bool = False):
             if not all((nb & below[j]) in known for j in range(i)):
                 continue
             below.append(nb)
-            if None not in _relabellings(below, below):
-                yield from rec(_with_point(downs, mask, i))
+            maps = []
+            for s in _relabellings(below, below):
+                if s is None:
+                    break
+                maps.append(s)
+            else:
+                yield from rec(_with_point(downs, mask, i), maps)
             below.pop()
 
-    yield from rec([0, 1])
+    yield from rec([0, 1], [(0,)])
 
 
 def _tables_from_below(below: list[int], n: int):
@@ -405,14 +420,6 @@ def _lattice_distributive(meet, join, n) -> bool:
     traces this name and its tests expect it to be bound here."""
     return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
                for a in range(n) for b in range(n) for c in range(n))
-
-
-def _automorphisms(lat, n):
-    """The automorphisms of the naturally labelled lattice with record lat,
-    as tuples in lexicographic order (the identity first): its relabellings
-    onto its own down-set vector lat.below, which induce its own order."""
-    b = lat.below
-    return sorted(filter(None, _relabellings(b, b)))
 
 
 # ---- layer 2: antitone involutions ------------------------------------------
@@ -439,7 +446,7 @@ def _involutions(lat, n):
 # ---- layer 3: fusion tables by constraint-propagating DFS -------------------
 
 
-def _fusion_tables(n, lat, neg, e, square_increasing, stats=None):
+def _fusion_tables(n, lat, neg, e, square_increasing, stats):
     """All commutative, associative, e-neutral fusion tables compatible with
     the involution law over the lattice with record lat, generated
     depth-first.
@@ -499,10 +506,10 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats=None):
     only as v, and the per-value check covers every instance that reads it
     elsewhere, so a value passes both parts exactly when it passes every
     instance that mentions the cell.  Each value outside the domain counts
-    as one prune, as does each value that fails the per-value check.
-    Instances over prefilled cells that hold for every v are not visited:
-    u*y with u = bot in the involution law, z in {e, bot} in
-    v*z = x*(y*z), and an e-row x*y, whose triples read the new cell as
+    as one prune in stats["pruned"], as does each value that fails the
+    per-value check.  Instances over prefilled cells that hold for every v
+    are not visited: u*y with u = bot in the involution law, z in {e, bot}
+    in v*z = x*(y*z), and an e-row x*y, whose triples read the new cell as
     y*z or as x*(y*z).
 
     The result is exactly that of rechecking every constraint over every
@@ -598,8 +605,7 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats=None):
         a, b = cells[k]
         pairs = ((a, b),) if a == b else ((a, b), (b, a))
         dom = domain(a, b, pairs)
-        if stats is not None:
-            stats["pruned"] += n - dom.bit_count()
+        stats["pruned"] += n - dom.bit_count()
         # associativity at (x, y, z) with x*y new: v*z = x*(y*z), listed as
         # (z, x*(y*z)) when x*(y*z) is decided and as z when y*z = y
         known, fixed = [], []
@@ -617,7 +623,7 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats=None):
                 where[v].extend(pairs)
                 yield from rec(k + 1)
                 del where[v][-len(pairs):]
-            elif stats is not None:
+            else:
                 stats["pruned"] += 1
         fus[a][b] = fus[b][a] = -1
 
@@ -677,9 +683,9 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
     table's key is (lattice index, least encoding over Aut(L)): the lattices
     are pairwise non-isomorphic and Aut(L) fixes meet and join, so equal
     keys mean isomorphic tables, and the index keeps tables on different
-    lattices apart.  The module docstring gives the orbit argument.  The
-    gathers of Aut(L) (_gathers) are made once per lattice beside auts, and
-    each key encodes only the automorphisms with the least sigma(e), since
+    lattices apart.  The module docstring gives the orbit argument.  Aut(L)
+    comes from _lattices, its gathers (_gathers) are made once per lattice,
+    and each key encodes only the automorphisms with the least sigma(e), since
     every encoding starts with sigma(e).  The kept classes on one lattice
     share its meet and join tuples, so Catalog.to_json writes their text
     once per lattice.  A change to the order of _lattices or to
@@ -693,11 +699,10 @@ def enumerate_algebras(spec: SearchSpec, unsafe: bool = False) -> Catalog:
         raise SizeTooLarge(f"size {n} above ceiling {DEFAULT_MAX_SIZE}")
     stats = {"pruned": 0}
     seen: dict[tuple[int, bytes], FiniteIRL] = {}
-    for li, (meet, join) in enumerate(_lattices(n, spec.distributive)):
+    for li, (meet, join, group) in enumerate(_lattices(n, spec.distributive)):
         # the one record of this lattice, for its layers and its classes
         lat = _Lattice(n, meet, join)
-        auts = [(s, sorted(range(n), key=s.__getitem__))
-                for s in _automorphisms(lat, n)]
+        auts = [(s, sorted(range(n), key=s.__getitem__)) for s in group]
         gathers = _gathers(auts, n)
         for neg in _involutions(lat, n):
             for e in _orbit_first_es(neg, auts):

@@ -405,7 +405,7 @@ def test_distributive_bytes_match_walk():
     # and N5 as written, and three seeded corruptions of meet and join of
     # each
     rnd = random.Random(448)
-    lattices = [M3, N5, *(t for n in range(1, 9) for t in _lattices(n))]
+    lattices = [M3, N5, *(t[:2] for n in range(1, 9) for t in _lattices(n))]
     assert M3 in lattices[2:] and N5 in lattices[2:]
     seen = set()
     for meet, join in lattices:

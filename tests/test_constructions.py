@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmm import constructions
-from dmm.algebra import FiniteIRL, validate_dmm
+from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm
 from dmm.constructions import (NAMED_BASIC, UnknownName, canonical_form,
                                direct_product, e_free_reduct, homs,
                                hs_contains, is_isomorphic, is_named,
@@ -99,13 +99,35 @@ def test_sugihara_even_odd_carriers():
 
 
 
+def oracle_from_order(values, leq_pairs, fusion, neg, e, name,
+                      labels=None):
+    """Assemble an algebra from an order relation given as the set of its
+    pairs (a, b), a <= b, over abstract values, with explicit fusion/neg
+    maps: each meet and join is found by listing common bounds."""
+    idx = {v: i for i, v in enumerate(values)}
+    n = len(values)
+    leq = {(a, b): (a, b) in leq_pairs for a in values for b in values}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in values:
+        for b in values:
+            lows = [c for c in values if leq[(c, a)] and leq[(c, b)]]
+            ups = [c for c in values if leq[(a, c)] and leq[(b, c)]]
+            m = [c for c in lows if all(leq[(d, c)] for d in lows)]
+            j = [c for c in ups if all(leq[(c, d)] for d in ups)]
+            if len(m) != 1 or len(j) != 1:
+                raise NotAnIRL(f"not a lattice at ({a}, {b})")
+            meet[idx[a]][idx[b]] = idx[m[0]]
+            join[idx[a]][idx[b]] = idx[j[0]]
+    return constructions._assemble(values, meet, join, fusion, neg, e, name,
+                                   labels)
+
+
 def oracle_chain(values, fusion, neg, e, name, labels=None):
-    """A chain assembled by the general order construction, which finds
-    each meet and join by listing common bounds."""
+    """A chain assembled by the general order construction."""
     pairs = {(a, b) for a in values for b in values
              if values.index(a) <= values.index(b)}
-    return constructions._from_order(values, pairs, fusion, neg, e, name,
-                                     labels)
+    return oracle_from_order(values, pairs, fusion, neg, e, name, labels)
 
 
 def test_chain_tables_match_order_construction(monkeypatch):
@@ -117,6 +139,23 @@ def test_chain_tables_match_order_construction(monkeypatch):
     fast = [tables(make_named(nm)) for nm in names]
     monkeypatch.setattr(constructions, "_chain", oracle_chain)
     assert fast == [tables(make_named(nm)) for nm in names]
+
+
+def test_d4_matches_order_construction():
+    # the diamond bot < e, f < top from its order pairs, with the rules
+    # make_d4 states for fusion and neg
+    vals = ["bot", "e", "f", "top"]
+    pairs = {(a, a) for a in vals} | {("bot", x) for x in vals} | {
+        (x, "top") for x in vals}
+    fus = constructions._rigorous_fusion("e", "bot", "top",
+                                         lambda a, b: "top")
+    neg = {"bot": "top", "e": "f", "f": "e", "top": "bot"}
+    want = oracle_from_order(vals, pairs, fus, neg.__getitem__, "e", "D4",
+                             labels=["~(f^2)", "e", "f", "f^2"])
+    got = constructions.make_d4()
+    assert (got.meet, got.join, got.fusion, got.neg, got.e, got.name,
+            got.labels) == (want.meet, want.join, want.fusion, want.neg,
+                            want.e, want.name, want.labels)
 
 def test_sugihara_fusion_rule(named):
     S5 = named["S5"]                     # -2,-1,0,1,2
@@ -269,6 +308,24 @@ def test_canonical_form_invariant_under_relabeling(named):
             perm = list(range(A.size))
             rng.shuffle(perm)
             assert canonical_form(A.relabel(perm)) == cf
+
+
+def test_canonical_form_size_limit():
+    # n and every table entry take one byte of the form: 255 elements give
+    # a form, 256 raise before any walk; S64 x S3 (192 elements) gives one form for
+    # itself and a seeded relabelling
+    big = direct_product(make_named("S64"), make_named("S4"))
+    assert big.size == 256
+    with pytest.raises(ValueError, match="^canonical_form takes at most 255 "
+                                         "elements, got 256$"):
+        canonical_form(big)
+    A = _product("S5", "S3", "S17")
+    assert A.size == 255
+    assert canonical_form(A).data[0] == 255
+    B = direct_product(make_named("S64"), make_named("S3"))
+    perm = list(range(B.size))
+    random.Random(20261020).shuffle(perm)
+    assert canonical_form(B.relabel(perm)) == canonical_form(B)
 
 
 def test_is_isomorphic_examples(named):

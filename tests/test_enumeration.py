@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -270,12 +271,16 @@ def test_non_associative_fusion_raises(monkeypatch):
 
 def test_non_distributive_lattice_raises(monkeypatch):
     # N5 carries no square-increasing IRL, so the dmm search finds no table
-    # on it; M3 carries some, and validate_dmm names the failed law
+    # on it; M3 carries some, and validate_dmm names the failed law.  Each
+    # lattice comes with its automorphisms, as _lattices yields them: N5
+    # has the identity alone, M3 every permutation of its three atoms
+    n5 = (*N5, [(0, 1, 2, 3, 4)])
+    m3 = (*M3, [(0, *p, 4) for p in permutations((1, 2, 3))])
     monkeypatch.setattr(enumeration, "_lattices",
-                        lambda n, distributive=False: iter([N5]))
+                        lambda n, distributive=False: iter([n5]))
     assert enumerate_algebras(SearchSpec(5)).algebras == []
     monkeypatch.setattr(enumeration, "_lattices",
-                        lambda n, distributive=False: iter([N5, M3]))
+                        lambda n, distributive=False: iter([n5, m3]))
     with pytest.raises(AssertionError,
                        match="^search produced an invalid algebra: "
                              "distributive$"):
@@ -298,10 +303,11 @@ def test_lattice_record_reads_any_meet_rows():
     o4 = algebra._Lattice(n, rows)
     assert o4.covers == [[], [0], [0], [1], [2, 3]]
     neg = (4, 3, 2, 1, 0)
-    tables = list(enumeration._fusion_tables(n, o4, neg, 1, False))
+    tables = list(enumeration._fusion_tables(n, o4, neg, 1, False,
+                                             {"pruned": 0}))
     assert len(tables) == 2
     assert tables == list(enumeration._fusion_tables(
-        n, algebra._Lattice(n, N5[0]), neg, 1, False))
+        n, algebra._Lattice(n, N5[0]), neg, 1, False, {"pruned": 0}))
 
 
 def test_one_lattice_record_per_lattice(monkeypatch):
@@ -320,7 +326,7 @@ def test_one_lattice_record_per_lattice(monkeypatch):
         made.clear()
         cat = enumerate_algebras(spec)
         assert cat.algebras
-        lattices = [meet for meet, _ in enumeration._lattices(
+        lattices = [meet for meet, _, _ in enumeration._lattices(
             spec.size, spec.distributive)]
         assert [lat.meet for lat in made] == lattices, spec
         record = {id(lat.meet): lat for lat in made}

@@ -18,7 +18,12 @@ the constraint instances that mention the new cell and leaves residual
 existence to the involution law, so both must emit the same tables in
 the same order and prune the same number of values.
 
-The automorphism oracle tries every permutation that fixes bottom and top.
+The automorphism oracle tries every permutation that fixes bottom and top;
+_lattices' groups meet it up to 7 elements.  The two walks of the linear
+extensions check each other: the distributive groups, composed from
+_least_labellings, against the depth-first _relabellings up to 10
+elements, and _least_labellings' vector and relabellings against that walk
+on seeded relabellings of lattices.
 The orbit-counting certificate checks the enumerator's orbit pruning and
 dedup on each kept lattice L: the labelled tables it searched, each
 weighted by the size of its (neg, e)-orbit under Aut(L), the labelled tables
@@ -54,9 +59,9 @@ from itertools import permutations, product
 from dmm import enumeration
 from dmm.algebra import FiniteIRL, _Lattice, validate_dmm, validate_irl
 from dmm.constructions import direct_product, homs, make_named
-from dmm.enumeration import (SearchSpec, _automorphisms, _fusion_tables,
-                             _gathers, _involutions, _lattice_distributive,
-                             _lattices, _least_encoding, _least_vector,
+from dmm.enumeration import (SearchSpec, _fusion_tables, _gathers,
+                             _involutions, _lattice_distributive, _lattices,
+                             _least_encoding, _least_labellings,
                              _orbit_first_es, _relabellings,
                              _tables_from_below, enumerate_algebras)
 from test_enumeration import GOLDEN_DMM_COUNTS, GOLDEN_IRL_COUNTS
@@ -486,8 +491,10 @@ def test_lattices_are_first_of_each_class():
     for n in range(1, 8):
         every = list(oracle_lattices(n))
         dist = [(m, j) for m, j in every if _lattice_distributive(m, j, n)]
-        assert list(_lattices(n)) == first_of_each_class(every, n), n
-        assert list(_lattices(n, True)) == first_of_each_class(dist, n), n
+        assert [(m, j) for m, j, _ in _lattices(n)] == \
+            first_of_each_class(every, n), n
+        assert [(m, j) for m, j, _ in _lattices(n, True)] == \
+            first_of_each_class(dist, n), n
 
 
 def test_lattice_counts_match_oeis():
@@ -503,22 +510,64 @@ def test_distributive_lattices_are_the_distributive_subsequence():
     # the O(P) construction yields the distributive lattices of the generic
     # search, with the same labellings and in the same order
     for n in range(1, 9):
-        assert list(_lattices(n, True)) == \
-            [L for L in _lattices(n) if _lattice_distributive(*L, n)], n
+        assert [(m, j) for m, j, _ in _lattices(n, True)] == \
+            [(m, j) for m, j, _ in _lattices(n)
+             if _lattice_distributive(m, j, n)], n
 
 
 def test_automorphisms_match_brute_force():
     for n in range(1, 8):
         for distributive in (False, True):
-            for meet, join in _lattices(n, distributive):
-                assert _automorphisms(_Lattice(n, meet, join), n) == \
+            for meet, join, auts in _lattices(n, distributive):
+                assert sorted(auts) == \
                     sorted(oracle_automorphisms(meet, n)), meet
+                assert auts[0] == tuple(range(n)), meet
+
+
+def test_distributive_groups_match_depth_first_walk():
+    # the groups composed from _least_labellings' relabellings of each O(P)
+    # against the depth-first walk of each lattice onto its own vector
+    for n in range(1, 11):
+        for meet, join, auts in _lattices(n, True):
+            b = down_set_masks(meet, n)
+            assert sorted(auts) == \
+                sorted(filter(None, _relabellings(b, b))), meet
+            assert auts[0] == tuple(range(n)), meet
+
+
+def test_least_labellings_match_depth_first_walk():
+    # on seeded relabellings of every lattice of up to 7 elements and of
+    # products with many automorphisms, the vector is least (the
+    # depth-first walk onto it meets no smaller one) and the relabellings
+    # onto it are the walk's
+    rnd = random.Random(30)
+    orders = []
+    for n in range(1, 8):
+        for meet, _, _ in _lattices(n):
+            orders.append(down_set_masks(meet, n))
+    for names in (("2",) * 3, ("2",) * 4, ("2",) * 5, ("D4", "D4"),
+                  ("C4", "D4")):
+        P = make_named(names[0])
+        for nm in names[1:]:
+            P = direct_product(P, make_named(nm))
+        orders.append(P.lattice.below)
+    for b in orders:
+        n = len(b)
+        for _ in range(2):
+            p = rnd.sample(range(n), n)
+            pb = [0] * n
+            for a in range(n):
+                pb[p[a]] = sum(1 << p[c] for c in range(n) if b[a] >> c & 1)
+            v, maps = _least_labellings(pb)
+            walk = list(_relabellings(pb, v))
+            assert None not in walk, pb
+            assert sorted(maps) == sorted(walk), pb
 
 
 def test_involutions_match_brute_force_on_every_class():
     # _compare reaches only the distributive lattices at n = 6 and 7
     for n in range(1, 8):
-        for meet, join in _lattices(n):
+        for meet, join, _ in _lattices(n):
             assert list(_involutions(_Lattice(n, meet, join), n)) == \
                 list(oracle_involutions(meet, n)), meet
 
@@ -527,15 +576,14 @@ def test_dual_search_counts_automorphisms_or_nothing():
     # the relabellings of the dual L^op onto L are the isomorphisms
     # L^op -> L: |Aut(L)| of them when L is self-dual, none otherwise
     for n in range(1, 8):
-        for meet, join in _lattices(n):
+        for meet, join, auts in _lattices(n):
             r = range(n)
             dual = tuple(tuple(n - 1 - join[n - 1 - a][n - 1 - b] for b in r)
                          for a in r)
             maps = list(filter(None, _relabellings(
                 down_set_masks(dual, n), down_set_masks(meet, n))))
             self_dual = lattice_isomorphic(dual, meet, n)
-            assert len(maps) == (len(_automorphisms(_Lattice(n, meet), n))
-                                 if self_dual else 0), meet
+            assert len(maps) == (len(auts) if self_dual else 0), meet
 
 
 def test_least_encoding_matches_oracle_on_searched_tables():
@@ -544,15 +592,16 @@ def test_least_encoding_matches_oracle_on_searched_tables():
     for klass, top in (("dmm", 7), ("irl", 6)):
         spec = SearchSpec.for_class(klass, top)
         for n in range(1, top + 1):
-            for meet, join in _lattices(n, spec.distributive):
+            for meet, join, group in _lattices(n, spec.distributive):
                 lat = _Lattice(n, meet, join)
                 auts = [(s, sorted(range(n), key=s.__getitem__))
-                        for s in _automorphisms(lat, n)]
+                        for s in group]
                 gathers = _gathers(auts, n)
                 for neg in _involutions(lat, n):
                     for e in _orbit_first_es(neg, auts):
                         for fus in _fusion_tables(n, lat, neg, e,
-                                                  spec.square_increasing):
+                                                  spec.square_increasing,
+                                                  {"pruned": 0}):
                             assert _least_encoding(fus, neg, e, gathers) \
                                 == oracle_least_encoding(fus, neg, e, auts), \
                                 (klass, meet, neg, e, fus)
@@ -576,7 +625,7 @@ def test_least_encoding_matches_oracle_on_relabelled_corpus():
             B = A.relabel(rnd.sample(range(n), n))
             b = B.lattice.below
             pairs = [(s, sorted(range(n), key=s.__getitem__))
-                     for s in filter(None, _relabellings(b, _least_vector(b)))]
+                     for s in _least_labellings(b)[1]]
             assert _least_encoding(B.fusion, B.neg, B.e,
                                    _gathers(pairs, n)) \
                 == oracle_least_encoding(B.fusion, B.neg, B.e, pairs), \
@@ -614,15 +663,15 @@ def orbit_certificate(klass, n, monkeypatch, unsafe=False):
     classes = defaultdict(list)
     for A in cat.algebras:
         classes[A.meet].append(A)
-    for meet, join in _lattices(n, spec.distributive):
+    for meet, join, auts in _lattices(n, spec.distributive):
         lat = _Lattice(n, meet, join)
-        auts = _automorphisms(lat, n)
         weighted = sum(k * len(orbit(neg, e, auts))
                        for neg, e, k in searched[meet])
         unpruned = sum(1 for neg in _involutions(lat, n)
                        for e in range(n)
                        for _ in _fusion_tables(n, lat, neg, e,
-                                               spec.square_increasing))
+                                               spec.square_increasing,
+                                               {"pruned": 0}))
         orbits = sum(Fraction(len(auts),
                               sum(h.injective for h in homs(A, A)))
                      for A in classes[meet])

@@ -398,9 +398,11 @@ def test_ra_without_extrema_raises_not_an_irl():
     # well-shaped tables whose meet orders 0 and 1 as an antichain
     R = FiniteRA.from_tables(2, [[0, 1], [0, 1]], [[0, 0], [0, 0]],
                              [[0, 0], [0, 0]], [0, 1])
-    with pytest.raises(NotAnIRL):
+    with pytest.raises(NotAnIRL, match=r"^no least element \(meet table "
+                                        r"is not a lattice\)$"):
         R.bottom
-    with pytest.raises(NotAnIRL):
+    with pytest.raises(NotAnIRL, match=r"^no greatest element \(meet table "
+                                        r"is not a lattice\)$"):
         R.top
 
 

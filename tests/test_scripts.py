@@ -107,7 +107,9 @@ def test_hs_digest_pins_dmm6_irl5():
     # every quotient, homs list against the basic algebras, is_isomorphic
     # and hs_contains answer on the dmm catalogs n <= 6 and irl n <= 5,
     # frozen before the embedding search got its own prune; the same script
-    # compares versions of the searches on the larger catalogs and the corpus
+    # compares versions of the searches on the larger catalogs and the
+    # corpus.  The second line digests their canonical forms, frozen while
+    # canonical_form walked the linear extensions twice
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     script = str(ROOT / "scripts" / "hs_digest.py")
     proc = subprocess.run(
@@ -117,6 +119,9 @@ def test_hs_digest_pins_dmm6_irl5():
     assert proc.stdout.startswith(
         "62 algebras, 1014 results, sha256 b771809da08c1e2b5a69363e8a40a675"
         "51bea18e446fd5ac0123687eb21ec17b, searches ")
+    assert proc.stdout.splitlines()[1].startswith(
+        "62 forms, sha256 5f8028db468c8d5e0f1b0768094ce0c8483ebe87bdb93b"
+        "50584d514238cb4749, canonical ")
     proc = subprocess.run([sys.executable, script, "--irl", "9"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
