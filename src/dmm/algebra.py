@@ -315,10 +315,11 @@ def _byte_rows(tab, pad: bytes) -> tuple[list[bytes], bytes, list[bytes]]:
 class _Lattice:
     """One lattice on 0..n-1: what the enumerator's layers and the lattice
     stage of validation read of its meet and join, each part computed on
-    first use and kept as long as the record.  The order parts (L, below,
-    above, bot, top, covers) read meet alone, so a record made with join None
-    answers them; the byte parts read both tables, assume n <= 256 and
-    well-formed tables, and need a join.  well_formed assumes nothing."""
+    first use and kept as long as the record.  The order parts (L, cols,
+    below, above, bot, top, covers) read meet alone, so a record made with
+    join None answers them; the byte parts read both tables, assume
+    n <= 256 and well-formed tables, and need a join.  well_formed assumes
+    nothing."""
 
     def __init__(self, n: int, meet, join=None):
         self.n, self.meet, self.join = n, meet, join
@@ -329,6 +330,12 @@ class _Lattice:
         """L[a][b] is a <= b, that is meet[a][b] = a."""
         meet, rng = self.meet, range(self.n)
         return [[meet[a][b] == a for b in rng] for a in rng]
+
+    @cached_property
+    def cols(self) -> list[list[bool]]:
+        """cols[c][q] is q <= c: column c of L, for a fixed upper bound."""
+        L, rng = self.L, range(self.n)
+        return [[row[c] for row in L] for c in rng]
 
     @cached_property
     def below(self) -> list[int]:

@@ -15,8 +15,8 @@ import sys
 from dmm import __version__
 from dmm.algebra import (AlgebraError, FiniteIRL, MalformedTable, predicates,
                          validate_dmm, validate_irl)
-from dmm.constructions import (UnknownName, e_free_reduct, homs,
-                               is_isomorphic, is_named, make_named)
+from dmm.constructions import (NAMED_FORMS, UnknownName, e_free_reduct,
+                               homs, is_isomorphic, is_named, make_named)
 from dmm.enumeration import (DEFAULT_MAX_SIZE, IncompleteCatalog, SearchSpec,
                              SizeTooLarge, SizeTooSmall, axiomatization_check,
                              enumerate_algebras, relevant_harness,
@@ -327,11 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
              "out": dict(help="write to this file instead of stdout"),
              "unsafe-size": dict(action="store_true"),
              "generators": dict(help="comma-separated element list"),
-             "hasse": dict(action="store_true")}
+             "hasse": dict(action="store_true"),
+             ("construct", "algebra"): dict(
+                 help=f"named algebra: {NAMED_FORMS}")}
 
     def add(name, fn, needs, takes, classes=("irl", "dmm", "ra"), **kw):
         """A subcommand that accepts only the flags its handler reads: the
-        ones in needs, which main requires, and the ones in takes."""
+        ones in needs, which main requires, and the ones in takes.  A
+        (subcommand, flag) entry of flags replaces the flag's shared one."""
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn, needs=needs)
         for f in needs + takes:
@@ -339,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sp.add_argument("--class", dest="klass", default="dmm",
                                 choices=classes)
             else:
-                sp.add_argument("--" + f, **flags[f])
+                sp.add_argument("--" + f, **flags.get((name, f), flags[f]))
 
     alg = ("algebra",)
     emit = ("format", "out")

@@ -182,6 +182,8 @@ _NAMED_RE = re.compile(r"^(2|S(\d{1,9})|S_(\d{1,9})|C4|D4|C4ext_(\d{1,9}))$")
 
 MAX_NAMED_SIZE = 64  # S64 builds and validates in about a second
 
+NAMED_FORMS = "2, S3, C4, D4, Sn, S_n, C4ext_k"
+
 
 def make_named(name: str) -> FiniteIRL:
     """Construct and validate one of the named algebras: "2", "S3", "C4",
@@ -189,7 +191,8 @@ def make_named(name: str) -> FiniteIRL:
     of more than MAX_NAMED_SIZE elements raises UnknownName at once."""
     m = _NAMED_RE.match(name)
     if not m:
-        raise UnknownName(name)
+        raise UnknownName(f"unknown algebra name {name!r} (the names are "
+                          f"{NAMED_FORMS})")
     size = 4 + 2 * int(m[4]) if m[4] else int(m[2] or m[3] or 0)
     if size > MAX_NAMED_SIZE:
         raise UnknownName(f"{name} has {size} elements, above the limit of "

@@ -35,21 +35,21 @@ matrix, down-set and up-set masks, lower covers, bottom and top) are
 computed once there, and the involution and fusion layers take the record
 for all its (neg, e) triples.
 
-The DFS runs over per-cell domains and checks incrementally: a value of a
-cell is checked only against the constraint instances (monotonicity,
+The DFS takes one plain recursive step per cell, and a value of a cell is
+checked only against the constraint instances (monotonicity,
 square-increasingness, the involution law, associativity) that mention that
-cell.  The instances that read the new cell only as its value are checked
-once per cell, as a bitmask of the allowed values, the way finite-model
-searchers such as SEM and Mace4 keep cell domains; a value outside the
-domain fails one of them.  Only the associativity instances that read the
-value somewhere else in the table are checked value by value.  This is
-exact, not a relaxation.  The prefilled e and bottom rows satisfy every
-constraint on their own, and every node above passed the check of all its
-decided cells, so a constraint that does not mention the new cell was
-already checked and holds.  The search therefore keeps and prunes exactly
-the nodes a full recheck after every assignment would; _fusion_tables gives
-the details, and tests/test_enumeration_oracles.py compares every layer
-against an unpruned or full-recheck oracle.
+cell.  The step first computes the cell's domain, a bitmask of the values
+that pass every instance reading the new cell only as its value, the way
+finite-model searchers such as SEM and Mace4 keep cell domains.  It then
+writes each value of the domain into the cell and tests it, in one scan,
+against the associativity instances that read the cell somewhere else.
+This is exact, not a relaxation.  The prefilled e and bottom rows satisfy
+every constraint on their own, and every node above passed the check of
+all its decided cells, so a constraint that does not mention the new cell
+was already checked and holds.  The search therefore keeps and prunes
+exactly the nodes a full recheck after every assignment would;
+_fusion_tables gives the details, and tests/test_enumeration_oracles.py
+compares every layer against an unpruned or full-recheck oracle.
 
 Isomorphism is decided on each lattice by its automorphism group Aut(L),
 computed once per lattice.  The kept lattices are pairwise non-isomorphic,
@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 from operator import itemgetter
 from dmm import __version__
@@ -218,11 +218,12 @@ def _with_point(downs: list[int], strict: int, i: int) -> list[int]:
     return downs + [d | 1 << i for d in downs if d & strict == strict]
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, in increasing order.  The cache keeps every
-    mask asked for in the process, not per lattice: canonical_form(2^6)
-    alone leaves 4,068."""
+    """The set bits of mask, in increasing order.  The walks ask for the
+    same masks in runs, so a bounded cache hits as often as an unbounded
+    one: canonical_form(2^6) asks for 4,068 masks and misses each once, and
+    enumeration up to dmm-11 and irl-8 asks for 257."""
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
@@ -480,37 +481,46 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats):
       (x*y)*z is the new cell.  By commutativity the triple (z, y, x) is the
       same equation with y*z and x*(y*z) in those places.
 
-    These instances are checked in two parts.  The domain of the cell, a
-    bitmask computed once on entering it, holds the values that pass every
-    instance that reads the new cell only as v:
+    One plain recursive step per cell checks them in two parts.  It first
+    computes the domain of the cell, a bitmask of the values that pass
+    every instance that reads the new cell only as v:
 
     - all the monotonicity, square-increasingness and involution-law
       instances (the involution instance that also reads the new cell as
-      ~z*y holds for every v);
+      ~z*y holds for every v).  q <= ~x is read off column ~x of the order
+      matrix (lat.cols);
     - the associativity instances whose (x*y)*z is the new cell and whose
       x*y, y*z and x*(y*z) are other cells: v = x*(y*z).  Their x*y is a or
       b, so they are read off where[a] and where[b], the cells assigned by
       the search indexed by value; where is updated when a cell is assigned
       and when the assignment is undone.
 
-    The per-value check, run on the values in the domain only, covers the
-    associativity instances that read v somewhere else:
-
-    - v*z = x*(y*z) on the triples whose x*y is the new cell, where
-      x*(y*z) is the new cell itself when y*z = y.  These include the
-      mirror images of the triples whose y*z and (x*y)*z are the new cell;
-    - for v in {a, b} and o the other argument, (v*o)*o = v*(o*o), whose
-      v*o and (v*o)*o are both the new cell: v*(o*o) = v.
+    Then each value v of the domain, in increasing order, is written into
+    the cell and tested in one scan over z, which reads the instances
+    v*z = x*(y*z) whose x*y is the new cell, (x, y) = (a, b) and (b, a),
+    and stops at the first that fails.  These are the mirror images of the
+    triples whose y*z and (x*y)*z are the new cell.  The scan reads the
+    table with v in the cell, so it also decides the instances that read
+    v somewhere else: where y*z = y, x*(y*z) is the new cell itself, and
+    for v in {a, b} and o the other argument, (v*o)*o = v*(o*o) reads v at
+    v*o and at (v*o)*o.  The only other instance in which the scan reads
+    the cell is (x, y, x), whose y*z is the new cell too; it states
+    v*x = x*v, which the symmetric table satisfies.
 
     A value outside the domain fails an instance that reads the new cell
-    only as v, and the per-value check covers every instance that reads it
+    only as v, and the scan covers every instance that reads it
     elsewhere, so a value passes both parts exactly when it passes every
     instance that mentions the cell.  Each value outside the domain counts
-    as one prune in stats["pruned"], as does each value that fails the
-    per-value check.  Instances over prefilled cells that hold for every v
-    are not visited: u*y with u = bot in the involution law, z in {e, bot}
-    in v*z = x*(y*z), and an e-row x*y, whose triples read the new cell as
-    y*z or as x*(y*z).
+    as one prune, as does each value that fails the scan; the step keeps
+    the count and adds it to stats["pruned"] once per triple.  Instances
+    over prefilled cells that hold for every v are not visited: u*y with
+    u = bot in the involution law, z in {e, bot} in v*z = x*(y*z), and an
+    e-row x*y, whose triples read the new cell as y*z or as x*(y*z).
+
+    The step appends each complete table to a list.  The first next of
+    this generator runs the whole search and then yields the tables in
+    the order found, so a caller that reads stats after the first next
+    sees the triple's full prune count.
 
     The result is exactly that of rechecking every constraint over every
     decided cell after each assignment:
@@ -532,8 +542,8 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats):
     Hence the search keeps and prunes the same nodes in the same order.
     """
     rng = range(n)
-    L, below, above, covers, bot = (lat.L, lat.below, lat.above, lat.covers,
-                                    lat.bot)
+    L, cols, below, above, covers, bot = (lat.L, lat.cols, lat.below,
+                                          lat.above, lat.covers, lat.bot)
     if e == bot and n > 1:
         # e neutral and bottom absorbing collapse the algebra; no tables
         return
@@ -543,15 +553,23 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats):
         fus[bot][x] = fus[x][bot] = bot
     cells = [(a, b) for a in rng for b in range(a, n)
              if fus[a][b] < 0]
-    dual = [(u, below[neg[u]]) for u in rng if u != bot]
+    last, full = len(cells), (1 << n) - 1
+    dual = [(u, below[neg[u]], ~below[neg[u]]) for u in rng if u != bot]
     inner = [z for z in rng if z != e and z != bot]
+    below_neg = [cols[c] for c in neg]  # [x][q]: q <= ~x
     where = [[] for _ in rng]
+    tables, pruned = [], 0
 
-    def domain(a, b, pairs):
-        dom = (1 << n) - 1
-        # monotonicity: v >= c*b and v >= a*d over the lower covers c of a
-        # and d of b; v <= b if a <= e and v <= a if b <= e
-        rowa = fus[a]
+    def step(k):
+        nonlocal pruned
+        if k == last:
+            tables.append(tuple(map(tuple, fus)))
+            return
+        a, b = cells[k]
+        rowa, rowb = fus[a], fus[b]
+        # the domain: monotonicity, v >= c*b and v >= a*d over the lower
+        # covers c of a and d of b, v <= b if a <= e and v <= a if b <= e
+        dom = full
         for c in covers[a]:
             dom &= above[fus[c][b]]
         for d in covers[b]:
@@ -560,15 +578,19 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats):
             dom &= below[b]
         if L[b][e]:
             dom &= below[a]
-        if square_increasing and a == b:
-            dom &= above[a]
-        # involution law at (x, y, ~u): v <= ~u iff u*y <= ~x
+        if a == b:
+            pairs = ((a, a),)
+            if square_increasing:
+                dom &= above[a]
+        else:
+            pairs = ((a, b), (b, a))
+        # the involution law at (x, y, ~u): v <= ~u iff u*y <= ~x
         for x, y in pairs:
-            rowy, nx = fus[y], neg[x]
-            for u, m in dual:
+            rowy, le = fus[y], below_neg[x]
+            for u, m, nm in dual:
                 q = rowy[u]
                 if q >= 0:
-                    dom &= m if L[q][nx] else ~m
+                    dom &= m if le[q] else nm
         # associativity at (x, y, z) with (x*y)*z new: v = x*(y*z)
         for p, z in pairs:
             rowz = fus[z]
@@ -578,56 +600,33 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats):
                     r = fus[x][q]
                     if r >= 0:
                         dom &= 1 << r
-        return dom
-
-    def fits(a, b, v, known, fixed):
-        # the instances that read v somewhere other than the new cell
-        rowv = fus[v]
-        for z, r in known:
-            q = rowv[z]
-            if q >= 0 and q != r:
-                return False
-        for z in fixed:
-            q = rowv[z]
-            if q >= 0 and q != v:
-                return False
-        if a != b and (v == a or v == b):
-            # associativity at (v, o, o): v*(o*o) = v
-            q = fus[a + b - v][a + b - v]
-            if q >= 0 and rowv[q] >= 0 and rowv[q] != v:
-                return False
-        return True
-
-    def rec(k):
-        if k == len(cells):
-            yield tuple(tuple(row) for row in fus)
-            return
-        a, b = cells[k]
-        pairs = ((a, b),) if a == b else ((a, b), (b, a))
-        dom = domain(a, b, pairs)
-        stats["pruned"] += n - dom.bit_count()
-        # associativity at (x, y, z) with x*y new: v*z = x*(y*z), listed as
-        # (z, x*(y*z)) when x*(y*z) is decided and as z when y*z = y
-        known, fixed = [], []
-        for x, y in pairs:
-            rowx, rowy = fus[x], fus[y]
+        pruned += n - dom.bit_count()
+        while dom:
+            v = (dom & -dom).bit_length() - 1
+            dom &= dom - 1
+            rowa[b] = rowb[a] = v
+            # associativity at (x, y, z) with x*y new: v*z = x*(y*z)
+            rowv = fus[v]
             for z in inner:
-                q = rowy[z]
-                if q == y:
-                    fixed.append(z)
-                elif q >= 0 and rowx[q] >= 0:
-                    known.append((z, rowx[q]))
-        for v in _bits(dom):
-            fus[a][b] = fus[b][a] = v
-            if fits(a, b, v, known, fixed):
-                where[v].extend(pairs)
-                yield from rec(k + 1)
-                del where[v][-len(pairs):]
+                t = rowv[z]
+                if t >= 0:
+                    q = rowb[z]
+                    if q >= 0 and (r := rowa[q]) >= 0 and r != t:
+                        break
+                    q = rowa[z]
+                    if q >= 0 and (r := rowb[q]) >= 0 and r != t:
+                        break
             else:
-                stats["pruned"] += 1
-        fus[a][b] = fus[b][a] = -1
+                where[v] += pairs
+                step(k + 1)
+                del where[v][-len(pairs):]
+                continue
+            pruned += 1
+        rowa[b] = rowb[a] = -1
 
-    yield from rec(0)
+    step(0)
+    stats["pruned"] += pruned
+    yield from tables
 
 
 # ---- the fast enumerator ----------------------------------------------------

@@ -156,6 +156,25 @@ def test_construct_roundtrip(capsys):
     assert d["size"] == 4 and d["e"] == 2
 
 
+def test_construct_unknown_name_exits_2(capsys, tmp_path):
+    # construct builds named algebras only: a table file that construct
+    # --out wrote, or a name it does not know, is one error line naming
+    # the problem
+    path = tmp_path / "s3.json"
+    assert run(capsys, "construct", "--algebra", "S3", "--out",
+               str(path))[0] == 0
+    for name in (str(path), "Foo"):
+        code, out, err = run(capsys, "construct", "--algebra", name)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: unknown algebra name {name!r} (the names are "
+            "2, S3, C4, D4, Sn, S_n, C4ext_k)"]
+    with pytest.raises(SystemExit):
+        main(["construct", "--help"])
+    assert "named algebra: 2, S3, C4, D4, Sn, S_n, C4ext_k" in \
+        capsys.readouterr().out
+
+
 def test_enumerate_to_file(capsys, tmp_path):
     p = tmp_path / "cat.json"
     code, out, _ = run(capsys, "enumerate", "--size", "4", "--out", str(p))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmm import constructions
+from dmm import constructions, enumeration
 from dmm.algebra import FiniteIRL, NotAnIRL, validate_dmm
 from dmm.constructions import (NAMED_BASIC, UnknownName, canonical_form,
                                direct_product, e_free_reduct, homs,
@@ -399,6 +399,16 @@ def test_two_to_the_six_is_not_d4_cubed():
     start = time.perf_counter()
     assert not is_isomorphic(A, B) and not is_isomorphic(B, A)
     assert time.perf_counter() - start < 1.0
+
+
+def test_bit_cache_stays_bounded():
+    # canonical_form(2^6) asks the lattice walks' set-bit cache for 4,068
+    # masks, more than it keeps
+    enumeration._bits.cache_clear()
+    canonical_form(_product(*NEAR_HANGS["2^6"]))
+    info = enumeration._bits.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < info.misses
 
 
 def test_is_isomorphic_matches_canonical_form(dmm_catalogs):

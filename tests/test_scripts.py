@@ -54,8 +54,10 @@ def test_sugihara_tower_surjections_to_24():
 def test_fusion_digest_pins_dmm8():
     # the tables and prune total of the fusion DFS over the triples the
     # enumerator searches at dmm-8 and at irl-6, where neither
-    # square-increasingness nor distributivity prunes; the same script
-    # compares versions of the DFS at sizes above the ceiling
+    # square-increasingness nor distributivity prunes, and at dmm-11 and
+    # irl-8, above the ceiling, where cells with several values in their
+    # domain are common; the same script compares versions of the DFS at
+    # larger sizes
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     pins = {
         ("dmm", "8"):
@@ -64,6 +66,12 @@ def test_fusion_digest_pins_dmm8():
         ("irl", "6"):
         "irl-6: 56 triples, 110 tables, 4729 pruned, sha256 9fbd190d8e60565b"
         "d7bfa3c214299434d8ab6f021ea663ac92cde02a22120356, dfs ",
+        ("dmm", "11"):
+        "dmm-11: 65 triples, 781 tables, 285997 pruned, sha256 b73a63a4d691d7"
+        "bec94775a037d162338499a6158eaadd10d52585dd6df12037, dfs ",
+        ("irl", "8"):
+        "irl-8: 386 triples, 1793 tables, 234971 pruned, sha256 403fbf771baa"
+        "a3372fa60062b69f376c652275d1a9f0d9799cf9398c96b7369e, dfs ",
     }
     for (klass, size), want in pins.items():
         proc = subprocess.run(
