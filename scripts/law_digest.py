@@ -2,14 +2,14 @@
 """Run the exhaustive law checks on the catalogs and a fixed corpus, and
 print one SHA-256 digest over their answers: every validate_irl and
 validate_dmm report, the validate_ra report of each e-free reduct, and
-every satisfies result for the LAW_LIBRARY statements.  A second line
-digests the same three reports on CORRUPTIONS seeded corruptions of each
-input, which are mostly not IRLs, so it covers the violations and
-witnesses the validators report.  A third line digests the
-check_derived_laws report of every input and of every corruption, where
-premises fail and first counterexamples differ most.  Two versions
-of the checks agree when they print the same digests; the times are the
-checks' own.
+every satisfies result (holds and first counterexample) for the
+LAW_LIBRARY statements, quasi-equations included.  A second line digests
+the same three reports on CORRUPTIONS seeded corruptions of each input,
+which are mostly not IRLs, so it covers the violations and witnesses the
+validators report.  A third line digests the check_derived_laws report
+of every input and of every corruption, where premises fail and first
+counterexamples differ most.  Two versions of the checks agree when they
+print the same digests; the times are the checks' own.
 
 Each corruption makes one or two edits that keep the tables symmetric: an
 entry of meet, join or fusion is set at (a, b) and (b, a) together, two

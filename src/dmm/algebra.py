@@ -32,7 +32,6 @@ each validation makes the byte rows of fusion once, as a local.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, repeat
@@ -257,18 +256,6 @@ class FiniteIRL(Tables):
     def from_dict(cls, d: dict) -> "FiniteIRL":
         return cls.from_tables(*_read_dict(
             d, ("size", "meet", "join", "fusion", "neg", "e")))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteIRL":
-        return cls.from_dict(json.loads(text))
-
-    def tables_equal(self, other: "FiniteIRL") -> bool:
-        return (self.size == other.size and self.meet == other.meet
-                and self.join == other.join and self.fusion == other.fusion
-                and self.neg == other.neg and self.e == other.e)
 
 
 # ---- validation ------------------------------------------------------------
@@ -654,10 +641,11 @@ class PredicateRecord:
 
 
 def predicates(A: FiniteIRL) -> PredicateRecord:
-    from dmm.terms import law_statements, satisfies
+    from dmm.terms import first_counterexamples, law_statements
 
     def holds(law: str) -> bool:
-        return all(satisfies(A, s).holds for s in law_statements(law))
+        return all(c is None
+                   for c in first_counterexamples(A, law_statements(law)))
 
     distributive = is_distributive(A) is None
     return PredicateRecord(

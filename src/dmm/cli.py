@@ -40,6 +40,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not a text file ({exc.reason})") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise UsageError(f"{path!r}: {exc}") from exc
 
 
 def _load_algebra(spec: str, klass: str = "dmm"):

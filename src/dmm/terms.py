@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 from dmm.algebra import FiniteIRL
 
@@ -28,19 +27,13 @@ class ParseError(Exception):
         self.line = line
 
 
-class UnboundVariable(Exception):
-    def __init__(self, name: str):
-        super().__init__(f"unbound variable {name!r}")
-        self.name = name
-
-
 class TooManyVariables(ValueError):
     pass
 
 
 class TermTooDeep(ValueError):
     """A term built in code, not parsed, nests deeper than MAX_DEPTH levels;
-    evaluate and satisfies raise it before compiling the term."""
+    satisfies and first_counterexamples raise it before compiling."""
 
 
 # ---- AST -------------------------------------------------------------------
@@ -353,36 +346,28 @@ def _term_text(t: Term) -> str:
 
 # ---- evaluation ------------------------------------------------------------
 #
-# A term, a statement or a tuple of statements (a battery) is compiled once
-# into one Python function over the tables.  Its source is built from a
-# fixed vocabulary only: the table names below, e and f, v0, v1, ... for
-# the sorted variables, the temporaries t<k> (a value) and r<k> (a table
-# row), and a battery's o<k> (statement k's first counterexample).  No
-# character of the term enters it, so user statements cannot inject code.
+# A battery, a tuple of statements, is compiled once into one Python
+# function over the tables; satisfies compiles a statement as a battery of
+# one.  The source is built from a fixed vocabulary only: the table names
+# below, e and f, v0, v1, ... for the sorted variables, the temporaries
+# t<k> (a value) and r<k> (a table row), and o<k> (statement k's first
+# counterexample).  No character of a statement enters it, so user
+# statements cannot inject code.
 #
-# A statement or battery becomes one nested loop per variable, v0
-# outermost, so rng^k is walked in lexicographic order.  Each subterm, and
-# each row op[x] read with a later variable, is computed once in the loop
-# of its last variable, and shared by every use with the same source text,
-# across all the statements of a battery.
-#
-# For satisfies, a premise is tested in the loop of its last variable and
-# `continue`s that loop when it fails, which skips every assignment below
-# it; a variable-free premise that fails returns before any loop.  The
-# conclusion is tested in the innermost loop, so the first failing
-# assignment and the count of conclusion evaluations are those of a walk
-# over every assignment.
-#
-# A battery walks the sorted union of its statements' variables once.  The
-# loops are shared, so nothing `continue`s: each statement is tested in the
-# loop of its last variable, with its premises as guards, and its first
-# failure is kept; the walk returns once every statement has failed.
+# A battery becomes one nested loop per variable of the sorted union of its
+# statements' variables, v0 outermost, so rng^k is walked in lexicographic
+# order.  Each subterm, and each row op[x] read with a later variable, is
+# computed once in the loop of its last variable, and shared by every use
+# with the same source text, across all the statements.  The loops are
+# shared, so nothing `continue`s: each statement is tested in the loop of
+# its last variable, with its premises as guards, and its first failure is
+# kept; the walk returns once every statement has failed.  At most
+# MAX_VARS variables are walked, so the loops nest far inside CPython's
+# limit of 20 nested blocks.
 
 _TABLES = "meet, join, fus, res, neg, e, f"
 _BINARY = {Fusion: "fus", Meet: "meet", Join: "join", Arrow: "res"}
-# CPython compiles at most 20 nested blocks, so a walk over more variables
-# takes the last ones with one product loop.
-_LOOPS = 20
+MAX_VARS = 4
 
 
 def _tables(A: FiniteIRL) -> tuple:
@@ -440,101 +425,67 @@ def _parts(s: Statement) -> tuple[tuple[Statement, ...], Statement]:
     return (), s
 
 
-def _walk_source(slots: dict[str, str], fill) -> str:
-    """run(rng, tables): one loop per variable of slots, v0 outermost, the
-    ones past the 19th in one product loop.  fill(code) adds the tests to
-    a _Code over those loops and returns the lines before the loops and
-    after them."""
-    vars_ = list(slots.values())
-    loops = [[v] for v in vars_[:_LOOPS - 1]]
-    if vars_[_LOOPS - 1:]:
-        loops.append(vars_[_LOOPS - 1:])
-    code = _Code(len(loops), {nm: (v, 1 + min(i, _LOOPS - 1))
+def _source(statements: tuple[Statement, ...], slots: dict[str, str]) -> str:
+    """run(rng, tables) -> each statement's first failing assignment of its
+    own variables, or None: one loop per variable of slots, v0 outermost.
+    See above."""
+    code = _Code(len(slots), {nm: (v, i + 1)
                               for i, (nm, v) in enumerate(slots.items())})
-    head, tail = fill(code)
-    lines = [f"def run(rng, {_TABLES}):", *(f" {ln}" for ln in head)]
-    for depth, loop in enumerate(loops):
+    found = [f"o{k}" for k in range(len(statements))]
+    out = f"return ({''.join(f'{o}, ' for o in found)})"
+    for o, s in zip(found, statements):
+        premises, conclusion = _parts(s)
+        conds = [code.test(p) for p in (*premises, conclusion)]
+        guards = "".join(f"{cond} and " for cond, _ in conds[:-1])
+        own = "".join(f"{slots[nm]}, " for nm in variables(s))
+        code.lines[max(level for _, level in conds)] += [
+            f"if {guards}not ({conds[-1][0]}) and {o} is None:",
+            f" {o} = ({own})", " left -= 1", " if not left:", f"  {out}"]
+    lines = [f"def run(rng, {_TABLES}):", *(f" {o} = None" for o in found),
+             f" left = {len(found)}"]
+    for depth, v in enumerate(slots.values()):
         pad = " " * (depth + 1)
         lines += [pad + ln for ln in code.lines[depth]]
-        lines.append(pad + (f"for {loop[0]} in rng:" if len(loop) == 1 else
-                            f"for ({', '.join(loop)},) in "
-                            f"product(rng, repeat={len(loop)}):"))
-    pad = " " * (len(loops) + 1)
+        lines.append(f"{pad}for {v} in rng:")
+    pad = " " * (len(slots) + 1)
     lines += [pad + ln for ln in code.lines[-1]]
-    lines += (f" {ln}" for ln in tail)
+    lines.append(f" {out}")
     return "\n".join(lines) + "\n"
-
-
-def _source(node, slots: dict[str, str]) -> str:
-    """A term becomes run(tables, v0, v1, ...) -> its value.  A statement
-    becomes run(rng, tables) -> (first failing assignment or None, number of
-    conclusion evaluations); the count is kept for quasi-equations only.  A
-    tuple of statements becomes run(rng, tables) -> each one's first
-    failing assignment of its own variables, or None.  See above for the
-    loops."""
-    vs = "".join(f"{v}, " for v in slots.values())
-    if isinstance(node, Term):
-        code = _Code(0, {nm: (v, 0) for nm, v in slots.items()})
-        out = code.value(node)[0]
-        return "\n".join([f"def run({_TABLES}, {vs}):",
-                          *(f" {ln}" for ln in code.lines[0]),
-                          f" return {out}"]) + "\n"
-
-    def statement(code: _Code):
-        premises, conclusion = _parts(node)
-        for p in premises:
-            cond, level = code.test(p)
-            code.lines[level] += [f"if not ({cond}):",
-                                  " continue" if level else " return None, 0"]
-        cond, _ = code.test(conclusion)
-        code.lines[-1] += (["evals += 1"] if premises else []) + [
-            f"if not ({cond}):", f" return ({vs}), evals"]
-        return ["evals = 0"], ["return None, evals"]
-
-    def battery(code: _Code):
-        found = [f"o{k}" for k in range(len(node))]
-        out = f"return ({''.join(f'{o}, ' for o in found)})"
-        for o, s in zip(found, node):
-            premises, conclusion = _parts(s)
-            conds = [code.test(p) for p in (*premises, conclusion)]
-            guards = "".join(f"{cond} and " for cond, _ in conds[:-1])
-            own = "".join(f"{slots[nm]}, " for nm in variables(s))
-            code.lines[max(level for _, level in conds)] += [
-                f"if {guards}not ({conds[-1][0]}) and {o} is None:",
-                f" {o} = ({own})", " left -= 1", " if not left:", f"  {out}"]
-        return [*(f"{o} = None" for o in found), f"left = {len(found)}"], [out]
-
-    return _walk_source(slots, battery if isinstance(node, tuple)
-                        else statement)
 
 
 # id(node) -> (node, sorted variable names, compiled run), oldest first.
 # Looking a node up by identity skips hashing the whole frozen tree on every
 # call, and holding the node keeps its id from being reused while its entry
 # lives.  Library callers pass long-lived nodes (law_statements returns the
-# same objects on every call, and check_derived_laws keeps its batteries).
+# same objects on every call, and check_derived_laws and the axiom checks
+# keep their batteries).
 COMPILED_CAP = 1024
 _COMPILED: dict[int, tuple] = {}
 
 
 def _compiled(node) -> tuple[list[str], object]:
-    """(sorted variable names, compiled run) of a term, a statement or a
-    tuple of statements.  A term nested deeper than MAX_DEPTH, which only
-    code can build, raises TermTooDeep.
+    """(sorted variable names, compiled run) of a tuple of statements, or of
+    a statement as a battery of one.  A term nested deeper than MAX_DEPTH,
+    which only code can build, raises TermTooDeep, and more than MAX_VARS
+    variables raise TooManyVariables, both before compiling.
 
     At most COMPILED_CAP nodes stay compiled: past it the oldest entry is
     dropped, so a caller that parses afresh on every call does not grow
     the map without end, and a node met again after its entry is dropped
-    is compiled again.  The whole law library (48 statements) and both
-    derived-law batteries make 50 entries, far below the cap."""
+    is compiled again.  The whole law library (48 statements), both
+    derived-law batteries, the two laws predicates checks and the four
+    axiom sets make 56 entries, far below the cap."""
     hit = _COMPILED.get(id(node))
     if hit is None:
         parts = node if isinstance(node, tuple) else (node,)
         if max((h for p in parts for _, h in _walk(p)), default=0) > MAX_DEPTH:
             raise TermTooDeep(_TOO_DEEP)
         names = sorted({nm for p in parts for nm in variables(p)})
-        scope = {"__builtins__": {}, "product": product}
-        exec(_source(node, {nm: f"v{i}" for i, nm in enumerate(names)}),
+        if len(names) > MAX_VARS:
+            raise TooManyVariables(
+                f"{len(names)} variables exceeds the cap of {MAX_VARS}")
+        scope = {"__builtins__": {}}
+        exec(_source(parts, {nm: f"v{i}" for i, nm in enumerate(names)}),
              scope)
         hit = _COMPILED[id(node)] = (node, names, scope["run"])
         if len(_COMPILED) > COMPILED_CAP:
@@ -542,53 +493,34 @@ def _compiled(node) -> tuple[list[str], object]:
     return hit[1], hit[2]
 
 
-def evaluate(t: Term, A: FiniteIRL, assignment: dict[str, int]) -> int:
-    names, run = _compiled(t)
-    for nm in names:
-        if nm not in assignment:
-            raise UnboundVariable(nm)
-    return run(*_tables(A), *(assignment[nm] for nm in names))
-
-
 @dataclass
 class SatisfactionResult:
+    """Whether a statement holds, and if not its first counterexample:
+    its variables' values, by name."""
     holds: bool
     counterexample: dict[str, int] | None
-    assignments_checked: int
-    conclusion_evaluations: int
 
 
-def satisfies(A: FiniteIRL, s: Statement, max_vars: int = 4) -> SatisfactionResult:
+def satisfies(A: FiniteIRL, s: Statement) -> SatisfactionResult:
     """Brute-force check over all |A|^k assignments, in lexicographic order
     of (sorted variable name, element index); the first counterexample wins.
-    """
+    s is checked as a battery of one, compiled once and found again by
+    the identity of s."""
     names, run = _compiled(s)
-    if len(names) > max_vars:
-        raise TooManyVariables(
-            f"{len(names)} variables exceeds the cap of {max_vars}")
-    first, evals = run(A.elements, *_tables(A))
-    if first is None:
-        checked = A.size ** len(names)
-    else:  # first, read as a base-|A| numeral, is its place in the order
-        checked = 1 + sum(v * A.size ** i
-                          for i, v in enumerate(reversed(first)))
-    if not isinstance(s, QuasiEquation):
-        evals = checked
+    (first,) = run(A.elements, *_tables(A))
     return SatisfactionResult(
-        first is None, None if first is None else dict(zip(names, first)),
-        checked, evals)
+        first is None, None if first is None else dict(zip(names, first)))
 
 
-def first_counterexamples(A: FiniteIRL, statements: tuple[Statement, ...],
-                          max_vars: int = 4) -> tuple:
+def first_counterexamples(A: FiniteIRL,
+                          statements: tuple[Statement, ...]) -> tuple:
     """For each statement, the values of its own sorted variables at the
     first counterexample satisfies(A, s) finds, or None where s holds.
     The tuple is compiled once, into one walk over the sorted union of the
     variables, and is found again by identity, so pass the same tuple
     object each time.  The walk visits up to |A|^k assignments for the k
     variables of the union, against |A|^k_s for each statement alone, so
-    it is meant for statements over shared variables; the cap max_vars
-    bounds k as satisfies bounds k_s.
+    it is meant for statements over shared variables; MAX_VARS caps k.
 
     The answers are satisfies' own.  Take any subset S of the walk's
     variables.  The walk is lexicographic, so the first time it visits an
@@ -596,11 +528,7 @@ def first_counterexamples(A: FiniteIRL, statements: tuple[Statement, ...],
     lexicographic order of S.  A statement over S is tested at every visit,
     in the loop of its last variable, so its first failure in the walk is
     its lexicographically first counterexample."""
-    names, run = _compiled(statements)
-    if len(names) > max_vars:
-        raise TooManyVariables(
-            f"{len(names)} variables exceeds the cap of {max_vars}")
-    return run(A.elements, *_tables(A))
+    return _compiled(statements)[1](A.elements, *_tables(A))
 
 
 # ---- the named law / axiom library ----------------------------------------

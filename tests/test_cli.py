@@ -114,6 +114,13 @@ def test_satisfies_binary_statement_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and "not a text file" in err
 
 
+def test_satisfies_statement_file_name_with_nul_exits_2(capsys):
+    code, out, err = run(capsys, "satisfies", "--algebra", "S3",
+                         "--statement", "@laws\x00.txt")
+    assert code == 2 and out == ""
+    assert err == "error: 'laws\\x00.txt': embedded null byte\n"
+
+
 @pytest.mark.parametrize("statement", [
     "(" * 2000 + "x" + ")" * 2000 + " <= x",
     "~" * 3000 + "x <= x",
@@ -320,6 +327,23 @@ def test_satisfies_too_many_variables_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_satisfies_checks_each_file_statement_on_its_own(capsys, tmp_path):
+    # six variables between them, at most four in each: each statement is
+    # its own walk, where one battery of both would pass the cap
+    from dmm.terms import (TooManyVariables, first_counterexamples,
+                           statements_from_text)
+    text = "x1 /\\ x2 /\\ x3 <= x1\nx4 <= x4 \\/ x5 \\/ x6\n"
+    p = tmp_path / "laws.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, "satisfies", "--algebra", "C4",
+                         "--statement", f"@{p}")
+    assert code == 0 and err == ""
+    assert [r["holds"] for r in json.loads(out)["results"]] == [True, True]
+    with pytest.raises(TooManyVariables):
+        first_counterexamples(make_named("C4"),
+                              tuple(statements_from_text(text)))
+
+
 def test_reduct_signature(capsys):
     code, out, _ = run(capsys, "reduct", "--algebra", "C4")
     assert code == 0
@@ -514,7 +538,7 @@ def test_dfg_ra_empty_generators_is_least_filter(capsys):
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
                   st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2))
-_SMALL_NAMED = [make_named(nm).to_json()
+_SMALL_NAMED = [json.dumps(make_named(nm).to_dict())
                 for nm in ("2", "S3", "C4", "D4", "S4")]
 
 
@@ -585,3 +609,36 @@ def test_fuzz_table_files_exit_cleanly(tmp_path_factory, d):
             code = main(argv + ["--algebra", str(p)])
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+
+# ---- fuzz of the statement boundary ------------------------------------------
+
+# the grammar's tokens, ASCII and Unicode, and characters outside it
+_STATEMENT_PIECES = (
+    "x", "y", "z", "u", "w", "v1", "x_2", "e", "f", "*", "/\\", "\\/", "~",
+    "->", "<=", "=", "=>", "&", "(", ")", "·", "∧", "∨", "¬", "→", "≤", "⟹",
+    "⇒", " ", "\n", "#", "@", "/", "\\", "<", "-", ">", "!", "$", "0",
+    "é", "\t", "\r", "\x00", "\u2028")
+_statement_text = st.lists(st.sampled_from(_STATEMENT_PIECES),
+                           max_size=30).map("".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["2", "S3", "C4", "D4", "S4"]),
+       text=_statement_text, mode=st.sampled_from(["inline", "@", "file"]),
+       fmt=st.sampled_from(["json", "text"]))
+def test_fuzz_satisfies_exits_cleanly(tmp_path_factory, name, text, mode,
+                                      fmt):
+    # every outcome is a documented exit code, never an exception; mode
+    # "@" reads the text as a file name
+    spec = text if mode == "inline" else "@" + text
+    if mode == "file":
+        p = tmp_path_factory.getbasetemp() / "laws.txt"
+        p.write_text(text)
+        spec = f"@{p}"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["satisfies", "--algebra", name, f"--statement={spec}",
+                     "--format", fmt])
+    assert code in (0, 1, 2), (text, code)
+    assert "Traceback" not in err.getvalue(), text

@@ -319,7 +319,9 @@ def test_to_irl_roundtrip(named, reducts):
     for nm, R in reducts.items():
         A = FiniteIRL.from_tables(R.size, R.meet, R.join, R.fusion, R.neg,
                                   reconstruct_neutral(R))
-        assert A.tables_equal(named[nm])
+        B = named[nm]
+        assert (A.size, A.meet, A.join, A.fusion, A.neg, A.e) == \
+            (B.size, B.meet, B.join, B.fusion, B.neg, B.e), nm
 
 
 def test_contains_two_reduct(reducts):

@@ -95,8 +95,8 @@ def test_law_digest_pins_dmm6_irl4():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(
-        "41 algebras, 2091 results, sha256 496e04c9eb653ba758d563e830f5a1ff"
-        "1a1077d5db78c98e256634f2764613e1, checks ")
+        "41 algebras, 2091 results, sha256 de09042f7b7fa52769d7a937edfcc48f"
+        "95ce4e6596dffadec466e31ef78fe074, checks ")
     assert proc.stdout.splitlines()[1].startswith(
         "164 corruptions, 492 reports, sha256 d8ef1cb2ef00d11416c0e866d1a16783"
         "738a3efecdf194e1a65ae7cc3e1e1306, checks ")
