@@ -16,9 +16,13 @@ def surjections(S, T):
     """The surjections S -> T, sorted by mapping, for chains S and T.  Each
     one is the projection onto S/G for the deductive filter G of its kernel
     followed by an isomorphism S/G -> T, and between chains the only
-    candidate is the rank map, so it is checked to be a homomorphism."""
+    candidate is the rank map r.  It is one exactly when relabelling S/G
+    by r gives T's meet, join, fusion, neg and e."""
     def ranks(C):
         return [sum(C.leq(c, x) for c in C.elements) - 1 for x in C.elements]
+
+    def tables(C):
+        return C.meet, C.join, C.fusion, C.neg, C.e
 
     by_rank = sorted(T.elements, key=ranks(T).__getitem__)
     out = []
@@ -26,11 +30,10 @@ def surjections(S, T):
         Q, proj = quotient(S, G)
         if Q.size != T.size:
             continue
-        rank = ranks(Q)
-        h = Homomorphism(S, T, tuple(by_rank[rank[proj[a]]]
-                                     for a in S.elements))
-        if h.is_valid():
-            out.append(h)
+        r = [by_rank[k] for k in ranks(Q)]
+        if tables(Q.relabel(r)) == tables(T):
+            out.append(Homomorphism(S, T, tuple(r[proj[a]]
+                                                for a in S.elements)))
     return sorted(out, key=lambda h: h.mapping)
 
 

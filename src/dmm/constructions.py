@@ -40,20 +40,6 @@ class Homomorphism:
     def surjective(self) -> bool:
         return len(set(self.mapping)) == self.target.size
 
-    def is_valid(self) -> bool:
-        A, B, h = self.source, self.target, self.mapping
-        if h[A.e] != B.e:
-            return False
-        for a in A.elements:
-            if h[A.neg[a]] != B.neg[h[a]]:
-                return False
-            for b in A.elements:
-                if (h[A.meet[a][b]] != B.meet[h[a]][h[b]]
-                        or h[A.join[a][b]] != B.join[h[a]][h[b]]
-                        or h[A.fusion[a][b]] != B.fusion[h[a]][h[b]]):
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class CanonicalForm:

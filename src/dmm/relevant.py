@@ -129,7 +129,9 @@ def dfg_ra_set(A: FiniteRA, X) -> DeductiveFilter:
 def dfg_oracle(A: FiniteRA, X) -> DeductiveFilter:
     """Independent oracle: the least set holding X and every |a| closed
     upward and under meet, by a worklist: each element, in the round it is
-    first added, is closed upward and met both ways with every member."""
+    first added, is closed upward and met both ways with every member.  No
+    library code calls it; the tests check dfg_ra and dfg_ra_set against
+    it, and perfbench imports it from here."""
     meet, rng, rt = A.meet, A.elements, A.residual_table
     members: set[int] = set()
     new = {*X, *(rt[a][a] for a in rng)}

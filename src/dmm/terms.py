@@ -590,10 +590,6 @@ LAW_LIBRARY: dict[str, tuple[str, ...]] = {
     "ax-anti-idem": ("x <= f * f",),
 }
 
-# Laws valid in *all* square-increasing IRLs (13-15 need square-increasing).
-SQUARE_INCREASING_LAWS = tuple(f"law-{i}" for i in range(1, 16))
-GENERAL_IRL_LAWS = tuple(f"law-{i}" for i in range(1, 13))
-
 
 @cache
 def law_statements(name: str) -> tuple[Statement, ...]:

@@ -186,7 +186,7 @@ def test_enumerate_to_file(capsys, tmp_path):
     p = tmp_path / "cat.json"
     code, out, _ = run(capsys, "enumerate", "--size", "4", "--out", str(p))
     assert code == 0 and "4 algebra(s)" in out
-    assert len(Catalog.load(p).algebras) == 4
+    assert len(Catalog.from_json(p.read_text()).algebras) == 4
 
 
 def test_enumerate_to_missing_directory_exits_2_before_search(

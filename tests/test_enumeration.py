@@ -379,7 +379,7 @@ def test_catalog_roundtrip(tmp_path, dmm_catalogs):
     cat = dmm_catalogs[4]
     p = tmp_path / "cat4.json"
     cat.save(p)
-    back = Catalog.load(p)
+    back = Catalog.from_json(p.read_text())
     assert back.spec == cat.spec and back.complete
     assert len(back.algebras) == len(cat.algebras)
     for A, B in zip(back.algebras, cat.algebras):
@@ -470,7 +470,7 @@ AXIOM_VERDICTS = {"axioms-2": (24, True), "axioms-S3": (24, True),
 # the trivial entry has no two-element subreduct to look for
 RELEVANT_VERDICTS = {
     "ra-axioms": (28, True), "ra-meet-property": (28, True),
-    "ra-dfg-oracle": (28, True), "ra-neutral-reconstructed": (28, True),
+    "ra-neutral-reconstructed": (28, True),
     "ra-two-element-subreduct": (27, True)}
 
 

@@ -183,10 +183,15 @@ def test_dfg_ra_examples(reducts):
 
 
 def test_dfg_ra_matches_fixpoint_oracle(reducts, dmm_upto):
-    catalog = [e_free_reduct(A) for A in dmm_upto(6).algebras]
-    for R in [*reducts.values(), *catalog]:
+    # every element of every dmm n <= 8 reduct; generator sets to n <= 6
+    small = [*reducts.values(),
+             *(e_free_reduct(A) for A in dmm_upto(6).algebras)]
+    larger = [e_free_reduct(A) for n in (7, 8)
+              for A in enumerate_algebras(SearchSpec(n)).algebras]
+    for R in [*small, *larger]:
         for a in R.elements:
             assert dfg_ra(R, a).members == dfg_oracle(R, {a}).members
+    for R in small:
         gens = [(), *combinations(R.elements, 1),
                 *combinations(R.elements, 2), tuple(R.elements)]
         for X in gens:
