@@ -92,11 +92,36 @@ def _load_statements(spec: str):
     return [parse_statement(spec)]
 
 
+def _json_text(o, pad: str = "\n") -> str:
+    """json.dumps(o, indent=2, sort_keys=True, default=str), written without
+    the standard library's indenting encoder: its recursive closures refer
+    to each other, so every call it serves leaves a reference cycle.  A
+    list or dict with no nonempty list or dict inside is written by one
+    call of the C encoder, with the line break and indent in its item
+    separator."""
+    nested = (list, tuple, dict)
+    if not isinstance(o, nested) or not o:
+        return json.dumps(o, default=str)
+    inner = pad + "  "
+    if not any(isinstance(v, nested) and v
+               for v in (o.values() if isinstance(o, dict) else o)):
+        text = json.dumps(o, sort_keys=True, default=str,
+                          separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if isinstance(o, dict):
+        # a key that is not a string is written as its JSON text, quoted
+        parts = (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + _json_text(v, inner) for k, v in sorted(o.items()))
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    return ("[" + inner + ("," + inner).join(_json_text(v, inner) for v in o)
+            + pad + "]")
+
+
 def _emit(payload, args, text_fn=None):
     if text_fn is not None and args.format == "text":
         body = text_fn()
     else:
-        body = json.dumps(payload, indent=2, sort_keys=True, default=str)
+        body = _json_text(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body + "\n")
@@ -361,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("irl", "dmm"), help="catalog all algebras of a size")
     homs_help = ("all homomorphisms between two algebras; the cost grows "
                  "with the number of maps returned (2^5 -> 2^5 has 3,125, "
-                 "about 1 s; 2^6 -> 2^6 has 46,656, about 40 s)")
+                 "about 1 s; 2^6 -> 2^6 has 46,656, about 40 s), and on "
+                 "Sugihara chains too: S2m -> S2m-1 has 2^(m-1) (128, 512 "
+                 "and 2,048 for S16, S20 and S24; S32 -> S31 ran 22.3 s)")
     add("homs", _cmd_homs, alg + ("algebra2",), emit, help=homs_help,
         description=homs_help)
     add("iso", _cmd_iso, alg + ("algebra2",), emit, help="isomorphism test")

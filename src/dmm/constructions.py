@@ -285,7 +285,12 @@ def _maps(A: FiniteIRL, B: FiniteIRL, injective: bool = False):
     With injective, a value already taken is refused, both when a value is
     forced and when the search branches, so only the embeddings are walked.
     It is private because only _embeds wants a yes/no answer over those:
-    homs lists every homomorphism, injective or not."""
+    homs lists every homomorphism, injective or not.
+
+    search calls itself through its own closure cell, a reference cycle,
+    so its name is deleted when the search ends, or when a consumer such as
+    _embeds drops it early: reference counting then frees h, order and the
+    closures at once, instead of leaving them to the cycle collector."""
     h = [-1] * A.size
     taken = [False] * B.size
     order: list[int] = []
@@ -335,8 +340,11 @@ def _maps(A: FiniteIRL, B: FiniteIRL, injective: bool = False):
                 yield from search()
             undo(mark)
 
-    if put(A.e, B.e) and close(0):
-        yield from search()
+    try:
+        if put(A.e, B.e) and close(0):
+            yield from search()
+    finally:
+        del search
 
 
 def homs(A: FiniteIRL, B: FiniteIRL) -> list[Homomorphism]:

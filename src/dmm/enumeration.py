@@ -51,6 +51,13 @@ exactly the nodes a full recheck after every assignment would;
 _fusion_tables gives the details, and tests/test_enumeration_oracles.py
 compares every layer against an unpruned or full-recheck oracle.
 
+The recursive searches (_relabellings, _posets, _lattices and the fusion
+step) are closures that call themselves through their own cell, so each is
+a reference cycle, and each deletes its own name once its search ends (in
+a finally for the generators, so a consumer that stops early breaks it
+too): reference counting then frees the search's state at once, instead
+of leaving it to the cycle collector.
+
 Isomorphism is decided on each lattice by its automorphism group Aut(L),
 computed once per lattice.  The kept lattices are pairwise non-isomorphic,
 so tables on different kept lattices are never isomorphic, and two tables
@@ -254,7 +261,10 @@ def _relabellings(below: list[int], target: list[int]):
             elif w < t:
                 yield None
 
-    return rec(0, 0)
+    try:
+        yield from rec(0, 0)
+    finally:
+        del rec
 
 
 def _least_labellings(below: list[int]):
@@ -313,7 +323,10 @@ def _posets(n: int):
                 yield from rec(grown)
             below.pop()
 
-    yield from rec([0])
+    try:
+        yield from rec([0])
+    finally:
+        del rec
 
 
 def _lattices(n: int, distributive: bool = False):
@@ -395,7 +408,10 @@ def _lattices(n: int, distributive: bool = False):
                 yield from rec(_with_point(downs, mask, i), maps)
             below.pop()
 
-    yield from rec([0, 1], [(0,)])
+    try:
+        yield from rec([0, 1], [(0,)])
+    finally:
+        del rec
 
 
 def _tables_from_below(below: list[int], n: int):
@@ -620,6 +636,7 @@ def _fusion_tables(n, lat, neg, e, square_increasing, stats):
         rowa[b] = rowb[a] = -1
 
     step(0)
+    del step
     stats["pruned"] += pruned
     yield from tables
 

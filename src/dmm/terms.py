@@ -487,7 +487,9 @@ def _compiled(node) -> tuple[list[str], object]:
         scope = {"__builtins__": {}}
         exec(_source(parts, {nm: f"v{i}" for i, nm in enumerate(names)}),
              scope)
-        hit = _COMPILED[id(node)] = (node, names, scope["run"])
+        # run's globals are scope, so scope must not keep run: a dropped
+        # entry is then freed by reference counting, not left as a cycle
+        hit = _COMPILED[id(node)] = (node, names, scope.pop("run"))
         if len(_COMPILED) > COMPILED_CAP:
             del _COMPILED[next(iter(_COMPILED))]
     return hit[1], hit[2]

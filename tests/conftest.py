@@ -1,9 +1,25 @@
+import gc
+
 import pytest
 from hypothesis import strategies as st
 
 from dmm.constructions import make_named
 from dmm.enumeration import Catalog, SearchSpec, enumerate_algebras
 from test_enumeration_oracles import slow_count
+
+
+@pytest.fixture
+def no_cyclic_garbage():
+    """Fail the test if its body leaves garbage that only the cycle
+    collector can free: the collector is off while the body runs, so
+    reference counting alone must free everything the body dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

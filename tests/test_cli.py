@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmm.cli import build_parser, main
+from dmm.cli import _json_text, build_parser, main
 from dmm.constructions import (MAX_NAMED_SIZE, NAMED_BASIC, direct_product,
                                e_free_reduct, make_named)
 from dmm.enumeration import Catalog
@@ -642,3 +642,21 @@ def test_fuzz_satisfies_exits_cleanly(tmp_path_factory, name, text, mode,
                      "--format", fmt])
     assert code in (0, 1, 2), (text, code)
     assert "Traceback" not in err.getvalue(), text
+
+
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.floats(allow_nan=False), st.text(max_size=4),
+                       st.just(frozenset({1})))
+_json_payload = st.recursive(_json_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.tuples(inner, inner),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    st.dictionaries(st.integers(-3, 3), inner, max_size=3)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=_json_payload)
+def test_json_text_is_json_dumps(payload):
+    # the CLI's JSON writer gives the standard library's bytes, a frozenset
+    # (no JSON type) included through default=str
+    assert _json_text(payload) == json.dumps(payload, indent=2,
+                                             sort_keys=True, default=str)
