@@ -210,7 +210,8 @@ class FiniteIRL(Tables):
     def f(self) -> int:
         return self.neg[self.e]
 
-    # The reports depend on the tables alone, never on name or labels.
+    # The reports and the classification (dmm.filters.classify) depend on
+    # the tables alone, never on name or labels.
     @cached_property
     def _irl_report(self) -> "ValidationReport":
         return _check_irl(self)
@@ -218,6 +219,11 @@ class FiniteIRL(Tables):
     @cached_property
     def _dmm_report(self) -> "ValidationReport":
         return _check_dmm(self)
+
+    @cached_property
+    def _classification(self):
+        from dmm.filters import _classify
+        return _classify(self)
 
     def label(self, a: int) -> str:
         if self.labels is not None:

@@ -410,9 +410,14 @@ def e_free_reduct(A: FiniteIRL):
     """Drop the distinguished neutral element, yielding a relevant-algebra
     candidate over the signature fusion, meet, join, neg, on A's own
     tables, which were checked when A was made, and with A's lattice
-    record."""
+    record.  If A's IRL check has run and passed, it decided the laws R
+    shares with A on these very tables, and R is handed that verdict
+    too (FiniteRA._shared_passed)."""
     from dmm.relevant import FiniteRA
     R = FiniteRA(A.size, A.meet, A.join, A.fusion, A.neg,
                  f"{A.name}-" if A.name else "")
     R.lattice = A.lattice
+    report = vars(A).get("_irl_report")  # set once validate_irl(A) ran
+    if report is not None and report.ok:
+        R._shared_passed = True
     return R

@@ -169,24 +169,35 @@ class Catalog:
     def to_json(self) -> str:
         """The catalog as compact JSON with sorted keys, byte for byte
         json.dumps of the to_dict forms with sort_keys=True and separators
-        (",", ":").  The entries are assembled in sorted-key order, and each
-        table object's text is made once per call: the classes on one
-        lattice share its meet and join tuples (enumerate_algebras), so
-        their text is written once per lattice, not once per class.  e,
-        size and count are ints, which JSON writes as Python does."""
+        (",", ":").  The entries are assembled in sorted-key order, and
+        each table's text is joined from the texts of its rows, each
+        distinct row written once per call (JSON writes an int as Python
+        does).  The classes on one lattice share its meet and join tuples
+        (enumerate_algebras), so their text is joined once per lattice,
+        not once per class.  e, size and count are ints too."""
+        rows: dict[tuple[int, ...], str] = {}
         texts: dict[int, str] = {}
 
-        def text(t) -> str:
+        def row(r) -> str:
+            out = rows.get(r)
+            if out is None:
+                out = rows[r] = f"[{','.join(map(str, r))}]"
+            return out
+
+        def table(t) -> str:
+            return f"[{','.join(map(row, t))}]"
+
+        def shared(t) -> str:
             # t stays alive through the call, so its id is not reused
             out = texts.get(id(t))
             if out is None:
-                out = texts[id(t)] = _dumps(t)
+                out = texts[id(t)] = table(t)
             return out
 
         entries = ",".join(
-            f'{{"e":{A.e},"fusion":{_dumps(A.fusion)},'
-            f'"join":{text(A.join)},"meet":{text(A.meet)},'
-            f'"name":{_dumps(A.name)},"neg":{_dumps(A.neg)},'
+            f'{{"e":{A.e},"fusion":{table(A.fusion)},'
+            f'"join":{shared(A.join)},"meet":{shared(A.meet)},'
+            f'"name":{_dumps(A.name)},"neg":{row(A.neg)},'
             f'"size":{A.size}}}' for A in self.algebras)
         return (f'{{"algebras":[{entries}],'
                 f'"complete":{_dumps(self.complete)},'
@@ -766,7 +777,9 @@ class HarnessReport:
     def check(self, name: str, *counterexamples) -> None:
         """Count one instance of check `name` and record its counterexamples,
         dropping the Nones."""
-        c = self.checks.setdefault(name, CheckOutcome())
+        c = self.checks.get(name)
+        if c is None:
+            c = self.checks[name] = CheckOutcome()
         c.instances += 1
         c.counterexamples.extend(x for x in counterexamples if x is not None)
 
@@ -817,9 +830,10 @@ def _holds_own_axioms(name: str) -> bool:
 def theorem_harness(catalog: Catalog) -> HarnessReport:
     """Run the structural checks over every applicable entry of a catalog
     of DMMs.  Each entry's quotients A/F are built once, one per deductive
-    filter F, and every filter check reads them."""
-    from dmm.structure import (fusion_pattern_check, lollipop,
-                               odd_sugihara_quotient, splitting_check)
+    filter F, and every filter check reads them, the odd Sugihara
+    quotient's check among them; they are dropped with the entry."""
+    from dmm.structure import (_odd_sugihara_quotient, fusion_pattern_check,
+                               lollipop, splitting_check)
     if not catalog.complete or not catalog.algebras:
         raise IncompleteCatalog("harness needs a complete, nonempty catalog")
     report = HarnessReport()
@@ -846,7 +860,8 @@ def theorem_harness(catalog: Catalog) -> HarnessReport:
                 r = fusion_pattern_check(A)
                 report.check("fusion-pattern",
                              None if r.ok else (A.name, r.witness, r.detail))
-                _, q = odd_sugihara_quotient(A)
+                _, q = _odd_sugihara_quotient(
+                    A, {G.members: (Q, proj) for G, Q, proj in quots})
                 report.check("odd-sugihara-quotient",
                              None if q.ok else (A.name, q.violations))
                 # f^2 > e and idempotents at or above f are linearly ordered

@@ -32,6 +32,8 @@ Congruences are block-id arrays with blocks numbered by least member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from dmm.algebra import FiniteIRL, Tables
 
@@ -117,10 +119,25 @@ def is_congruence(A: FiniteIRL, theta: Congruence) -> bool:
     """Whether related elements have related negations and related rows of
     meet, join and fusion.  Each element's rows, mapped to block ids, are
     compared with those of the least member of its block, which by
-    transitivity compares every related pair."""
-    blk = theta.blocks
-    if len(blk) != A.size:
+    transitivity compares every related pair.
+
+    When every block id is an int in range and 2 <= n <= 256, this is one
+    comparison of byte strings: neg and the flat meet, join and fusion
+    tables, translated by the block ids, against the same tables with
+    each row (each entry of neg) taken from the least member of its
+    element's block, gathered by one itemgetter.  Other ids take the
+    element walk."""
+    blk, n = theta.blocks, A.size
+    if len(blk) != n:
         return False
+    if 2 <= n <= 256 and set(map(type, blk)) == {int} and (
+            0 <= min(blk) and max(blk) < n):
+        least: dict[int, int] = {}
+        lead = itemgetter(*(least.setdefault(i, a) for a, i in enumerate(blk)))
+        ids = bytes(blk) + bytes(256 - n)
+        return (bytes(chain(A.neg, *A.meet, *A.join, *A.fusion)).translate(ids)
+                == bytes(chain(lead(A.neg), *lead(A.meet), *lead(A.join),
+                               *lead(A.fusion))).translate(ids))
     ids = blk.__getitem__
     first: dict[int, tuple] = {}
     for a in A.elements:
@@ -157,7 +174,7 @@ def quotient(A: FiniteIRL, G: DeductiveFilter) -> tuple[FiniteIRL, list[int]]:
     return Q, proj
 
 
-@dataclass
+@dataclass(frozen=True)
 class Classification:
     trivial: bool
     simple: bool
@@ -174,7 +191,12 @@ def congruence_lattice(A: FiniteIRL) -> list[Congruence]:
 
 def classify(A: FiniteIRL) -> Classification:
     """FSI / SI / simple flags, from the negative idempotents strictly
-    below e (see the module docstring)."""
+    below e (see the module docstring).  Memoized per instance, like the
+    validation reports: every call on A returns the one frozen record."""
+    return A._classification
+
+
+def _classify(A: FiniteIRL) -> Classification:
     if A.size == 1:
         return Classification(True, False, False, True)
     below = [m for m in _negative_idempotents(A) if m != A.e]

@@ -29,9 +29,13 @@ class TrivialAlgebra(Exception):
 
 @dataclass(eq=False)
 class FiniteRA(Tables):
-    """The shared tables without a neutral element, and t, memoized."""
+    """The shared tables without a neutral element, and t, memoized.
+    _shared_passed is True only on a reduct whose algebra's IRL check
+    passed (dmm.constructions.e_free_reduct): validate_ra then skips the
+    laws that check decided on the same tables."""
 
     name: str = ""
+    _shared_passed = False  # not a field: only e_free_reduct sets it
 
     @classmethod
     def from_tables(cls, size, meet, join, fusion, neg, name=""):
@@ -84,7 +88,9 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
     and a <= a*(~(b*~b) /\\ ~(c*~c)).  With commutative fusion the RA law
     a*b <= c iff a*~c <= ~b is involution-fusion at (b, a, c).  Neg
     antitone is decided on byte strings first (_neg_antitone), and its
-    pairs are walked only when that test fails."""
+    pairs are walked only when that test fails.  The shared laws are not
+    decided again when A._shared_passed says that its algebra's IRL
+    check passed on these tables."""
     A.check_well_formed()
     rng = A.elements
     meet, fus, neg = A.meet, A.fusion, A.neg
@@ -94,7 +100,9 @@ def validate_ra(A: FiniteRA) -> ValidationReport:
     # a <= a*w depends on (a, w) only, for w in W = {u[b] /\ u[c]}; (b, c)
     # is walked only for an a that fails on some w
     W = {meet[x][y] for x in u for y in u}
-    for a in _check_shared(A, col, _fusion_bytes(A)):
+    shared = (rng if A._shared_passed
+              else _check_shared(A, col, _fusion_bytes(A)))
+    for a in shared:
         ma, fa = meet[a], fus[a]
         fails = {w for w in W if ma[fa[w]] != a}
         if antitone and not fails:

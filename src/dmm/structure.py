@@ -252,6 +252,16 @@ def odd_sugihara_quotient(A: FiniteIRL) -> tuple[FiniteIRL, OddQuotientReport]:
     """Quotient by the filter [~(f^2)): the result must be an odd Sugihara
     monoid whose e-class is exactly [~(f^2), f^2], all other classes
     singletons."""
+    return _odd_sugihara_quotient(A, {})
+
+
+def _odd_sugihara_quotient(A: FiniteIRL, quotients: dict) -> tuple[
+        FiniteIRL, OddQuotientReport]:
+    """odd_sugihara_quotient, reading A/G from quotients, which maps the
+    members of a deductive filter G to (A/G, projection), where the caller
+    has built it already; quotient builds it otherwise.  The theorem
+    harness hands over the quotients it built of every filter of A, and
+    [~(f^2)) is always one of them."""
     _require_fsi_dmm(A)
     if _is_idempotent(A):
         raise NotApplicable("idempotent algebra")
@@ -261,7 +271,8 @@ def odd_sugihara_quotient(A: FiniteIRL) -> tuple[FiniteIRL, OddQuotientReport]:
     viol: list[str] = []
     if G.members != frozenset(a for a in A.elements if A.leq(nf2, a)):
         viol.append("[~(f^2)) is not the up-set of ~(f^2)")
-    Q, proj = quotient(A, G)
+    built = quotients.get(G.members)
+    Q, proj = built if built is not None else quotient(A, G)
     rep = validate_dmm(Q)
     if not rep.ok:
         viol.append("quotient is not a De Morgan monoid")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import count
 
 from dmm.algebra import FiniteIRL
 
@@ -358,45 +359,76 @@ def _term_text(t: Term) -> str:
 # statements' variables, v0 outermost, so rng^k is walked in lexicographic
 # order.  Each subterm, and each row op[x] read with a later variable, is
 # computed once in the loop of its last variable, and shared by every use
-# with the same source text, across all the statements.  The loops are
-# shared, so nothing `continue`s: each statement is tested in the loop of
-# its last variable, with its premises as guards, and its first failure is
-# kept; the walk returns once every statement has failed.  At most
-# MAX_VARS variables are walked, so the loops nest far inside CPython's
-# limit of 20 nested blocks.
+# with the same source text, across all the statements.  An inequation
+# s <= t reads le[s][t], the order matrix of the lattice record, which is
+# meet[s][t] == s on any table.  The loops are shared, so nothing
+# `continue`s: each statement is tested in the loop of its last variable,
+# with its premises as guards, and its first failure is kept; the walk
+# returns once every statement has failed.  At most MAX_VARS variables are
+# walked, so the loops nest far inside CPython's limit of 20 nested blocks.
+#
+# A statement whose premises are all known in an outer loop, at level p,
+# and its conclusion only in an inner one, at level c > p, is tested in a
+# copy of loops p+1..c, entered under `if <premises>:` at level p: law 8
+# (x <= y => ..., over x, y, z) walks z only where x <= y, and
+# "f * f = f => x * x = x" walks x only where f * f = f.  Statements with
+# the same premises and the same p and c share one copy, as law 8's three
+# do.  A copy has its own temporaries for the values it computes below
+# level p and reads the shared ones known at p or above.
+#
+# This is exact.  The premises read v0..v(p-1) alone, so at each
+# assignment of those the guard is the premises' truth at every
+# assignment that extends it.  Where it holds, the copy walks the
+# extensions in lexicographic order and tests the conclusion at each, as
+# the shared loop did; where it fails, no extension is a counterexample.
+# The outer loops are walked in lexicographic order too, so the statement
+# is tested at every assignment where its premises hold, in the same
+# order as before, and its first counterexample is the same.  A copy is
+# not entered once all its statements have failed.
 
-_TABLES = "meet, join, fus, res, neg, e, f"
+_TABLES = "meet, join, fus, res, neg, e, f, le"
 _BINARY = {Fusion: "fus", Meet: "meet", Join: "join", Arrow: "res"}
 MAX_VARS = 4
 
 
 def _tables(A: FiniteIRL) -> tuple:
-    return (A.meet, A.join, A.fusion, A.residual_table, A.neg, A.e, A.f)
+    return (A.meet, A.join, A.fusion, A.residual_table, A.neg, A.e, A.f,
+            A.lattice.L)
 
 
 class _Code:
     """The assignments of a compiled run, one list per loop level (0 is
-    before the loops); a value is (source text, level it is known at)."""
+    before the loops); a value is (source text, level it is known at).  A
+    guarded copy of the loops below level base is a _Code of its own, with
+    the walk's code as outer: a value known at base or above is the outer
+    code's, and shared with it."""
 
-    def __init__(self, levels: int, where: dict[str, tuple[str, int]]):
+    def __init__(self, where: dict[str, tuple[str, int]], levels: int,
+                 outer: "_Code | None" = None, base: int = 0):
         self.where = where  # variable name -> (slot, level)
         self.lines: list[list[str]] = [[] for _ in range(levels + 1)]
         self.memo: dict[str, tuple[str, int]] = {}
+        self.outer, self.base = outer, base
+        self.names = outer.names if outer else count()
 
     def let(self, expr: str, level: int, kind: str = "t") -> tuple[str, int]:
         """A temporary holding expr, assigned at level once."""
+        if self.outer is not None and level <= self.base:
+            return self.outer.let(expr, level, kind)
         hit = self.memo.get(expr)
         if hit is None:
-            name = f"{kind}{len(self.memo)}"
+            name = f"{kind}{next(self.names)}"
             self.lines[level].append(f"{name} = {expr}")
             hit = self.memo[expr] = (name, level)
         return hit
 
-    def apply(self, op: str, left, right) -> tuple[str, int]:
+    def row(self, op: str, left, right) -> str:
+        """op[a][b], with the row op[a] hoisted when a is known in an outer
+        loop."""
         (a, la), (b, lb) = left, right
-        if la < lb:  # the row op[a] is known in an outer loop
-            return self.let(f"{self.let(f'{op}[{a}]', la, 'r')[0]}[{b}]", lb)
-        return self.let(f"{op}[{a}][{b}]", la)
+        if la < lb:
+            return f"{self.let(f'{op}[{a}]', la, 'r')[0]}[{b}]"
+        return f"{op}[{a}][{b}]"
 
     def value(self, t: Term) -> tuple[str, int]:
         if isinstance(t, Var):
@@ -406,15 +438,20 @@ class _Code:
         if isinstance(t, Neg):
             a, level = self.value(t.arg)
             return self.let(f"neg[{a}]", level)
-        return self.apply(_BINARY[type(t)], self.value(t.left),
-                          self.value(t.right))
+        left, right = self.value(t.left), self.value(t.right)
+        return self.let(self.row(_BINARY[type(t)], left, right),
+                        max(left[1], right[1]))
+
+    def level(self, s: Statement) -> int:
+        """The level s is known at: that of its last variable."""
+        return max((self.where[nm][1] for nm in variables(s)), default=0)
 
     def test(self, s: Statement) -> tuple[str, int]:
         """The condition s and the level it is known at."""
         lhs, rhs = self.value(s.lhs), self.value(s.rhs)
         level = max(lhs[1], rhs[1])
-        if isinstance(s, Inequation):  # s <= t  iff  s /\ t = s
-            rhs = self.apply("meet", lhs, rhs)
+        if isinstance(s, Inequation):
+            return self.row("le", lhs, rhs), level
         return f"{lhs[0]} == {rhs[0]}", level
 
 
@@ -425,31 +462,59 @@ def _parts(s: Statement) -> tuple[tuple[Statement, ...], Statement]:
     return (), s
 
 
+def _nest(lines: list[list[str]], loops: list[str], lo: int, hi: int):
+    """The loops that open levels lo+1..hi, nested, each level's lines in
+    its own loop, indented from level lo."""
+    out = []
+    for level in range(lo + 1, hi + 1):
+        pad = " " * (level - lo - 1)
+        out.append(pad + loops[level - 1])
+        out += [f"{pad} {ln}" for ln in lines[level]]
+    return out
+
+
 def _source(statements: tuple[Statement, ...], slots: dict[str, str]) -> str:
     """run(rng, tables) -> each statement's first failing assignment of its
-    own variables, or None: one loop per variable of slots, v0 outermost.
+    own variables, or None: one loop per variable of slots, v0 outermost,
+    and a guarded copy of inner loops per set of premises that needs one.
     See above."""
-    code = _Code(len(slots), {nm: (v, i + 1)
-                              for i, (nm, v) in enumerate(slots.items())})
+    code = _Code({nm: (v, i + 1) for i, (nm, v) in enumerate(slots.items())},
+                 len(slots))
+    loops = [f"for {v} in rng:" for v in slots.values()]
     found = [f"o{k}" for k in range(len(statements))]
     out = f"return ({''.join(f'{o}, ' for o in found)})"
+    # (premises, p, c) -> the copy of loops p+1..c under those premises,
+    # and the statements it tests
+    copies: dict[tuple[str, int, int], tuple[_Code, list[str]]] = {}
     for o, s in zip(found, statements):
         premises, conclusion = _parts(s)
-        conds = [code.test(p) for p in (*premises, conclusion)]
-        guards = "".join(f"{cond} and " for cond, _ in conds[:-1])
         own = "".join(f"{slots[nm]}, " for nm in variables(s))
-        code.lines[max(level for _, level in conds)] += [
-            f"if {guards}not ({conds[-1][0]}) and {o} is None:",
-            f" {o} = ({own})", " left -= 1", " if not left:", f"  {out}"]
+        hit = [f" {o} = ({own})", " left -= 1", " if not left:", f"  {out}"]
+        prems = [code.test(p) for p in premises]
+        guards = "".join(f"{cond} and " for cond, _ in prems)
+        base = max((level for _, level in prems), default=0)
+        top = code.level(conclusion)
+        if premises and base < top:
+            key = (guards, base, top)
+            if key not in copies:
+                copies[key] = (_Code(code.where, top, code, base), [])
+            inner, tested = copies[key]
+            tested.append(o)
+            cond = inner.test(conclusion)[0]
+            inner.lines[top] += [f"if not ({cond}) and {o} is None:", *hit]
+        else:
+            cond, level = code.test(conclusion)
+            code.lines[max(base, level)] += [
+                f"if {guards}not ({cond}) and {o} is None:", *hit]
+    for (guards, base, top), (inner, tested) in copies.items():
+        code.lines[base] += [
+            f"if {guards}({' or '.join(f'{o} is None' for o in tested)}):",
+            *(f" {ln}" for ln in _nest(inner.lines, loops, base, top))]
+    deepest = max((level for level, ls in enumerate(code.lines) if ls),
+                  default=0)
+    body = [*code.lines[0], *_nest(code.lines, loops, 0, deepest), out]
     lines = [f"def run(rng, {_TABLES}):", *(f" {o} = None" for o in found),
-             f" left = {len(found)}"]
-    for depth, v in enumerate(slots.values()):
-        pad = " " * (depth + 1)
-        lines += [pad + ln for ln in code.lines[depth]]
-        lines.append(f"{pad}for {v} in rng:")
-    pad = " " * (len(slots) + 1)
-    lines += [pad + ln for ln in code.lines[-1]]
-    lines.append(f" {out}")
+             f" left = {len(found)}", *(f" {ln}" for ln in body)]
     return "\n".join(lines) + "\n"
 
 

@@ -512,7 +512,7 @@ def test_harness_failure_payloads_pinned(dmm_upto, monkeypatch):
 
 def test_harness_builds_each_quotient_once(dmm_upto, monkeypatch):
     # one A/F per deductive filter of each entry, read by every filter
-    # check, plus the quotient odd_sugihara_quotient builds for itself
+    # check, the odd Sugihara quotient's among them
     cat = dmm_upto(6)
     real = filters.quotient
     calls = []
@@ -528,7 +528,8 @@ def test_harness_builds_each_quotient_once(dmm_upto, monkeypatch):
     n_filters = sum(len(filters.deductive_filters(A)) for A in cat.algebras)
     odd = rep.checks["odd-sugihara-quotient"].instances
     assert (n_filters, odd) == (70, 19)
-    assert len(calls) == n_filters + odd == 89
+    assert len(calls) == n_filters
+    assert len(set(calls)) == len(calls)
 
 
 def test_relevant_harness_names_reducts_that_are_not_ras():

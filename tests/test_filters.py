@@ -122,6 +122,11 @@ def test_classify_product_not_fsi(named):
     assert not c.fsi and not c.si and not c.simple
 
 
+def test_classify_is_memoized(named):
+    for A in named.values():
+        assert classify(A) is classify(A)
+
+
 def test_classify_trivial():
     T = make_named("S1")
     c = classify(T)
@@ -172,6 +177,17 @@ def test_is_congruence_matches_pairwise_oracle(dmm_catalogs):
                                for x in A.elements)
                 seen.append(is_congruence(A, Congruence(blocks, A)))
                 assert seen[-1] == oracle_is_congruence(A, blocks)
+    # ids out of range or not ints take the element walk: the partitions
+    # renamed, and the last element moved to a new block named n
+    for A in (A for n in range(2, 6) for A in dmm_catalogs[n].algebras):
+        n = A.size
+        for blocks in _partitions(n):
+            for named in (tuple(b + n for b in blocks),
+                          tuple(map(str, blocks)),
+                          tuple(b == 1 if b < 2 else b for b in blocks),
+                          (*blocks[:-1], n)):
+                seen.append(is_congruence(A, Congruence(named, A)))
+                assert seen[-1] == oracle_is_congruence(A, named), named
     assert True in seen and False in seen
 
 

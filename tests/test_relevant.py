@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dmm import relevant
 from dmm.algebra import (FiniteIRL, NotAnIRL, ValidationReport, _Collector,
-                         is_distributive, is_rigorously_compact)
+                         is_distributive, is_rigorously_compact, validate_irl)
 from dmm.constructions import e_free_reduct, make_named
 from dmm.enumeration import SearchSpec, enumerate_algebras
 from dmm.filters import DeductiveFilter, _up_sets, classify, congruence_lattice
@@ -269,6 +269,38 @@ def test_e_free_reduct_shares_tables_and_reports(dmm_upto):
                                        [list(r) for r in A.fusion],
                                        list(A.neg))
         assert validate_ra(R) == validate_ra(checked), A.name
+
+
+def _checked_reduct(A) -> FiniteRA:
+    """The reduct of A made afresh from its tables, with no verdict."""
+    return FiniteRA.from_tables(A.size, *(list(map(list, t)) for t in (
+        A.meet, A.join, A.fusion)), list(A.neg))
+
+
+def test_reduct_is_handed_a_passed_irl_check_only(dmm_catalogs):
+    # a reduct skips the shared laws only when its algebra's IRL check ran
+    # and passed; a corrupted-fusion algebra's reduct still reports every
+    # witness, and every report is that of a reduct with no verdict
+    rnd = random.Random(35)
+    for A in dmm_catalogs[6].algebras:
+        B = FiniteIRL(A.size, A.meet, A.join, A.fusion, A.neg, A.e)
+        assert not e_free_reduct(B)._shared_passed  # not checked yet
+        assert validate_irl(B).ok
+        R = e_free_reduct(B)
+        assert R._shared_passed
+        assert validate_ra(R) == validate_ra(_checked_reduct(B))
+        n = A.size
+        fus = [list(r) for r in A.fusion]
+        a, b = rnd.randrange(1, n), rnd.randrange(1, n)
+        fus[a][b] = fus[b][a] = (fus[a][b] + 1) % n
+        C = FiniteIRL(n, A.meet, A.join, tuple(map(tuple, fus)), A.neg, A.e)
+        if validate_irl(C).ok:
+            continue
+        R = e_free_reduct(C)
+        assert not R._shared_passed
+        report = validate_ra(R)
+        assert report == validate_ra(_checked_reduct(C))
+        assert not report.ok
 
 
 def test_meet_property(reducts):

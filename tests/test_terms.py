@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupted_tables
-from dmm.algebra import FiniteIRL
+from dmm.algebra import FiniteIRL, _law_battery
 from dmm.terms import (_COMPILED, COMPILED_CAP, LAW_LIBRARY, MAX_DEPTH,
                        MAX_VARS, Arrow, Const, Equation, Fusion, Inequation,
                        Join, Meet, Neg, ParseError, QuasiEquation,
@@ -401,8 +401,17 @@ def test_first_counterexamples_match_interpreter(named, name, battery):
         _first(A, s) for s in battery), [to_text(s) for s in battery]
 
 
+# the library batteries whose statements are tested in guarded copies of
+# the inner loops: law 8, the idempotence triple, and check_derived_laws'
+# square-increasing battery, which holds both
+GUARDED_BATTERIES = (law_statements("law-8"),
+                     law_statements("idempotence-triple"),
+                     _law_battery(True)[1])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(d=corrupted_tables(), battery=batteries)
+@given(d=corrupted_tables(),
+       battery=st.one_of(batteries, st.sampled_from(GUARDED_BATTERIES)))
 def test_first_counterexamples_match_interpreter_on_corrupted_tables(
         d, battery):
     A = FiniteIRL.from_dict(d)
@@ -471,7 +480,40 @@ def test_generated_source_has_a_fixed_vocabulary():
         temporaries = {w for w in words if re.fullmatch(r"[tro][0-9]+", w)}
         assert words - temporaries <= {
             "def", "run", "rng", "meet", "join", "fus", "res", "neg",
-            "e", "f", "left", "for", "in", "if", "and", "not", "is",
+            "e", "f", "le", "left", "for", "in", "if", "and", "not", "is",
             "return", "None", *slots.values()}
         assert not words & {"import", "os", "exec", "globals", "breakpoint",
                             "eval", "len"}
+
+
+def _enclosing(lines, k):
+    """The lines that open the blocks around line k, innermost first."""
+    out, indent = [], len(lines[k]) - len(lines[k].lstrip())
+    for ln in reversed(lines[:k]):
+        if (i := len(ln) - len(ln.lstrip())) < indent:
+            out.append(ln.strip())
+            indent = i
+    return out
+
+
+def test_law_8_is_tested_only_under_its_premise():
+    # x <= y => ..., over x, y, z: each conclusion is tested in a copy of
+    # the z loop, entered only where x <= y; the three statements share
+    # their premise, so they share the copy
+    law8 = law_statements("law-8")
+    lines = _source(law8, {"x": "v0", "y": "v1", "z": "v2"}).splitlines()
+    for k in range(len(law8)):
+        (test,) = [i for i, ln in enumerate(lines)
+                   if ln.strip().startswith("if not (")
+                   and ln.strip().endswith(f"and o{k} is None:")]
+        above = _enclosing(lines, test)
+        assert above[0] == "for v2 in rng:"
+        assert re.fullmatch(r"if r[0-9]+\[v1\] and "
+                            r"\(o0 is None or o1 is None or o2 is None\):",
+                            above[1])
+        assert above[2:] == ["for v1 in rng:", "for v0 in rng:",
+                             "def run(rng, meet, join, fus, res, neg, e, f, "
+                             "le):"]
+    # the row of the premise is le[x], read once per x
+    assert any(re.fullmatch(r"r[0-9]+ = le\[v0\]", ln.strip())
+               for ln in lines)
